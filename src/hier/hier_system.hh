@@ -138,7 +138,11 @@ class HierSystem
     /** The cluster PE @p pe belongs to. */
     int clusterOf(PeId pe) const { return pe / config.pes_per_cluster; }
 
-    /** Replace every agent with trace replay of @p trace. */
+    /**
+     * Replace every agent with trace replay of @p trace.  The agents
+     * share the trace's streams (no copy); @p trace may be changed or
+     * destroyed afterwards without affecting the loaded run.
+     */
     void loadTrace(const Trace &trace);
 
     /** Install @p program on PE @p pe (creates a Processor agent). */

@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <array>
 #include <string>
 
@@ -85,9 +86,10 @@ Cache::Cache(PeId pe, std::size_t num_lines, const Protocol &protocol,
             blockShift++;
         setMask = num_sets - 1;
     }
+    static_assert(sizeof(Line) == 24, "a cache line's tag and state "
+                                      "must pack into 24 bytes");
     lines.resize(num_lines);
-    for (auto &line : lines)
-        line.data.assign(blockSize, 0);
+    words.assign(num_lines * blockSize, 0);
 
     statRefs = this->stats.intern("cache.refs");
     statWriteback = this->stats.intern("cache.writeback");
@@ -156,6 +158,8 @@ Cache::setObserver(obs::Recorder *recorder, std::size_t shard)
                  : nullptr;
     metrics = recorder ? recorder->metricsLane(shard) : nullptr;
     lockRec = recorder ? recorder->lockLane(shard) : nullptr;
+    if (metrics && lastWrite.empty())
+        lastWrite.assign(lines.size(), kNever);
     if (stateTrace)
         stateCause = "cpu";
 }
@@ -261,6 +265,19 @@ const Cache::Line &
 Cache::pendingLine() const
 {
     return lines[pending.way_index];
+}
+
+Word *
+Cache::lineData(const Line &line)
+{
+    return words.data() +
+           static_cast<std::size_t>(&line - lines.data()) * blockSize;
+}
+
+const Word *
+Cache::lineData(const Line &line) const
+{
+    return const_cast<Cache *>(this)->lineData(line);
 }
 
 bool
@@ -378,9 +395,11 @@ Cache::cpuAccess(const MemRef &ref)
         lockRec->release(pe, ref.addr, clock.now);
     if (metrics && ref.op == CpuOp::Write &&
         holdsBlock(line, ref.addr)) {
-        if (line.last_write != kNever)
-            metrics->write_gap.sample(clock.now - line.last_write);
-        line.last_write = clock.now;
+        Cycle &last_write =
+            lastWrite[static_cast<std::size_t>(&line - lines.data())];
+        if (last_write != kNever)
+            metrics->write_gap.sample(clock.now - last_write);
+        last_write = clock.now;
     }
 
     stats.add(statRefs);
@@ -395,12 +414,12 @@ Cache::cpuAccess(const MemRef &ref)
         // Hit: complete within the cache cycle.
         setLineState(line, reaction.next);
         line.last_use = ++lruClock;
+        Word *data = lineData(line);
         if (reaction.update_value)
-            line.data[offset] = ref.data;
+            data[offset] = ref.data;
         AccessResult result;
         result.complete = true;
-        result.value = ref.op == CpuOp::Write ? ref.data
-                                              : line.data[offset];
+        result.value = ref.op == CpuOp::Write ? ref.data : data[offset];
         logCommit(ref, result);
         return result;
     }
@@ -486,7 +505,7 @@ Cache::lineValue(Addr addr) const
     const Line *line = findLine(addr);
     if (line == nullptr)
         return 0;
-    return line->data[static_cast<std::size_t>(addr - line->base)];
+    return lineData(*line)[static_cast<std::size_t>(addr - line->base)];
 }
 
 bool
@@ -515,10 +534,11 @@ Cache::currentRequest()
         // itself (Flush) back to memory.
         request.op = BusOp::Write;
         request.addr = line.base;
-        request.data = line.data[0];
+        request.data = lineData(line)[0];
         if (blockSize > 1) {
             request.block_transfer = true;
-            request.block_data = line.data;
+            request.block_data.assign(lineData(line),
+                                      lineData(line) + blockSize);
         }
         return request;
 
@@ -545,6 +565,7 @@ Cache::requestComplete(const BusResult &result)
 {
     ddc_assert(pending.active, "completion without a pending request");
     Line &line = pendingLine();
+    Word *data = lineData(line);
     Addr base = blockBase(pending.ref.addr);
     std::size_t offset = static_cast<std::size_t>(pending.ref.addr - base);
 
@@ -581,7 +602,7 @@ Cache::requestComplete(const BusResult &result)
                    "fill returned a malformed block");
         LineState state = stateFor(line, pending.ref.addr);
         setLineBase(line, base);
-        line.data = result.block;
+        std::copy(result.block.begin(), result.block.end(), data);
         setLineState(line, protocol.afterBusOp(state, BusOp::Read, false));
         line.last_use = ++lruClock;
         revalidatePending();
@@ -598,16 +619,17 @@ Cache::requestComplete(const BusResult &result)
                 if (blockSize > 1) {
                     ddc_assert(result.block.size() == blockSize,
                                "block read returned a malformed block");
-                    line.data = result.block;
+                    std::copy(result.block.begin(), result.block.end(),
+                              data);
                 } else {
-                    line.data[0] = result.data;
+                    data[0] = result.data;
                 }
                 break;
               case BusOp::ReadLock:
                 ddc_assert(blockSize == 1 || stateFor(line, ref.addr).present(),
                            "ReadLock allocation without a resident block");
                 setLineBase(line, base);
-                line.data[offset] = result.data;
+                data[offset] = result.data;
                 break;
               case BusOp::Write:
               case BusOp::WriteUnlock:
@@ -615,14 +637,13 @@ Cache::requestComplete(const BusResult &result)
                 ddc_assert(blockSize == 1 || stateFor(line, ref.addr).present(),
                            "write allocation without a resident block");
                 setLineBase(line, base);
-                line.data[offset] = ref.data;
+                data[offset] = ref.data;
                 break;
               case BusOp::Rmw:
                 ddc_assert(blockSize == 1 || stateFor(line, ref.addr).present(),
                            "RMW allocation without a resident block");
                 setLineBase(line, base);
-                line.data[offset] =
-                    result.rmw_success ? ref.data : result.data;
+                data[offset] = result.rmw_success ? ref.data : result.data;
                 break;
             }
             setLineState(line,
@@ -654,7 +675,7 @@ Cache::wouldSupply(Addr addr, Word &value)
         return false;
     if (!snoopReaction(line->state, BusOp::Read).supply)
         return false;
-    value = line->data[static_cast<std::size_t>(addr - line->base)];
+    value = lineData(*line)[static_cast<std::size_t>(addr - line->base)];
     return true;
 }
 
@@ -664,7 +685,8 @@ Cache::supplyBlock(Addr addr)
     const Line *line = findLine(addr);
     ddc_assert(line != nullptr,
                "supplyBlock for an address this cache does not hold");
-    return line->data;
+    const Word *data = lineData(*line);
+    return {data, data + blockSize};
 }
 
 void
@@ -714,9 +736,9 @@ Cache::observe(const BusTransaction &txn)
         if (!txn.block.empty()) {
             ddc_assert(txn.block.size() == blockSize,
                        "snarf of a malformed block");
-            line.data = txn.block;
+            std::copy(txn.block.begin(), txn.block.end(), lineData(line));
         } else {
-            line.data[static_cast<std::size_t>(txn.addr - line.base)] =
+            lineData(line)[static_cast<std::size_t>(txn.addr - line.base)] =
                 txn.data;
         }
         stats.add(statSnarf);
@@ -759,17 +781,14 @@ Cache::revalidatePending()
         if (stateTrace)
             stateCause = "broadcast_fill";
         setLineState(line, reaction.next);
-        if (reaction.update_value) {
-            line.data[static_cast<std::size_t>(
-                pending.ref.addr - line.base)] = pending.ref.data;
-        }
+        Word &word = lineData(line)[static_cast<std::size_t>(
+            pending.ref.addr - line.base)];
+        if (reaction.update_value)
+            word = pending.ref.data;
         AccessResult access;
         access.complete = true;
         access.value =
-            pending.ref.op == CpuOp::Write
-                ? pending.ref.data
-                : line.data[static_cast<std::size_t>(pending.ref.addr -
-                                                     line.base)];
+            pending.ref.op == CpuOp::Write ? pending.ref.data : word;
         finish(access);
         return;
     }

@@ -157,22 +157,18 @@ class Cache : public BusClient
     static constexpr std::size_t kNumTags = 8;
 
   private:
-    /** Storage for one line (one block). */
+    /**
+     * Tag and state of one line (one block).  The block's words live
+     * in the cache's contiguous words array (lineData()), so a line is
+     * 24 bytes with no allocation of its own.
+     */
     struct Line
     {
         /** Block base address (valid when state is not NotPresent). */
         Addr base = 0;
-        std::vector<Word> data;
-        LineState state{};
         /** LRU stamp (updated on CPU use and install). */
         std::uint64_t last_use = 0;
-        /**
-         * Issue cycle of the last CPU write to this block (kNever =
-         * none yet).  Maintained only while histograms are enabled;
-         * feeds the inter-write-distance histogram behind RWB's
-         * k-consecutive-writes rule.
-         */
-        Cycle last_write = kNever;
+        LineState state{};
     };
 
     /** Phases of a pending access. */
@@ -230,6 +226,10 @@ class Cache : public BusClient
      * tags), else an empty way, else the LRU way.
      */
     Line &victimLine(Addr addr);
+
+    /** The words of @p line's block (blockSize of them). */
+    Word *lineData(const Line &line);
+    const Word *lineData(const Line &line) const;
 
     /** The line reserved for the pending access. */
     Line &pendingLine();
@@ -376,6 +376,15 @@ class Cache : public BusClient
     const char *stateCause = nullptr;
 
     std::vector<Line> lines;
+    /** Block data, lines.size() * blockSize words, line-major. */
+    std::vector<Word> words;
+    /**
+     * Issue cycle of the last CPU write to each line's block (kNever =
+     * none yet), indexed like lines.  Allocated and maintained only
+     * once histograms are attached; feeds the inter-write-distance
+     * histogram behind RWB's k-consecutive-writes rule.
+     */
+    std::vector<Cycle> lastWrite;
     PendingOp pending;
     std::uint64_t accessCounter = 0;
     bool completionReady = false;

@@ -106,7 +106,11 @@ class System
 
     explicit System(const SystemConfig &config);
 
-    /** Replace every agent with trace replay of @p trace. */
+    /**
+     * Replace every agent with trace replay of @p trace.  The agents
+     * share the trace's streams (no copy); @p trace may be changed or
+     * destroyed afterwards without affecting the loaded run.
+     */
     void loadTrace(const Trace &trace);
 
     /** Install @p program on PE @p pe (creates a Processor agent). */

@@ -2,19 +2,21 @@
 
 namespace ddc {
 
-TraceAgent::TraceAgent(PeId pe, CacheSet caches, std::vector<MemRef> stream,
+TraceAgent::TraceAgent(CacheSet caches, SharedStream stream,
                        stats::CounterSet &stats)
-    : pe(pe), caches(std::move(caches)), stream(std::move(stream)),
-      stats(stats)
+    : caches(std::move(caches)), stream(std::move(stream)), stats(stats)
 {
-    (void)this->pe;
+    if (this->stream) {
+        next = this->stream->data();
+        end = next + this->stream->size();
+    }
     statStallCycles = stats.intern("pe.stall_cycles");
 }
 
 bool
 TraceAgent::done() const
 {
-    return !waiting && next >= stream.size();
+    return !waiting && next == end;
 }
 
 void
@@ -44,10 +46,10 @@ TraceAgent::tick()
         completed++;
         return;
     }
-    if (next >= stream.size())
+    if (next == end)
         return;
 
-    auto result = caches.access(stream[next]);
+    auto result = caches.access(*next);
     next++;
     if (result.complete) {
         completed++;

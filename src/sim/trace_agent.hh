@@ -6,8 +6,6 @@
 #ifndef DDC_SIM_TRACE_AGENT_HH
 #define DDC_SIM_TRACE_AGENT_HH
 
-#include <vector>
-
 #include "sim/agent.hh"
 #include "stats/counter.hh"
 #include "trace/trace.hh"
@@ -19,12 +17,12 @@ class TraceAgent : public Agent
 {
   public:
     /**
-     * @param pe This PE's id.
      * @param caches The PE's cache banks.
-     * @param stream References to issue, in order (copied).
+     * @param stream References to issue, in order (shared, not
+     *        copied; null issues none).
      * @param stats Counter set receiving pe.* statistics.
      */
-    TraceAgent(PeId pe, CacheSet caches, std::vector<MemRef> stream,
+    TraceAgent(CacheSet caches, SharedStream stream,
                stats::CounterSet &stats);
 
     void tick() override;
@@ -51,7 +49,9 @@ class TraceAgent : public Agent
     Cycle
     earliestDoneCycle(Cycle now) const override
     {
-        std::size_t remaining = stream.size() - completed;
+        // Not yet issued, plus the one in flight.
+        auto remaining = static_cast<std::size_t>(end - next) +
+                         (waiting ? 1 : 0);
         return remaining > 1
             ? now + static_cast<Cycle>(remaining) - 1 : now;
     }
@@ -69,13 +69,14 @@ class TraceAgent : public Agent
     std::size_t refsCompleted() const { return completed; }
 
   private:
-    PeId pe;
     CacheSet caches;
-    std::vector<MemRef> stream;
+    /** Keeps the stream alive; next/end walk its storage. */
+    SharedStream stream;
+    const MemRef *next = nullptr;
+    const MemRef *end = nullptr;
     stats::CounterSet &stats;
     /** Handle interned once at construction (per-stall add). */
     stats::CounterId statStallCycles;
-    std::size_t next = 0;
     std::size_t completed = 0;
     bool waiting = false;
 };

@@ -20,6 +20,13 @@ nextValue(Word &counter)
     return counter;
 }
 
+/** @p n as a size; a negative count generates nothing. */
+std::size_t
+countOf(std::int64_t n)
+{
+    return n > 0 ? static_cast<std::size_t>(n) : 0;
+}
+
 } // namespace
 
 Addr
@@ -88,6 +95,7 @@ makeCmStarTrace(const CmStarAppParams &params, int num_pes,
     };
 
     for (PeId pe = 0; pe < num_pes; pe++) {
+        trace.reserve(pe, refs_per_pe);
         // Per-PE rotation decorrelates the PEs' hot addresses so they
         // do not all conflict-map to the same cache lines.
         Addr code_rot = rng.nextBelow(params.code_footprint);
@@ -163,6 +171,7 @@ makeUniformRandomTrace(int num_pes, std::size_t refs_per_pe,
     Word value_counter = 0;
 
     for (PeId pe = 0; pe < num_pes; pe++) {
+        trace.reserve(pe, refs_per_pe);
         for (std::size_t i = 0; i < refs_per_pe; i++) {
             MemRef ref;
             ref.cls = DataClass::Shared;
@@ -192,6 +201,7 @@ makeArrayInitTrace(int num_pes, std::uint64_t elements_per_pe)
     for (PeId pe = 0; pe < num_pes; pe++) {
         Addr base = sharedBase() +
                     static_cast<Addr>(pe) * elements_per_pe;
+        trace.reserve(pe, elements_per_pe);
         for (std::uint64_t i = 0; i < elements_per_pe; i++) {
             MemRef ref;
             ref.op = CpuOp::Write;
@@ -210,6 +220,11 @@ makeProducerConsumerTrace(int num_pes, std::uint64_t buffer_words,
 {
     ddc_assert(num_pes >= 2, "producer/consumer needs >= 2 PEs");
     Trace trace(num_pes);
+    trace.reserve(0, countOf(rounds) * buffer_words);
+    for (PeId pe = 1; pe < num_pes; pe++) {
+        trace.reserve(pe, countOf(rounds) * countOf(reads_per_round) *
+                              buffer_words);
+    }
     Word value_counter = 0;
     for (int round = 0; round < rounds; round++) {
         for (std::uint64_t w = 0; w < buffer_words; w++) {
@@ -240,6 +255,8 @@ makeMigratoryTrace(int num_pes, std::uint64_t record_words, int rounds)
 {
     ddc_assert(num_pes > 0, "need at least one PE");
     Trace trace(num_pes);
+    for (PeId pe = 0; pe < num_pes; pe++)
+        trace.reserve(pe, countOf(rounds) * record_words * 2);
     Word value_counter = 0;
     for (int round = 0; round < rounds; round++) {
         for (PeId pe = 0; pe < num_pes; pe++) {
@@ -269,6 +286,7 @@ makeSequentialWalkTrace(int num_pes, std::uint64_t words, int passes,
     Trace trace(num_pes);
     Word value_counter = 0;
     for (PeId pe = 0; pe < num_pes; pe++) {
+        trace.reserve(pe, countOf(passes) * words);
         int count = 0;
         for (int pass = 0; pass < passes; pass++) {
             for (std::uint64_t w = 0; w < words; w++) {
@@ -297,6 +315,7 @@ makeFalseSharingTrace(int num_pes, int rounds)
     Word value_counter = 0;
     for (PeId pe = 0; pe < num_pes; pe++) {
         Addr addr = sharedBase() + static_cast<Addr>(pe);
+        trace.reserve(pe, countOf(rounds) * 2);
         for (int round = 0; round < rounds; round++) {
             MemRef write;
             write.op = CpuOp::Write;
@@ -333,6 +352,7 @@ makeClusteredTrace(int num_clusters, int pes_per_cluster,
         int cluster = pe / pes_per_cluster;
         Addr cluster_region = sharedBase() +
                               static_cast<Addr>(cluster) * 1024;
+        trace.reserve(pe, refs_per_pe);
         for (std::size_t i = 0; i < refs_per_pe; i++) {
             MemRef ref;
             ref.cls = DataClass::Shared;
@@ -358,6 +378,7 @@ makeHotSpotTrace(int num_pes, int attempts, int spins)
     Trace trace(num_pes);
     const Addr lock = sharedBase();
     for (PeId pe = 0; pe < num_pes; pe++) {
+        trace.reserve(pe, countOf(attempts) * (countOf(spins) + 1));
         for (int a = 0; a < attempts; a++) {
             for (int s = 0; s < spins; s++) {
                 MemRef spin;

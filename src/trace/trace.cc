@@ -73,17 +73,43 @@ Trace::Trace(int num_pes)
 {
     ddc_assert(num_pes >= 0, "negative PE count");
     streams.resize(static_cast<std::size_t>(num_pes));
+    for (auto &stream : streams)
+        stream = std::make_shared<RefStream>();
+}
+
+RefStream &
+Trace::writable(PeId pe)
+{
+    ddc_assert(pe >= 0 && pe < numPes(), "trace PE id out of range");
+    auto &stream = streams[static_cast<std::size_t>(pe)];
+    // Another Trace copy or a loaded machine still reads this storage:
+    // give this trace its own copy before changing it.
+    if (stream.use_count() > 1)
+        stream = std::make_shared<RefStream>(*stream);
+    return *stream;
 }
 
 void
 Trace::append(PeId pe, const MemRef &ref)
 {
-    ddc_assert(pe >= 0 && pe < numPes(), "trace PE id out of range");
-    streams[static_cast<std::size_t>(pe)].push_back(ref);
+    writable(pe).push_back(ref);
 }
 
-const std::vector<MemRef> &
+void
+Trace::reserve(PeId pe, std::size_t refs)
+{
+    writable(pe).reserve(refs);
+}
+
+const RefStream &
 Trace::stream(PeId pe) const
+{
+    ddc_assert(pe >= 0 && pe < numPes(), "trace PE id out of range");
+    return *streams[static_cast<std::size_t>(pe)];
+}
+
+SharedStream
+Trace::share(PeId pe) const
 {
     ddc_assert(pe >= 0 && pe < numPes(), "trace PE id out of range");
     return streams[static_cast<std::size_t>(pe)];
@@ -94,8 +120,21 @@ Trace::totalRefs() const
 {
     std::size_t total = 0;
     for (const auto &stream : streams)
-        total += stream.size();
+        total += stream->size();
     return total;
+}
+
+bool
+Trace::operator==(const Trace &other) const
+{
+    if (numPes() != other.numPes())
+        return false;
+    for (std::size_t pe = 0; pe < streams.size(); pe++) {
+        if (streams[pe] != other.streams[pe] &&
+            *streams[pe] != *other.streams[pe])
+            return false;
+    }
+    return true;
 }
 
 void
@@ -103,7 +142,7 @@ Trace::save(std::ostream &os) const
 {
     os << "ddctrace 1 " << numPes() << "\n";
     for (int pe = 0; pe < numPes(); pe++) {
-        for (const auto &ref : streams[static_cast<std::size_t>(pe)]) {
+        for (const auto &ref : stream(pe)) {
             os << pe << " " << opCode(ref.op) << " " << ref.addr << " "
                << ref.data << " " << classCode(ref.cls) << "\n";
         }
@@ -123,22 +162,31 @@ Trace::load(std::istream &is)
     if (magic != "ddctrace" || version != 1 || num_pes < 0)
         return false;
 
-    streams.resize(static_cast<std::size_t>(num_pes));
+    *this = Trace(num_pes);
     int pe = 0;
     char op_char = 0;
     char cls_char = 0;
     Addr addr = 0;
     Word data = 0;
-    while (is >> pe >> op_char >> addr >> data >> cls_char) {
+    // A record starts with its PE id; once one has, all five fields
+    // must follow, so a truncated last record is an error.
+    while (is >> pe) {
         MemRef ref;
-        if (pe < 0 || pe >= num_pes || !parseOp(op_char, ref.op) ||
+        if (!(is >> op_char >> addr >> data >> cls_char) || pe < 0 ||
+            pe >= num_pes || !parseOp(op_char, ref.op) ||
             !parseClass(cls_char, ref.cls)) {
             streams.clear();
             return false;
         }
         ref.addr = addr;
         ref.data = data;
-        streams[static_cast<std::size_t>(pe)].push_back(ref);
+        streams[static_cast<std::size_t>(pe)]->push_back(ref);
+    }
+    // The PE-id read stops cleanly only at end of input; anything else
+    // is a malformed field.
+    if (!is.eof()) {
+        streams.clear();
+        return false;
     }
     return true;
 }

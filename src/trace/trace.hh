@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,18 +21,42 @@
 
 namespace ddc {
 
-/** One memory reference issued by one PE. */
+/**
+ * One memory reference issued by one PE.
+ *
+ * Members are ordered widest-first so a reference packs into 24 bytes
+ * (a trace holds one per simulated reference); the constructor keeps
+ * the natural {op, addr, data, class} argument order.
+ */
 struct MemRef
 {
-    CpuOp op = CpuOp::Read;
     Addr addr = 0;
     /** Value stored for Write / TestAndSet; ignored for Read. */
     Word data = 0;
+    CpuOp op = CpuOp::Read;
     /** Software classification; RB/RWB ignore it, baselines use it. */
     DataClass cls = DataClass::Shared;
 
+    constexpr MemRef() = default;
+    constexpr MemRef(CpuOp op, Addr addr, Word data = 0,
+                     DataClass cls = DataClass::Shared)
+        : addr(addr), data(data), op(op), cls(cls)
+    {}
+
     bool operator==(const MemRef &other) const = default;
 };
+
+static_assert(sizeof(MemRef) == 24, "MemRef must pack into 24 bytes");
+
+/** One PE's reference stream. */
+using RefStream = std::vector<MemRef>;
+
+/**
+ * Owning handle on one PE's stream.  The stream it points to never
+ * changes: a Trace that is appended to while a handle is out copies
+ * the stream first.
+ */
+using SharedStream = std::shared_ptr<const RefStream>;
 
 /** Render one reference as "R 0x10 Shared" style text. */
 std::string toString(const MemRef &ref);
@@ -42,6 +67,11 @@ std::string toString(const MemRef &ref);
  * The simulator consumes each PE's stream in order; there is no global
  * interleaving in the trace itself — interleaving emerges from the
  * simulated timing, exactly as on the real machine.
+ *
+ * Streams are shared, not copied: copying a Trace, or loading it into
+ * a machine (share()), hands out references to the same storage.  A
+ * stream is copied only when append() finds it shared (copy-on-write),
+ * so a loaded machine never sees later appends.
  */
 class Trace
 {
@@ -55,8 +85,17 @@ class Trace
     /** Append a reference to PE @p pe's stream. */
     void append(PeId pe, const MemRef &ref);
 
+    /**
+     * Size PE @p pe's stream for @p refs references in all, so the
+     * appends that follow never reallocate.
+     */
+    void reserve(PeId pe, std::size_t refs);
+
     /** Stream of PE @p pe. */
-    const std::vector<MemRef> &stream(PeId pe) const;
+    const RefStream &stream(PeId pe) const;
+
+    /** Shared handle on PE @p pe's stream (see SharedStream). */
+    SharedStream share(PeId pe) const;
 
     /** Total number of references across all PEs. */
     std::size_t totalRefs() const;
@@ -66,14 +105,19 @@ class Trace
 
     /**
      * Parse a trace produced by save().
-     * @return false on malformed input (the trace is left empty).
+     * @return false on malformed or truncated input, including a
+     *         partial last record (the trace is left empty).
      */
     bool load(std::istream &is);
 
-    bool operator==(const Trace &other) const = default;
+    /** Equal when every PE's stream holds the same references. */
+    bool operator==(const Trace &other) const;
 
   private:
-    std::vector<std::vector<MemRef>> streams;
+    /** PE @p pe's stream, copied first if anyone else shares it. */
+    RefStream &writable(PeId pe);
+
+    std::vector<std::shared_ptr<RefStream>> streams;
 };
 
 } // namespace ddc

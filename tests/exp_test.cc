@@ -111,6 +111,38 @@ TEST(RunnerTest, ParallelMatchesSerialExactly)
     }
 }
 
+TEST(RunnerTest, WorkersShareOneTraceSafely)
+{
+    // Every point copies the same Trace, so all workers' machines
+    // replay one set of shared streams (only the reference counts are
+    // written across threads; the TSan job runs this test).
+    const Trace shared = makeUniformRandomTrace(4, 400, 32, 0.3, 0.05, 3);
+    exp::ParamGrid grid;
+    grid.axis("protocol", {"RB", "RWB", "RB", "RWB", "RB", "RWB"});
+    exp::Experiment spec("shared_trace", "one trace, many workers");
+    spec.addGrid(grid, [grid, shared](std::size_t flat) {
+        exp::TraceRun run;
+        run.config.num_pes = 4;
+        run.config.cache_lines = 64;
+        run.config.protocol = grid.indicesAt(flat)[0] % 2 == 0
+                                  ? ProtocolKind::Rb : ProtocolKind::Rwb;
+        run.trace = shared;
+        return run;
+    });
+    exp::RunnerOptions serial;
+    serial.jobs = 1;
+    exp::RunnerOptions parallel;
+    parallel.jobs = 6;
+    auto a = exp::runExperiment(spec, serial);
+    auto b = exp::runExperiment(spec, parallel);
+    ASSERT_EQ(a.size(), 6u);
+    ASSERT_EQ(b.size(), 6u);
+    for (std::size_t i = 0; i < a.size(); i++) {
+        EXPECT_EQ(a[i].status, RunStatus::Finished);
+        EXPECT_EQ(a[i].toJson().dump(), b[i].toJson().dump()) << i;
+    }
+}
+
 TEST(RunnerTest, SessionJsonIdenticalAcrossJobCounts)
 {
     exp::SessionOptions serial;

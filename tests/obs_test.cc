@@ -17,11 +17,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/rb.hh"
 #include "core/simulator.hh"
 #include "exp/json.hh"
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
+#include "sim/bus.hh"
+#include "sim/cache.hh"
+#include "sim/memory.hh"
 #include "sim/system.hh"
 #include "sync/workload.hh"
 #include "trace/synthetic.hh"
@@ -347,6 +351,42 @@ TEST(ObsSystem, HistogramsCollectEndToEnd)
               metrics->miss_service.count());
     EXPECT_GT(metrics->miss_service.max(), 0u);
     EXPECT_GT(metrics->write_gap.count(), 0u);
+}
+
+TEST(ObsSystem, WriteGapFillsWhenHistogramsAttachLate)
+{
+    // The per-line last-write cycles exist only once histograms are
+    // attached; a cache that ran without them must start tracking
+    // from the attach on.
+    stats::CounterSet stats;
+    Clock clock;
+    RbProtocol protocol;
+    Memory memory(stats);
+    Bus bus(memory, ArbiterKind::RoundRobin, clock, stats);
+    Cache cache(0, 8, protocol, clock, stats);
+    cache.connectBus(bus);
+    auto write = [&](Word value) {
+        if (!cache.cpuAccess({CpuOp::Write, 3, value}).complete) {
+            while (!cache.hasCompletion()) {
+                bus.tick();
+                clock.now++;
+            }
+            cache.takeCompletion();
+        }
+    };
+
+    write(1); // before any recorder: nothing to sample into
+    auto recorder = obs::makeRecorder(true, 0);
+    ASSERT_NE(recorder, nullptr);
+    cache.setObserver(recorder.get());
+    clock.now = 100;
+    write(2); // first tracked write: no gap yet
+    clock.now = 200;
+    write(3);
+
+    const auto &gaps = recorder->metrics()->write_gap;
+    EXPECT_EQ(gaps.count(), 1u);
+    EXPECT_EQ(gaps.max(), 100u);
 }
 
 TEST(ObsSystem, LockHistogramsThroughWorkload)

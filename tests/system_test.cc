@@ -164,6 +164,29 @@ TEST(RunTraceFacade, GrowsPeCountToTrace)
     EXPECT_TRUE(summary.completed);
 }
 
+TEST(System, AppendAfterLoadTraceLeavesRunUnchanged)
+{
+    SystemConfig config;
+    config.num_pes = 4;
+    config.protocol = ProtocolKind::Rwb;
+    auto trace = makeUniformRandomTrace(4, 300, 12, 0.4, 0.1, 9);
+
+    System reference(config);
+    reference.loadTrace(trace);
+    Cycle reference_cycles = reference.run();
+
+    // The loaded machine shares the trace's streams; appending to the
+    // trace afterwards must copy them, not grow the loaded run.
+    System system(config);
+    system.loadTrace(trace);
+    for (PeId pe = 0; pe < trace.numPes(); pe++)
+        trace.append(pe, {CpuOp::Write, 5, 77});
+    EXPECT_EQ(trace.totalRefs(), 4u * 301u);
+    EXPECT_EQ(system.run(), reference_cycles);
+    EXPECT_EQ(system.counters().report(), reference.counters().report());
+    EXPECT_EQ(system.counters().get("cache.refs"), 4u * 300u);
+}
+
 TEST(System, DeterministicAcrossRuns)
 {
     SystemConfig config;

@@ -81,6 +81,75 @@ TEST(Trace, LoadRejectsUnknownClass)
     EXPECT_FALSE(trace.load(buffer));
 }
 
+TEST(Trace, LoadRejectsTruncatedLastRecord)
+{
+    std::stringstream buffer("ddctrace 1 1\n0 R 1 0 S\n0 W 5");
+    Trace trace;
+    EXPECT_FALSE(trace.load(buffer));
+    EXPECT_EQ(trace.numPes(), 0);
+}
+
+TEST(Trace, LoadRejectsMalformedLastRecord)
+{
+    std::stringstream buffer("ddctrace 1 1\n0 R 1 0 S\n0 W x 0 S\n");
+    Trace trace;
+    EXPECT_FALSE(trace.load(buffer));
+    EXPECT_EQ(trace.numPes(), 0);
+}
+
+TEST(Trace, LoadAcceptsLastRecordWithoutNewline)
+{
+    std::stringstream buffer("ddctrace 1 1\n0 R 1 0 S\n0 W 5 7 P");
+    Trace trace;
+    ASSERT_TRUE(trace.load(buffer));
+    ASSERT_EQ(trace.stream(0).size(), 2u);
+    EXPECT_EQ(trace.stream(0)[1],
+              (MemRef{CpuOp::Write, 5, 7, DataClass::Local}));
+}
+
+TEST(Trace, CopiesCompareByContent)
+{
+    Trace trace(2);
+    trace.append(0, {CpuOp::Write, 1, 5});
+    trace.append(1, {CpuOp::Read, 1});
+    Trace copy = trace;
+    EXPECT_EQ(copy, trace);
+
+    // Built separately, same references: equal too.
+    Trace rebuilt(2);
+    rebuilt.append(0, {CpuOp::Write, 1, 5});
+    rebuilt.append(1, {CpuOp::Read, 1});
+    EXPECT_EQ(rebuilt, trace);
+
+    copy.append(1, {CpuOp::Read, 2});
+    EXPECT_NE(copy, trace);
+    EXPECT_EQ(trace.stream(1).size(), 1u) << "append must not reach "
+                                             "the trace it was copied from";
+    EXPECT_NE(rebuilt, Trace(3));
+}
+
+TEST(Trace, SharedStreamOutlivesAppendAndTrace)
+{
+    SharedStream handle;
+    {
+        Trace trace(1);
+        trace.append(0, {CpuOp::Write, 3, 9});
+        handle = trace.share(0);
+        trace.append(0, {CpuOp::Read, 3});
+        EXPECT_EQ(trace.stream(0).size(), 2u);
+    }
+    ASSERT_EQ(handle->size(), 1u);
+    EXPECT_EQ((*handle)[0], (MemRef{CpuOp::Write, 3, 9}));
+}
+
+TEST(Trace, MemRefPacksInto24Bytes)
+{
+    static_assert(sizeof(MemRef) == 24);
+    MemRef ref{CpuOp::Read, 4};
+    EXPECT_EQ(ref.data, 0u);
+    EXPECT_EQ(ref.cls, DataClass::Shared);
+}
+
 TEST(Trace, ToStringMentionsOpAndClass)
 {
     MemRef ref{CpuOp::Read, 0xab, 0, DataClass::Local};
