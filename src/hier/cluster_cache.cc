@@ -51,12 +51,18 @@ ClusterCache::updateArmed()
 }
 
 void
+ClusterCache::connectCluster(Bus &bus)
+{
+    ddc_assert(clusterBus == nullptr, "cluster bus already connected");
+    clusterBus = &bus;
+}
+
+void
 ClusterCache::addChild(Cache *child)
 {
     ddc_assert(child != nullptr, "null child cache");
     ddc_assert(child->blockWords() == 1,
                "the hierarchical machine uses one-word blocks");
-    children.push_back(child);
     childByPe[child->peId()] = child;
 }
 
@@ -139,35 +145,45 @@ ClusterCache::deliverToChild(const Forward &forward,
 }
 
 void
+ClusterCache::pullFromChild(Addr addr, Entry &entry, int skip)
+{
+    Word child_value = 0;
+    BusClient *child = clusterBus->localSupplier(addr, child_value, skip);
+    if (child == nullptr)
+        return;
+    entry.value = child_value;
+    child->supplied(addr);
+    stats.add(statPull);
+}
+
+void
 ClusterCache::resolvePendingLocally()
 {
-    // Queue rotation (NACK handling) and sibling forwards can make an
-    // already-queued forward serviceable inside the cluster: a read
-    // whose word arrived meanwhile, or a write to a word the cluster
-    // now owns.  Serving it locally keeps it off the global bus and,
-    // crucially, keeps a global read from bypassing cluster ownership.
+    // Sibling forwards can make an already-queued forward serviceable
+    // inside the cluster: a read whose word arrived meanwhile, or a
+    // write to a word the cluster now owns.  Serving it locally keeps
+    // it off the global bus and, crucially, keeps a global read from
+    // bypassing cluster ownership.  Both need an entry that only a
+    // global completion creates or promotes, so nothing changed since
+    // the last scan unless requestComplete() ran.
+    if (!mayResolve)
+        return;
+    mayResolve = false;
     for (auto it = forwards.begin(); it != forwards.end();) {
+        // RMW-class forwards always serialize globally.
+        if (it->op != BusOp::Read && it->op != BusOp::Write &&
+            it->op != BusOp::Invalidate) {
+            ++it;
+            continue;
+        }
         Entry *entry = entries.lookup(it->addr);
         bool resolved = false;
 
         if (it->op == BusOp::Read && entry != nullptr) {
-            Word value = entry->value;
-            for (Cache *child : children) {
-                Word child_value = 0;
-                if (child != it->origin_child &&
-                    child->wouldSupply(it->addr, child_value)) {
-                    entry->value = child_value;
-                    child->supplied(it->addr);
-                    stats.add(statPull);
-                    value = child_value;
-                    break;
-                }
-            }
-            deliverToChild(*it, {value, false, {}});
+            pullFromChild(it->addr, *entry, it->origin_child->busClient());
+            deliverToChild(*it, {entry->value, false, {}});
             resolved = true;
-        } else if ((it->op == BusOp::Write ||
-                    it->op == BusOp::Invalidate) &&
-                   entry != nullptr &&
+        } else if (it->op != BusOp::Read && entry != nullptr &&
                    entry->tag == LineTag::Local) {
             entry->value = it->data;
             // Preserve the op downward: a BI must invalidate the
@@ -209,21 +225,13 @@ ClusterCache::currentRequest()
     // A sibling L1 may have dirtied the word since the forward was
     // queued; pull its value (and demote it) before flushing.
     bool rmw_like = front.op == BusOp::Rmw || front.op == BusOp::ReadLock;
-    if (rmw_like && owns(front.addr)) {
-        for (Cache *child : children) {
-            Word child_value = 0;
-            if (child->wouldSupply(front.addr, child_value)) {
-                entries[front.addr].value = child_value;
-                child->supplied(front.addr);
-                stats.add(statPull);
-                break;
-            }
-        }
+    Entry *entry = rmw_like ? entries.lookup(front.addr) : nullptr;
+    if (entry != nullptr && entry->tag == LineTag::Local) {
+        pullFromChild(front.addr, *entry);
         flushing = true;
         // writeback: the directory must not record this publish as an
         // ownership acquisition (the snooping bus ignores the flag).
-        return {BusOp::Write, front.addr, entries[front.addr].value,
-                false, {}, true};
+        return {BusOp::Write, front.addr, entry->value, false, {}, true};
     }
     flushing = false;
     return {front.op, front.addr, front.data, false, {}};
@@ -244,6 +252,9 @@ ClusterCache::requestComplete(const BusResult &result)
 {
     ddc_assert(!forwards.empty(), "completion without a forward");
     Forward front = forwards.front();
+    // Any completion may create or promote an entry a queued sibling
+    // forward is waiting for; the next poll rescans the queue.
+    mayResolve = true;
 
     if (flushing) {
         // The pre-flush write went out: global memory is current, the
@@ -311,16 +322,8 @@ ClusterCache::wouldSupply(Addr addr, Word &out)
         return false;
 
     // The latest value is the dirty child's if one exists, else ours.
-    pendingSupplyChild = nullptr;
-    for (Cache *child : children) {
-        Word child_value = 0;
-        if (child->wouldSupply(addr, child_value)) {
-            pendingSupplyChild = child;
-            out = child_value;
-            return true;
-        }
-    }
     out = entry->value;
+    pendingSupplyChild = clusterBus->localSupplier(addr, out);
     return true;
 }
 
@@ -408,8 +411,7 @@ void
 ClusterCache::forwardDown(const BusTransaction &txn)
 {
     stats.add(statDownwardBroadcast);
-    for (Cache *child : children)
-        child->observe(txn);
+    clusterBus->snoopDown(txn);
 }
 
 // ---- Cluster-bus memory side ---------------------------------------------

@@ -73,6 +73,14 @@ class ClusterCache : public BusClient, public MemorySide
      */
     void connectGlobal(GlobalFabric &fabric);
 
+    /**
+     * Attach the cluster bus this cache is the memory side of
+     * (exactly once, before first use).  Downward broadcasts and
+     * supplier pulls go through that bus's sharer index, so they
+     * reach only the L1s they can change.
+     */
+    void connectCluster(Bus &bus);
+
     /** Register a child L1 (all children before first use). */
     void addChild(Cache *child);
 
@@ -162,14 +170,28 @@ class ClusterCache : public BusClient, public MemorySide
     /** Drop @p pe's queued forward (its op is being served locally). */
     void cancelForward(PeId pe);
 
-    /** Serve queued forwards that became cluster-serviceable. */
+    /**
+     * Serve queued forwards that became cluster-serviceable.  Only
+     * requestComplete() creates or promotes entries, and a forward is
+     * never serviceable when queued, so a scan runs only while
+     * mayResolve is set.
+     */
     void resolvePendingLocally();
 
     /** Complete a forward's originating L1 (drops abandoned reads). */
     void deliverToChild(const Forward &forward, const BusResult &result);
 
-    /** Deliver a (downward) broadcast to every child L1. */
+    /**
+     * Count and deliver a (downward) broadcast to the child L1s it
+     * can change (Bus::snoopDown).
+     */
     void forwardDown(const BusTransaction &txn);
+
+    /**
+     * If a child L1 holds @p addr dirty (other than cluster-bus client
+     * @p skip), pull its value into @p entry and demote it.
+     */
+    void pullFromChild(Addr addr, Entry &entry, int skip = -1);
 
     /** Re-arm/disarm on the global bus after a forwards mutation. */
     void updateArmed();
@@ -179,8 +201,9 @@ class ClusterCache : public BusClient, public MemorySide
 
     int clusterId;
     stats::CounterSet &stats;
-    std::vector<Cache *> children;
     FlatMap<PeId, Cache *> childByPe;
+    /** The cluster bus whose memory side this cache is. */
+    Bus *clusterBus = nullptr;
     GlobalFabric *global = nullptr;
     /** This cluster's client index on the global fabric. */
     int clientIndex = -1;
@@ -203,8 +226,13 @@ class ClusterCache : public BusClient, public MemorySide
     std::deque<Forward> forwards;
     /** True while the front forward is its pre-flush global write. */
     bool flushing = false;
+    /**
+     * Set by requestComplete(), cleared by the resolvePendingLocally()
+     * scan: no queued forward can have become serviceable since.
+     */
+    bool mayResolve = false;
     /** Child chosen by the last wouldSupply, pending supplied(). */
-    Cache *pendingSupplyChild = nullptr;
+    BusClient *pendingSupplyChild = nullptr;
 };
 
 } // namespace hier

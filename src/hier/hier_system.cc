@@ -87,6 +87,7 @@ HierSystem::HierSystem(const HierConfig &config)
             *clusterStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(c) + 1,
             1, 0, config.snoop_filter));
+        clusterCaches.back()->connectCluster(*clusterBuses.back());
         shard.addComponent(clusterBuses.back().get());
 
         for (int p = 0; p < config.pes_per_cluster; p++) {

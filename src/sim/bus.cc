@@ -144,37 +144,36 @@ Bus::setSnoopIndexed(int client)
 }
 
 void
-Bus::noteBlockPresent(int client, Addr base)
+Bus::noteReactions(int client, Addr base, ReactionClass from,
+                   ReactionClass to)
 {
     ddc_assert(static_cast<std::size_t>(client) < clients.size() &&
                    indexed[static_cast<std::size_t>(client)],
-               "presence note from a non-indexed client ", client);
+               "reaction note from a non-indexed client ", client);
     if (!filterOn)
         return;
-    std::uint64_t &mask = holders.findOrInsert(blockIndex(base));
-    ddc_assert(!(mask & clientBit(client)),
-               "client ", client, " already indexed for block ", base);
-    mask |= clientBit(client);
+    std::uint64_t bit = clientBit(client);
+    ReactionMasks &masks = holders.findOrInsert(blockIndex(base));
+    ReactionClass held = static_cast<ReactionClass>(
+        ((masks.read & bit) ? kReactsToRead : 0) |
+        ((masks.write & bit) ? kReactsToWrite : 0));
+    ddc_assert(held == from, "client ", client, " noted reaction class ",
+               static_cast<int>(from), "->", static_cast<int>(to),
+               " for block ", base, " but the index holds ",
+               static_cast<int>(held));
+    masks.read = (to & kReactsToRead) ? masks.read | bit
+                                      : masks.read & ~bit;
+    masks.write = (to & kReactsToWrite) ? masks.write | bit
+                                        : masks.write & ~bit;
     if (holders.size() > kMaxFilterBlocks)
         revertToFullSnoop();
 }
 
-void
-Bus::noteBlockAbsent(int client, Addr base)
-{
-    if (!filterOn)
-        return;
-    std::uint64_t *mask = holders.lookup(blockIndex(base));
-    ddc_assert(mask != nullptr && (*mask & clientBit(client)),
-               "client ", client, " not indexed for block ", base);
-    *mask &= ~clientBit(client);
-}
-
 std::vector<int>
-Bus::indexHolders(Addr addr) const
+Bus::indexHolders(Addr addr, BusOp op) const
 {
     std::vector<int> held;
-    std::uint64_t mask = heldMask(addr);
+    std::uint64_t mask = reactingMask(addr, op);
     for (; mask != 0; mask &= mask - 1)
         held.push_back(std::countr_zero(mask));
     return held;
@@ -307,9 +306,9 @@ Bus::blockIndex(Addr addr) const
 }
 
 std::uint64_t
-Bus::snooperMask(Addr addr) const
+Bus::snooperMask(Addr addr, BusOp op) const
 {
-    return heldMask(addr) | alwaysSnoopMask;
+    return reactingMask(addr, op) | alwaysSnoopMask;
 }
 
 void
@@ -374,7 +373,7 @@ Bus::traceInstant(std::string_view name, Addr addr,
 }
 
 int
-Bus::findSupplier(int grant, Addr addr, Word &value)
+Bus::findSupplier(int skip, Addr addr, Word &value)
 {
     // Snoop phase: does a cache hold the latest value (Local state)?
     int supplier = -1;
@@ -383,7 +382,7 @@ Bus::findSupplier(int grant, Addr addr, Word &value)
 
     if (!filterOn) {
         for (std::size_t i = 0; i < clients.size(); i++) {
-            if (static_cast<int>(i) == grant || !suppliers[i])
+            if (static_cast<int>(i) == skip || !suppliers[i])
                 continue;
             snoopVisitCount++;
             Word candidate = 0;
@@ -398,11 +397,12 @@ Bus::findSupplier(int grant, Addr addr, Word &value)
         return supplier;
     }
 
-    // A supplier holds a tag-matching line by definition, so it is
-    // either indexed for the block or an always-snoop client; polling
-    // anyone else could only return false.
-    std::uint64_t mask =
-        snooperMask(addr) & supplierMask & ~clientBit(grant);
+    // Supplying is a reaction to a snooped read, so a supplier is
+    // either in the block's read mask or an always-snoop client;
+    // polling anyone else could only return false.
+    std::uint64_t mask = snooperMask(addr, BusOp::Read) & supplierMask;
+    if (skip >= 0)
+        mask &= ~clientBit(skip);
     for (; mask != 0; mask &= mask - 1) {
         int c = std::countr_zero(mask);
         snoopVisitCount++;
@@ -424,7 +424,7 @@ Bus::findSupplier(int grant, Addr addr, Word &value)
     // idempotent for the hierarchical cluster cache.)
     int full_scan = -1;
     for (std::size_t i = 0; i < clients.size(); i++) {
-        if (static_cast<int>(i) == grant || !suppliers[i])
+        if (static_cast<int>(i) == skip || !suppliers[i])
             continue;
         Word candidate = 0;
         if (clients[i]->wouldSupply(addr, candidate))
@@ -436,6 +436,14 @@ Bus::findSupplier(int grant, Addr addr, Word &value)
                full_scan);
 #endif
     return supplier;
+}
+
+BusClient *
+Bus::localSupplier(Addr addr, Word &value, int skip)
+{
+    int supplier = findSupplier(skip, addr, value);
+    return supplier < 0 ? nullptr
+                        : clients[static_cast<std::size_t>(supplier)];
 }
 
 void
@@ -641,12 +649,27 @@ Bus::broadcast(const BusTransaction &txn, int skip)
         return;
     }
 
-    // A skipped client holds no tag-matching line, for which observe()
-    // is a pure no-op (caches react only to blocks they contain), so
-    // filtering is unobservable in state, counters, and the log.
-    std::uint64_t mask = snooperMask(txn.addr);
+    // A skipped client's line for the block does not react to this op
+    // (or it holds none), so its observe() would leave the state as it
+    // is and snarf nothing: filtering is unobservable in state,
+    // counters, and the log.
+    std::uint64_t mask = snooperMask(txn.addr, txn.op);
     if (skip >= 0)
         mask &= ~clientBit(skip);
+#ifndef NDEBUG
+    // Cross-check the masks against the clients themselves, before
+    // any delivery moves a state: every indexed client they skip must
+    // report its line as non-reactive to this op.
+    for (std::size_t i = 0; i < clients.size(); i++) {
+        if (!indexed[i] || static_cast<int>(i) == skip ||
+            (mask & clientBit(static_cast<int>(i))))
+            continue;
+        ddc_assert(!(clients[i]->reactionClass(txn.addr) &
+                     reactionBit(txn.op)),
+                   "snoop index skipped client ", i, ", which reacts to ",
+                   toString(txn.op), " on addr ", txn.addr);
+    }
+#endif
     for (; mask != 0; mask &= mask - 1) {
         int c = std::countr_zero(mask);
         snoopVisitCount++;

@@ -91,6 +91,25 @@ struct BusTransaction
 };
 
 /**
+ * The snooped ops a cache line would react to: a bitmask of
+ * kReactsToRead and kReactsToWrite.  A line *reacts* to an op when its
+ * snoop reaction would supply, snarf, or move its state; every other
+ * delivery is a no-op the sharer index may skip.
+ */
+using ReactionClass = std::uint8_t;
+/** A snooped Read would supply, snarf, or move the line's state. */
+inline constexpr ReactionClass kReactsToRead = 1;
+/** A snooped Write or Invalidate would snarf or move its state. */
+inline constexpr ReactionClass kReactsToWrite = 2;
+
+/** The reaction-class bit that an effective snooped @p op tests. */
+constexpr ReactionClass
+reactionBit(BusOp op)
+{
+    return op == BusOp::Read ? kReactsToRead : kReactsToWrite;
+}
+
+/**
  * Interface between the bus and an attached cache.
  *
  * A client has at most one pending request; the bus polls hasRequest()
@@ -131,6 +150,19 @@ class BusClient
 
     /** Observe another client's (effective) transaction. */
     virtual void observe(const BusTransaction &txn) = 0;
+
+    /**
+     * The reaction class of this client's line for @p addr's block (0
+     * when it holds none).  Asked only of sharer-indexed clients, by
+     * the Debug build's broadcast cross-check; the default claims
+     * every reaction.
+     */
+    virtual ReactionClass
+    reactionClass(Addr addr) const
+    {
+        (void)addr;
+        return kReactsToRead | kReactsToWrite;
+    }
 
     /** This client supplied data for @p addr (apply afterSupply). */
     virtual void supplied(Addr addr) = 0;
@@ -250,32 +282,55 @@ class Bus : public GlobalFabric, public Tickable
      * Opt @p client into sharer-indexed snooping.  Clients attach as
      * *always-snoop* (visited on every broadcast and polled on every
      * supplier scan, exactly as before); an indexed client is visited
-     * only while the index records it as holding the transaction's
-     * block.  Indexing is strictly a promise that observe() is a
-     * no-op and wouldSupply() returns false for any block the client
-     * has not declared via noteBlockPresent().  Must be called while
-     * the client holds no blocks (typically right after attach).
+     * by a transaction only while the index records its line for the
+     * block as reacting to the transaction's op.  Indexing is strictly
+     * a promise that observe() is a no-op for any op outside the
+     * reaction class the client last declared for the block via
+     * noteReactions(), and that wouldSupply() returns false unless
+     * that class includes kReactsToRead.  Must be called while the
+     * client holds no blocks (typically right after attach).
      */
     void setSnoopIndexed(int client);
 
     /**
-     * Declare that indexed client @p client now holds (or no longer
-     * holds) a line whose tag matches block @p base.  Presence is
-     * tag-match in *any* state — including Invalid, whose lines still
-     * react to broadcasts (RB revives I -> R on a snooped read).
+     * Declare that indexed client @p client's line for block @p base
+     * changed its reaction class from @p from to @p to (a line that
+     * enters the tag array moves from 0, one that leaves it moves to
+     * 0).  Called only when the two differ.  @p from must match what
+     * the index holds for the client; a mismatch is a lost or doubled
+     * notification and panics.
      */
-    void noteBlockPresent(int client, Addr base);
-    void noteBlockAbsent(int client, Addr base);
+    void noteReactions(int client, Addr base, ReactionClass from,
+                       ReactionClass to);
 
     /** Whether this bus resolves snoops through the sharer index. */
     bool snoopFilterActive() const { return filterOn; }
 
     /**
+     * Deliver @p txn, a transaction committed elsewhere (the
+     * hierarchical cluster cache's downward broadcast), to every
+     * client of this bus it can change: the same filtered delivery
+     * as one of the bus's own broadcasts, with no issuer to skip.
+     */
+    void snoopDown(const BusTransaction &txn) { broadcast(txn, -1); }
+
+    /**
+     * The client that would kill a read of @p addr and supply its
+     * value, other than client @p skip (-1 skips nobody); null when
+     * none.  @p value receives the supplied word.  The supplier scan
+     * of this bus's own reads, for a memory side that must source the
+     * latest value from its clients (the cluster cache's pulls).
+     */
+    BusClient *localSupplier(Addr addr, Word &value, int skip = -1);
+
+    /**
      * Clients visited by broadcasts plus clients polled by supplier
-     * scans so far (counted identically with the filter on or off, so
-     * an A/B pair quantifies the avoided virtual calls).  Plain
-     * bookkeeping, deliberately not a CounterSet statistic: counter
-     * reports stay byte-identical filter-on vs filter-off.
+     * scans so far, downward deliveries (snoopDown) and
+     * localSupplier() scans included.  Counted identically with the
+     * filter on or off, so an A/B pair quantifies the avoided virtual
+     * calls.  Plain bookkeeping, deliberately not a CounterSet
+     * statistic: counter reports stay byte-identical filter-on vs
+     * filter-off.
      */
     std::uint64_t snoopVisits() const { return snoopVisitCount; }
 
@@ -291,8 +346,11 @@ class Bus : public GlobalFabric, public Tickable
      */
     std::uint64_t snoopFilterFallbacks() const { return fallbackCount; }
 
-    /** Test introspection: indexed holders of @p addr's block. */
-    std::vector<int> indexHolders(Addr addr) const;
+    /**
+     * Test introspection: the indexed clients whose line for @p addr's
+     * block reacts to a snooped @p op.
+     */
+    std::vector<int> indexHolders(Addr addr, BusOp op) const;
 
     /**
      * Attach observability (trace events on the "bus @p bus_id"
@@ -374,36 +432,41 @@ class Bus : public GlobalFabric, public Tickable
     std::uint64_t blockIndex(Addr addr) const;
 
     /**
-     * Bitmask of the clients that must see a transaction on
-     * @p addr's block: its indexed holders OR'd with the always-snoop
-     * clients.  Bit position is client index, so iterating set bits
-     * upward reproduces the unfiltered ascending visit order,
-     * restricted to clients whose snoop can matter.  The returned
-     * value is also a free snapshot: a snooper's reaction may evict a
-     * line and mutate the index mid-delivery without disturbing the
-     * mask being iterated.
+     * Bitmask of the clients that must see a snooped @p op on
+     * @p addr's block: the indexed clients whose line reacts to it,
+     * OR'd with the always-snoop clients.  Bit position is client
+     * index, so iterating set bits upward reproduces the unfiltered
+     * ascending visit order, restricted to clients whose snoop can
+     * matter.  The returned value is also a free snapshot: a snooper's
+     * reaction changes its class and mutates the index mid-delivery
+     * without disturbing the mask being iterated.
      */
-    std::uint64_t snooperMask(Addr addr) const;
+    std::uint64_t snooperMask(Addr addr, BusOp op) const;
 
     /**
      * Permanently fall back to unfiltered snooping on this bus (more
      * clients than a mask holds, or a workload caching more distinct
      * blocks than the index cap).  Always safe: filtered and
      * unfiltered snooping are byte-identical by construction, and
-     * presence notes become no-ops from here on.
+     * reaction notes become no-ops from here on.
      */
     void revertToFullSnoop();
 
     /**
-     * The single client that would kill a read of @p addr and supply
-     * its value (-1 when none); @p value receives the supplied word.
-     * Scans every potential supplier, or — with the filter on — only
-     * the snoopers snooperMask() reports, plus a Debug-only
-     * full-scan cross-check that the index missed nobody.
+     * The single client other than @p skip (-1: none) that would kill
+     * a read of @p addr and supply its value (-1 when none); @p value
+     * receives the supplied word.  Scans every potential supplier, or
+     * — with the filter on — only the read-reacting snoopers
+     * snooperMask() reports, plus a Debug-only full-scan cross-check
+     * that the index missed nobody.
      */
-    int findSupplier(int grant, Addr addr, Word &value);
+    int findSupplier(int skip, Addr addr, Word &value);
 
-    /** Deliver @p txn to every (filtered) client except @p skip. */
+    /**
+     * Deliver @p txn to every (filtered) client except @p skip (-1:
+     * none), plus a Debug-only cross-check that every indexed client
+     * the masks skipped is indeed non-reactive.
+     */
     void broadcast(const BusTransaction &txn, int skip);
 
     /** Record a retry due to a locked word / not-ready memory side. */
@@ -468,26 +531,40 @@ class Bus : public GlobalFabric, public Tickable
     static constexpr std::size_t kMaxFilterBlocks = std::size_t{1} << 20;
 
     /**
-     * The sharer index: block number -> bitmask of the indexed
-     * clients holding a tag-matching line (any state, including
-     * Invalid).  The synthetic address space is sparse — private PE
-     * regions sit a megaword apart and shared data lives at 2^40 —
-     * so a dense array is unusable; a FlatMap (base/flat_map.hh,
-     * the same open-addressing table behind the directory and the
-     * memory banks) holds the masks instead.  Entries are never
-     * erased: an eviction clears the holder's bit but leaves the key
-     * in place.  The entry count is bounded by the distinct blocks
-     * the workload ever caches, and capped by kMaxFilterBlocks
-     * (revertToFullSnoop past that).
+     * One block's slot in the sharer index: the indexed clients whose
+     * line for the block reacts to a snooped Read, and those whose
+     * line reacts to a snooped Write or Invalidate.
      */
-    using HolderIndex = FlatMap<std::uint64_t, std::uint64_t>;
-
-    /** Holder mask of @p addr's block (0 when never noted). */
-    std::uint64_t
-    heldMask(Addr addr) const
+    struct ReactionMasks
     {
-        const std::uint64_t *mask = holders.lookup(blockIndex(addr));
-        return mask == nullptr ? 0 : *mask;
+        std::uint64_t read = 0;
+        std::uint64_t write = 0;
+    };
+
+    /**
+     * The sharer index: block number -> the reaction masks of that
+     * block.  A line that holds the block but reacts to nothing (an
+     * RB Readable line under a read broadcast, say) is in neither
+     * mask, so it costs no visit.  The synthetic address space is
+     * sparse — private PE regions sit a megaword apart and shared
+     * data lives at 2^40 — so a dense array is unusable; a FlatMap
+     * (base/flat_map.hh, the same open-addressing table behind the
+     * directory and the memory banks) holds the masks instead.
+     * Entries are never erased: an eviction clears the holder's bits
+     * but leaves the key in place.  The entry count is bounded by the
+     * distinct blocks the workload ever caches, and capped by
+     * kMaxFilterBlocks (revertToFullSnoop past that).
+     */
+    using HolderIndex = FlatMap<std::uint64_t, ReactionMasks>;
+
+    /** Indexed clients reacting to a snooped @p op on @p addr's block. */
+    std::uint64_t
+    reactingMask(Addr addr, BusOp op) const
+    {
+        const ReactionMasks *masks = holders.lookup(blockIndex(addr));
+        if (masks == nullptr)
+            return 0;
+        return op == BusOp::Read ? masks->read : masks->write;
     }
 
     /** Whether this bus filters snoops (ctor flag AND process flag). */

@@ -133,9 +133,9 @@ Cache::connectBus(Bus &bus_to_join)
     bus->setRequestArmed(clientIndex, false);
     bus->setSupplier(clientIndex, false);
     if (bus->snoopFilterActive()) {
-        // Snoops can only matter for blocks this cache holds, so let
+        // Snoops can only matter for lines that react to them, so let
         // the bus's sharer index route them; every line is NotPresent
-        // right now, matching the (empty) index.
+        // (reacting to nothing) right now, matching the empty index.
         bus->setSnoopIndexed(clientIndex);
         busIndexed = true;
     }
@@ -330,6 +330,40 @@ Cache::cpuReaction(LineState state, CpuOp op, DataClass cls) const
     return cpuMemo[tag_index][op_index][cls_index];
 }
 
+ReactionClass
+Cache::classOf(LineState state) const
+{
+    if (state.tag == LineTag::NotPresent)
+        return 0;
+    auto reacts = [&](BusOp op) {
+        SnoopReaction reaction = snoopReaction(state, op);
+        return reaction.supply || reaction.snarf || reaction.next != state;
+    };
+    auto compute = [&] {
+        ReactionClass cls = 0;
+        if (reacts(BusOp::Read))
+            cls |= kReactsToRead;
+        if (reacts(BusOp::Write) || reacts(BusOp::Invalidate))
+            cls |= kReactsToWrite;
+        return cls;
+    };
+    if (state.streak != 0)
+        return compute();
+    auto tag_index = static_cast<std::size_t>(state.tag);
+    if (!classMemoValid[tag_index]) {
+        classMemo[tag_index] = compute();
+        classMemoValid[tag_index] = true;
+    }
+    return classMemo[tag_index];
+}
+
+ReactionClass
+Cache::reactionClass(Addr addr) const
+{
+    const Line *line = findLine(addr);
+    return line == nullptr ? 0 : classOf(line->state);
+}
+
 void
 Cache::setLineState(Line &line, LineState next)
 {
@@ -342,16 +376,15 @@ Cache::setLineState(Line &line, LineState next)
         if (is_supplier ? supplierLines == 1 : supplierLines == 0)
             bus->setSupplier(clientIndex, supplierLines != 0);
     }
-    // Presence for the sharer index is tag-match, not state: an
-    // Invalid line still reacts to broadcasts (RB revives I -> R),
-    // so only the NotPresent boundary changes the index.
-    bool was_present = line.state.tag != LineTag::NotPresent;
-    bool is_present = next.tag != LineTag::NotPresent;
-    if (busIndexed && was_present != is_present) {
-        if (is_present)
-            bus->noteBlockPresent(clientIndex, line.base);
-        else
-            bus->noteBlockAbsent(clientIndex, line.base);
+    // The sharer index tracks which snooped ops each line reacts to,
+    // so only a change of reaction class touches it: an RB line going
+    // Readable -> Local gains read reactions, an RWB write streak
+    // growing keeps its class and changes nothing.
+    if (busIndexed) {
+        ReactionClass from = classOf(line.state);
+        ReactionClass to = classOf(next);
+        if (from != to)
+            bus->noteReactions(clientIndex, line.base, from, to);
     }
     // Every state change funnels through here, so this one site (plus
     // the cause label set at each entry point) traces the full
@@ -366,9 +399,12 @@ Cache::setLineBase(Line &line, Addr base)
 {
     if (line.base == base)
         return;
-    if (busIndexed && line.state.tag != LineTag::NotPresent) {
-        bus->noteBlockAbsent(clientIndex, line.base);
-        bus->noteBlockPresent(clientIndex, base);
+    if (busIndexed) {
+        ReactionClass cls = classOf(line.state);
+        if (cls != 0) {
+            bus->noteReactions(clientIndex, line.base, cls, 0);
+            bus->noteReactions(clientIndex, base, 0, cls);
+        }
     }
     line.base = base;
 }

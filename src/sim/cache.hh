@@ -76,6 +76,9 @@ class Cache : public BusClient
     /** Attach to @p bus (must be called exactly once before use). */
     void connectBus(Bus &bus);
 
+    /** This cache's client index on its bus (-1 before connectBus). */
+    int busClient() const { return clientIndex; }
+
     /**
      * Attach observability (state-transition instants, miss-service
      * spans, latency histograms).  @p recorder may be null; the
@@ -148,6 +151,7 @@ class Cache : public BusClient
     bool wouldSupply(Addr addr, Word &value) override;
     std::vector<Word> supplyBlock(Addr addr) override;
     void observe(const BusTransaction &txn) override;
+    ReactionClass reactionClass(Addr addr) const override;
     void supplied(Addr addr) override;
     void requestNacked() override;
     void requestKilled() override;
@@ -237,19 +241,26 @@ class Cache : public BusClient
 
     /**
      * Assign @p next to @p line's state, maintaining supplierLines
-     * and the bus's sharer index (a NotPresent boundary crossing is a
-     * presence change for line.base, which must already hold the
-     * line's block).  Every state change must go through here.
+     * and the bus's sharer index (a reaction-class change is noted
+     * for line.base, which must already hold the line's block).
+     * Every state change must go through here.
      */
     void setLineState(Line &line, LineState next);
 
     /**
      * Retarget @p line to block @p base, moving its sharer-index
-     * entry when the line is present under a different base (clean
-     * retag of a victim that needed no write-back).  Every base
-     * assignment must go through here.
+     * entry when the line reacts to anything under a different base
+     * (clean retag of a victim that needed no write-back).  Every
+     * base assignment must go through here.
      */
     void setLineBase(Line &line, Addr base);
+
+    /**
+     * The snooped ops a line in @p state reacts to, via a per-tag
+     * memo filled like the snoop memo; states carrying a write streak
+     * are computed directly.  NotPresent reacts to nothing.
+     */
+    ReactionClass classOf(LineState state) const;
 
     /**
      * Protocol::onSnoop via the constructor-built memo table.
@@ -332,7 +343,7 @@ class Cache : public BusClient
     /**
      * True when this cache registered as sharer-indexed on its bus
      * (the bus's snoop filter is active), and so must report every
-     * presence / base change through noteBlockPresent / Absent.
+     * reaction-class / base change through noteReactions.
      */
     bool busIndexed = false;
 
@@ -351,6 +362,9 @@ class Cache : public BusClient
     /** Snoop reactions for streak-free states, filled lazily. */
     mutable SnoopReaction snoopMemo[kNumTags][kNumSnoopOps];
     mutable bool snoopMemoValid[kNumTags][kNumSnoopOps] = {};
+    /** Reaction classes for streak-free states, filled lazily. */
+    mutable ReactionClass classMemo[kNumTags];
+    mutable bool classMemoValid[kNumTags] = {};
     /** CPU reactions for streak-free states, filled lazily. */
     mutable CpuReaction cpuMemo[kNumTags][kNumCpuOps][kNumClasses];
     mutable bool cpuMemoValid[kNumTags][kNumCpuOps][kNumClasses] = {};

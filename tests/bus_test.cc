@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
+#include "core/rb.hh"
+#include "core/rwb.hh"
 #include "sim/bus.hh"
+#include "sim/cache.hh"
 #include "sim/memory.hh"
 
 namespace ddc {
@@ -51,6 +56,13 @@ class FakeClient : public BusClient
 
     void supplied(Addr addr) override { supplied_addrs.push_back(addr); }
 
+    ReactionClass
+    reactionClass(Addr addr) const override
+    {
+        auto it = classes.find(addr);
+        return it == classes.end() ? 0 : it->second;
+    }
+
     PeId peId() const override { return pe; }
 
     void push(BusRequest request) { requests.push_back(request); }
@@ -62,6 +74,8 @@ class FakeClient : public BusClient
     std::vector<Addr> supplied_addrs;
     std::optional<Addr> supply_addr;
     Word supply_value = 0;
+    /** Per-block reaction class (the Debug broadcast cross-check). */
+    std::map<Addr, ReactionClass> classes;
 };
 
 class BusTest : public ::testing::Test
@@ -394,7 +408,7 @@ TEST_F(BusTest, NackCountersUsePerOpNames)
 /**
  * A rig exercising the sharer index directly: clients 0 and 1 opt
  * into indexing (as caches do); client 2 stays always-snoop (as the
- * hierarchical cluster cache does).
+ * hierarchical cluster cache does on the global bus).
  */
 class SnoopIndexTest : public ::testing::Test
 {
@@ -410,6 +424,15 @@ class SnoopIndexTest : public ::testing::Test
         EXPECT_TRUE(bus.snoopFilterActive());
     }
 
+    /** Move client @p c's class for block @p base to @p to, as caches do. */
+    void
+    note(int c, Addr base, ReactionClass to)
+    {
+        FakeClient &client = clients[c];
+        bus.noteReactions(c, base, client.reactionClass(base), to);
+        client.classes[base] = to;
+    }
+
     stats::CounterSet stats;
     Clock clock;
     Memory memory;
@@ -419,12 +442,12 @@ class SnoopIndexTest : public ::testing::Test
 
 TEST_F(SnoopIndexTest, BroadcastVisitsHoldersAndAlwaysSnoopersOnly)
 {
-    bus.noteBlockPresent(1, 8);
+    note(1, 8, kReactsToWrite);
     clients[0].push({BusOp::Write, 8, 7});
     bus.tick();
 
-    // The indexed holder and the always-snoop client observed the
-    // write; an indexed client holding nothing was never visited.
+    // The write-reacting holder and the always-snoop client observed
+    // the write; an indexed client holding nothing was never visited.
     ASSERT_EQ(clients[1].observed.size(), 1u);
     EXPECT_EQ(clients[1].observed[0].data, 7u);
     ASSERT_EQ(clients[2].observed.size(), 1u);
@@ -439,20 +462,29 @@ TEST_F(SnoopIndexTest, BroadcastVisitsHoldersAndAlwaysSnoopersOnly)
 
 TEST_F(SnoopIndexTest, InsertAndRemoveMaintainTheHolderList)
 {
-    EXPECT_TRUE(bus.indexHolders(8).empty());
-    bus.noteBlockPresent(1, 8);
-    bus.noteBlockPresent(0, 8);
-    EXPECT_EQ(bus.indexHolders(8), (std::vector<int>{0, 1}));
+    EXPECT_TRUE(bus.indexHolders(8, BusOp::Read).empty());
+    note(1, 8, kReactsToWrite);
+    note(0, 8, kReactsToRead | kReactsToWrite);
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Read), (std::vector<int>{0}));
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Write), (std::vector<int>{0, 1}));
+    // Write and Invalidate share one mask.
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Invalidate),
+              (std::vector<int>{0, 1}));
+
+    // A class change moves exactly one client between the masks.
+    note(0, 8, kReactsToWrite);
+    EXPECT_TRUE(bus.indexHolders(8, BusOp::Read).empty());
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Write), (std::vector<int>{0, 1}));
 
     // Eviction (or a clean retag) removes exactly one holder.
-    bus.noteBlockAbsent(1, 8);
-    EXPECT_EQ(bus.indexHolders(8), (std::vector<int>{0}));
-    bus.noteBlockAbsent(0, 8);
-    EXPECT_TRUE(bus.indexHolders(8).empty());
+    note(1, 8, 0);
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Write), (std::vector<int>{0}));
+    note(0, 8, 0);
+    EXPECT_TRUE(bus.indexHolders(8, BusOp::Write).empty());
 
     // An evicted holder is no longer visited.
-    bus.noteBlockPresent(0, 8);
-    bus.noteBlockAbsent(0, 8);
+    note(0, 8, kReactsToWrite);
+    note(0, 8, 0);
     clients[1].push({BusOp::Write, 8, 7});
     bus.tick();
     EXPECT_TRUE(clients[0].observed.empty());
@@ -460,8 +492,8 @@ TEST_F(SnoopIndexTest, InsertAndRemoveMaintainTheHolderList)
 
 TEST_F(SnoopIndexTest, OwnerLookupResolvesThroughTheIndex)
 {
-    // Client 1 owns addr 8: index it and let it claim the supply.
-    bus.noteBlockPresent(1, 8);
+    // Client 1 owns addr 8: it supplies reads and reacts to writes.
+    note(1, 8, kReactsToRead | kReactsToWrite);
     clients[1].supply_addr = 8;
     clients[1].supply_value = 123;
     clients[0].push({BusOp::Read, 8, 0});
@@ -473,14 +505,18 @@ TEST_F(SnoopIndexTest, OwnerLookupResolvesThroughTheIndex)
     ASSERT_EQ(clients[1].supplied_addrs.size(), 1u);
     EXPECT_EQ(stats.get("bus.kill"), 1u);
 
-    // Retry after the supply: memory now serves the read, and the
-    // (still indexed) previous owner snoops it.
+    // Supplying left the previous owner with a plain readable copy,
+    // which reacts to writes only: the retried read, served by
+    // memory, skips it and reaches just the always-snoop client.
     clients[1].supply_addr.reset();
+    note(1, 8, kReactsToWrite);
     clients[1].observed.clear();
+    clients[2].observed.clear();
     bus.tick();
     ASSERT_EQ(clients[0].completions.size(), 1u);
     EXPECT_EQ(clients[0].completions[0].data, 123u);
-    EXPECT_EQ(clients[1].observed.size(), 1u);
+    EXPECT_TRUE(clients[1].observed.empty());
+    EXPECT_EQ(clients[2].observed.size(), 1u);
 }
 
 TEST_F(SnoopIndexTest, SnoopVisitsShrinkWithTheIndex)
@@ -491,12 +527,147 @@ TEST_F(SnoopIndexTest, SnoopVisitsShrinkWithTheIndex)
     bus.tick();
     EXPECT_EQ(bus.snoopVisits(), 1u);
 
-    // A read of a block held by client 1: supplier scan polls the
-    // holder and the always-snoop client, broadcast visits them both.
-    bus.noteBlockPresent(1, 8);
+    // A read of a block client 1 would snarf: the supplier scan polls
+    // it and the always-snoop client, the broadcast visits them both.
+    note(1, 8, kReactsToRead);
     clients[0].push({BusOp::Read, 8, 0});
     bus.tick();
     EXPECT_EQ(bus.snoopVisits(), 1u + 2u + 2u);
+
+    // Held, but not reacting to reads: client 1 costs no visit.
+    note(1, 8, kReactsToWrite);
+    clients[0].push({BusOp::Read, 8, 0});
+    bus.tick();
+    EXPECT_EQ(bus.snoopVisits(), 5u + 1u + 1u);
+}
+
+TEST_F(SnoopIndexTest, OutOfSyncFromClassPanics)
+{
+    // A note whose "from" disagrees with the index is a lost or
+    // doubled notification.
+    note(1, 8, kReactsToWrite);
+    EXPECT_DEATH(bus.noteReactions(1, 8, kReactsToRead, 0), "index holds");
+    EXPECT_DEATH(bus.noteReactions(0, 8, kReactsToWrite, 0), "index holds");
+}
+
+#ifndef NDEBUG
+// The broadcast cross-check is compiled into Debug builds only.
+TEST_F(SnoopIndexTest, BroadcastCrossCheckCatchesAStaleMask)
+{
+    // Client 1 reacts to writes on block 8 but never told the index:
+    // the cross-check must refuse to skip it.
+    clients[1].classes[8] = kReactsToWrite;
+    clients[0].push({BusOp::Write, 8, 7});
+    EXPECT_DEATH(bus.tick(), "snoop index skipped client 1");
+}
+#endif
+
+/**
+ * Three real caches on one filtered bus: the reaction classes the
+ * protocols give each state, as the index sees them.
+ */
+class CacheIndexTest : public ::testing::Test
+{
+  protected:
+    void
+    build(const Protocol &protocol)
+    {
+        bus = std::make_unique<Bus>(memory, ArbiterKind::RoundRobin,
+                                    clock, stats);
+        for (PeId pe = 0; pe < 3; pe++) {
+            caches.push_back(std::make_unique<Cache>(pe, 16, protocol,
+                                                     clock, stats));
+            caches.back()->connectBus(*bus);
+        }
+    }
+
+    /** Run one access of kAddr on cache @p pe to completion. */
+    void
+    access(PeId pe, CpuOp op, Word data = 0)
+    {
+        Cache &cache = *caches[static_cast<std::size_t>(pe)];
+        if (cache.cpuAccess({op, kAddr, data}).complete)
+            return;
+        for (int cycle = 0; !cache.hasCompletion(); cycle++) {
+            ASSERT_LT(cycle, 16) << "access never completed";
+            bus->tick();
+        }
+        cache.takeCompletion();
+    }
+
+    LineTag
+    tag(PeId pe) const
+    {
+        return caches[static_cast<std::size_t>(pe)]->lineState(kAddr).tag;
+    }
+
+    static constexpr Addr kAddr = 8;
+    RbProtocol rb;
+    RwbProtocol rwb{2};
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory{stats};
+    std::unique_ptr<Bus> bus;
+    std::vector<std::unique_ptr<Cache>> caches;
+};
+
+TEST_F(CacheIndexTest, RbReadBroadcastSkipsReadableAndVisitsInvalid)
+{
+    build(rb);
+    access(0, CpuOp::Read);     // cache 0: R
+    access(1, CpuOp::Write, 5); // cache 1: L, cache 0: I
+    // I snarfs a read, L supplies one.
+    EXPECT_EQ(bus->indexHolders(kAddr, BusOp::Read),
+              (std::vector<int>{0, 1}));
+
+    // Cache 2's read is killed; cache 1 supplies and drops to R.
+    ASSERT_FALSE(caches[2]->cpuAccess({CpuOp::Read, kAddr}).complete);
+    bus->tick();
+    EXPECT_EQ(tag(1), LineTag::Readable);
+    EXPECT_EQ(bus->indexHolders(kAddr, BusOp::Read), (std::vector<int>{0}));
+
+    // The retried read's broadcast visits the Invalid holder only.
+    std::uint64_t before = bus->snoopVisits();
+    bus->tick();
+    EXPECT_TRUE(caches[2]->hasCompletion());
+    EXPECT_EQ(bus->snoopVisits() - before, 1u);
+    EXPECT_EQ(tag(0), LineTag::Readable);
+    EXPECT_EQ(caches[0]->lineValue(kAddr), 5u);
+}
+
+TEST_F(CacheIndexTest, RbWriteSkipsInvalidHolders)
+{
+    build(rb);
+    access(0, CpuOp::Read);
+    access(1, CpuOp::Read);
+    access(2, CpuOp::Write, 5); // caches 0, 1: I; cache 2: L
+    // Under RB an Invalid line ignores writes.
+    EXPECT_EQ(bus->indexHolders(kAddr, BusOp::Write),
+              (std::vector<int>{2}));
+
+    std::uint64_t before = bus->snoopVisits();
+    access(1, CpuOp::Write, 6);
+    EXPECT_EQ(bus->snoopVisits() - before, 1u); // the L holder alone
+    EXPECT_EQ(tag(0), LineTag::Invalid);
+    EXPECT_EQ(tag(2), LineTag::Invalid);
+}
+
+TEST_F(CacheIndexTest, RwbWriteStillVisitsInvalidHolders)
+{
+    build(rwb);
+    access(0, CpuOp::Read);     // cache 0: R
+    access(1, CpuOp::Write, 5); // cache 1: F, cache 0 updated
+    access(1, CpuOp::Write, 6); // second write: BI, cache 1: L, 0: I
+    ASSERT_EQ(tag(0), LineTag::Invalid);
+    // Under RWB an Invalid line snarfs writes.
+    EXPECT_EQ(bus->indexHolders(kAddr, BusOp::Write),
+              (std::vector<int>{0, 1}));
+
+    std::uint64_t before = bus->snoopVisits();
+    access(2, CpuOp::Write, 7);
+    EXPECT_EQ(bus->snoopVisits() - before, 2u);
+    EXPECT_EQ(tag(0), LineTag::Readable);
+    EXPECT_EQ(caches[0]->lineValue(kAddr), 7u);
 }
 
 TEST(SnoopFilterFallback, SixtyFifthClientRevertsAndCountsOnce)

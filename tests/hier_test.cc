@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rb.hh"
 #include "hier/hier_system.hh"
+#include "sim/memory.hh"
 #include "sync/programs.hh"
 #include "trace/synthetic.hh"
 #include "verify/consistency.hh"
@@ -535,6 +537,90 @@ TEST(Hier, GlobalTrafficFilteredForClusterLocalData)
     EXPECT_GT(system.clusterBusTransactions(),
               system.globalBusTransactions());
     EXPECT_TRUE(checkSerialConsistency(system.log()).consistent);
+}
+
+TEST(Hier, FailedTestAndSetOnAReadableWordMakesNoL1Visits)
+{
+    // Every L1 spins on the word in R (the RB spinner's steady state).
+    // A failed TS is a global Read, and its downward broadcast reaches
+    // every L1 holding the word -- none of which reacts to a read in
+    // R, so the cluster buses' sharer indexes deliver it to nobody.
+    HierSystem system(smallConfig(2, 2));
+    constexpr Addr kLock = 70;
+    system.pokeMemory(kLock, 1);
+    Trace reads(4);
+    for (PeId pe = 0; pe < 4; pe++)
+        reads.append(pe, {CpuOp::Read, kLock, 0, DataClass::Shared});
+    runTrace(system, reads);
+    for (PeId pe = 0; pe < 4; pe++)
+        ASSERT_EQ(system.lineState(pe, kLock).tag, LineTag::Readable);
+
+    auto l1Visits = [&] {
+        return system.snoopVisits() - system.globalVisits();
+    };
+    std::uint64_t visits = l1Visits();
+    std::uint64_t downward =
+        system.counters().get("hier.downward_broadcast");
+    Trace ts(4);
+    ts.append(0, {CpuOp::TestAndSet, kLock, 1, DataClass::Shared});
+    runTrace(system, ts);
+
+    EXPECT_FALSE(system.log().all().back().ts_success);
+    // Both clusters broadcast the Read downward (the issuer's on
+    // completion, the other on snooping it) ...
+    EXPECT_EQ(system.counters().get("hier.downward_broadcast"),
+              downward + 2);
+    // ... and not one L1 was visited.
+    EXPECT_EQ(l1Visits(), visits);
+    for (PeId pe = 0; pe < 4; pe++)
+        EXPECT_EQ(system.lineState(pe, kLock).tag, LineTag::Readable);
+}
+
+TEST(ClusterCacheUnit, QueuedReadResolvesOnThePollAfterASiblingCompletes)
+{
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory(stats);
+    Bus global(memory, ArbiterKind::RoundRobin, clock, stats);
+    ClusterCache cluster(0, stats);
+    cluster.connectGlobal(global);
+    Bus cluster_bus(cluster, ArbiterKind::RoundRobin, clock, stats);
+    cluster.connectCluster(cluster_bus);
+    RbProtocol rb;
+    Cache l1a(0, 8, rb, clock, stats);
+    Cache l1b(1, 8, rb, clock, stats);
+    for (Cache *l1 : {&l1a, &l1b}) {
+        l1->connectBus(cluster_bus);
+        cluster.addChild(l1);
+    }
+
+    // Both L1s miss on word 8 and their reads reach a cluster cache
+    // holding nothing: both queue as global forwards.
+    constexpr Addr kWord = 8;
+    ASSERT_FALSE(l1a.cpuAccess({CpuOp::Read, kWord}).complete);
+    ASSERT_FALSE(l1b.cpuAccess({CpuOp::Read, kWord}).complete);
+    Word data = 0;
+    EXPECT_FALSE(cluster.tryRead(kWord, 0, data));
+    EXPECT_FALSE(cluster.tryRead(kWord, 1, data));
+
+    // Polls before any global completion resolve nothing.
+    EXPECT_TRUE(cluster.hasRequest());
+    EXPECT_TRUE(cluster.hasRequest());
+    EXPECT_EQ(stats.get("hier.forward_resolved_locally"), 0u);
+
+    // PE 0's forward completes globally.  Its new entry makes PE 1's
+    // queued read cluster-serviceable, and the very next poll serves
+    // it without a second global read.
+    BusRequest request = cluster.currentRequest();
+    EXPECT_EQ(request.op, BusOp::Read);
+    EXPECT_EQ(request.addr, kWord);
+    cluster.requestComplete({42, false, {}});
+    EXPECT_TRUE(l1a.hasCompletion());
+    EXPECT_FALSE(l1b.hasCompletion());
+    EXPECT_FALSE(cluster.hasRequest());
+    EXPECT_EQ(stats.get("hier.forward_resolved_locally"), 1u);
+    ASSERT_TRUE(l1b.hasCompletion());
+    EXPECT_EQ(l1b.takeCompletion().value, 42u);
 }
 
 } // namespace

@@ -9,8 +9,10 @@
  * the filter on or off — including under the Random arbiter (whose
  * RNG stream must not shift), with multi-word blocks (presence is
  * block-granular), across interleaved buses, for timed-out runs, for
- * lock workloads, and on the hierarchical machine.  The only thing
- * allowed to change is the snoop-visit count, which must shrink.
+ * lock workloads, and on the hierarchical machine (snooping or
+ * directory global level, whose cluster caches deliver downward
+ * broadcasts through the same index).  The only thing allowed to
+ * change is the snoop-visit count, which must shrink.
  */
 
 #include <gtest/gtest.h>
@@ -295,6 +297,32 @@ TEST(SnoopFilterEquivalence, HierarchicalMachine)
         Observed unfiltered = observeHier(config, trace, false);
         expectIdentical(filtered, unfiltered);
         EXPECT_LT(filtered.snoop_visits, unfiltered.snoop_visits);
+    }
+}
+
+TEST(SnoopFilterEquivalence, HierarchicalDirectory)
+{
+    // Home nodes deliver each global Read to every sharer cluster,
+    // and each cluster cache passes it down through its bus's sharer
+    // index, which skips the L1s it cannot change (an RB spinner in
+    // R ignores a read broadcast).  Downward deliveries are filtered
+    // too, so they are held to the same byte-identity contract.
+    const Trace traces[] = {makeHotSpotTrace(32, 20, 8),
+                            makeClusteredTrace(4, 8, 300, 0.8, 0.3, 5)};
+    for (const Trace &trace : traces) {
+        for (auto protocol : {ProtocolKind::Rb, ProtocolKind::Rwb}) {
+            hier::HierConfig config;
+            config.num_clusters = 4;
+            config.pes_per_cluster = 8;
+            config.cache_lines = 64;
+            config.protocol = protocol;
+            config.global = hier::GlobalKind::Directory;
+            config.home_nodes = 2;
+            Observed filtered = observeHier(config, trace, true);
+            Observed unfiltered = observeHier(config, trace, false);
+            expectIdentical(filtered, unfiltered);
+            EXPECT_LT(filtered.snoop_visits, unfiltered.snoop_visits);
+        }
     }
 }
 
