@@ -28,7 +28,7 @@
  * identical to the snooping bus by contract (cycles and txns equal in
  * the table); the win appears as the cluster count grows.
  *
- * Like perf_parallel this binary's output is host-dependent by
+ * Like perf_throughput this binary's output is host-dependent by
  * design: it forces --timing on.  Methodology (EXPERIMENTS.md):
  * measure on a Release build with --jobs 1.
  */
@@ -174,7 +174,7 @@ printReproduction(exp::Session &session)
                                     mean);
                         }
                         // Home service-latency percentiles need the
-                        // histogram lanes (--histograms).
+                        // histograms (--histograms).
                         if (auto *observability = system.observability()) {
                             if (auto *metrics = observability->metrics()) {
                                 const auto &hs = metrics->home_service;

@@ -30,14 +30,12 @@ for bench in "$build_dir"/bench/*; do
     name="$(basename "$bench")"
     json="$build_dir/bench/$name.results.json"
     echo "===== $name =====" >> "$repo_root/bench_output.txt"
-    # perf_throughput, perf_parallel, and perf_directory measure the
-    # simulator's own wall-clock speed; pin them to one worker so
-    # points never compete for cores (EXPERIMENTS.md methodology).
-    # perf_parallel's own shards axis then owns every host thread of
-    # each timed point.
+    # perf_throughput and perf_directory measure the simulator's own
+    # wall-clock speed; pin them to one worker so points never compete
+    # for cores (EXPERIMENTS.md methodology).
     bench_jobs="$jobs"
     case "$name" in
-        perf_throughput|perf_parallel|perf_directory) bench_jobs=1 ;;
+        perf_throughput|perf_directory) bench_jobs=1 ;;
     esac
     "$bench" --jobs "$bench_jobs" --json "$json" \
         >> "$repo_root/bench_output.txt" 2>&1

@@ -8,10 +8,8 @@ Perfetto / chrome://tracing rely on):
     "traceEvents" array;
   * every event carries name/ph/ts/pid/tid (metadata carries name/ph);
   * every event's pid is a known track (1 PEs, 2 Buses, 3 Locks,
-    4 Sim, 5 Homes, 6 Kernel);
-  * non-metadata timestamps are non-decreasing — Chrome requires it,
-    and for a sharded run this doubles as the merge check: per-shard
-    buffers concatenated out of order would show a ts regression;
+    4 Sim, 5 Homes);
+  * non-metadata timestamps are non-decreasing — Chrome requires it;
   * duration B/E pairs are balanced per (pid, tid) track, never
     closing a span that was not opened (this covers every category,
     including the dir spans on the Homes track);
@@ -32,7 +30,6 @@ KNOWN_PIDS = {
     3: "Locks",
     4: "Sim",
     5: "Homes",
-    6: "Kernel",
 }
 
 
@@ -78,8 +75,7 @@ def validate(path):
         ts = event["ts"]
         if last_ts is not None and ts < last_ts:
             fail(f"event {index}: ts {ts} after {last_ts} "
-                 "(must be non-decreasing; a regression here means "
-                 "the shard merge emitted buffers out of order)")
+                 "(must be non-decreasing)")
         last_ts = ts
         track = (event["pid"], event["tid"])
         if phase == "B":

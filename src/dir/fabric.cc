@@ -30,8 +30,8 @@ DirectoryFabric::attach(BusClient *client)
     ddc_assert(client != nullptr, "null fabric client");
     clients.push_back(client);
     armed.push_back(1);
-    armedCount.fetch_add(1, std::memory_order_relaxed);
-    armEvents.fetch_add(1, std::memory_order_relaxed);
+    armedCount++;
+    armEvents++;
     return static_cast<int>(clients.size()) - 1;
 }
 
@@ -46,10 +46,10 @@ DirectoryFabric::setRequestArmed(int client, bool is_armed)
         return;
     armed[index] = flag;
     if (is_armed) {
-        armedCount.fetch_add(1, std::memory_order_relaxed);
-        armEvents.fetch_add(1, std::memory_order_relaxed);
+        armedCount++;
+        armEvents++;
     } else {
-        armedCount.fetch_sub(1, std::memory_order_relaxed);
+        armedCount--;
     }
 }
 
@@ -59,10 +59,8 @@ DirectoryFabric::setObserver(obs::Recorder *recorder,
 {
     if (recorder == nullptr)
         return;
-    // Homes tick on the serial shard, so all directory streams are
-    // shard 0's.
-    homeObs.trace = recorder->trace(obs::Category::Dir, 0);
-    homeObs.metrics = recorder->metricsLane(0);
+    homeObs.trace = recorder->trace(obs::Category::Dir);
+    homeObs.metrics = recorder->liveMetrics();
     homeObs.clock = machine_clock;
     if (homeObs.metrics) {
         requestStart.assign(clients.size(), kNever);
@@ -92,10 +90,8 @@ DirectoryFabric::tick()
     // forwards, so it runs first, exactly once, like on the bus).
     std::size_t posted = 0;
     if (armedClients() > 0 || !armedList.empty()) {
-        std::uint64_t events =
-            armEvents.load(std::memory_order_relaxed);
-        if (events != seenArmEvents) {
-            seenArmEvents = events;
+        if (armEvents != seenArmEvents) {
+            seenArmEvents = armEvents;
             armedList.clear();
             for (std::size_t i = 0; i < clients.size(); i++) {
                 if (armed[i])
@@ -167,14 +163,10 @@ DirectoryFabric::skipCycles(Cycle count)
 {
     // Skips cross only intervals where our nextEventCycle reported
     // kNever: no armed client at all, or a quiescent routing pass
-    // (nothing posted, no arm event since).  Lookahead windows also
-    // land here — the kernel bulk-skips the serial shard across each
-    // window before releasing the lanes, so the armEvents read below
-    // never races a cluster's arm.
+    // (nothing posted, no arm event since).
     ddc_assert(armedClients() == 0 ||
                    (lastRoutingPosted == 0 &&
-                    armEvents.load(std::memory_order_relaxed) ==
-                        seenArmEvents),
+                    armEvents == seenArmEvents),
                "skipped across a home-node grant opportunity");
     if (count > 0)
         stats.add(statIdle, count * homes.size());

@@ -27,12 +27,10 @@
  *  - The armed list is ascending and touched homes are served in
  *    ascending id order on the serial shard, so requester collection,
  *    arbiter streams, and cross-home delivery order are byte-
- *    identical to the dense scan — and identical across --shards
- *    values exactly like the snooping configuration.  (Homes must
- *    stay in the serial phase: the snooping bus commits
- *    supply/kill/deliver atomically within a cycle, and parallel home
- *    ticks could not preserve the cross-home delivery order that
- *    clusters observe.)
+ *    identical to the dense scan.  (Homes tick in the serial shard,
+ *    before the clusters: the snooping bus commits
+ *    supply/kill/deliver atomically within a cycle, and the clusters
+ *    observe cross-home deliveries in home order.)
  *  - With H = 1 the fabric reduces to the snooping global bus
  *    cycle-for-cycle: same requester collection, same arbiter
  *    stream, same memory/lock semantics, same counter family —
@@ -40,17 +38,10 @@
  *    because non-holders treat a snoop as a no-op.  The equivalence
  *    suite (tests/dir_equivalence_test.cc) pins this.
  *
- * Request arming is the one cross-shard edge, with the same
- * per-client slot + relaxed atomic count contract as
- * Bus::setRequestArmed; armEvents is a second relaxed atomic in the
- * same contract class (bumped only on disarmed->armed transitions,
- * read only on the serial shard) that tells the routing pass when its
- * dense list went stale.  The edge is lookahead-window-aware: the
- * kernel sizes a multi-cycle window so any arm posted inside it lands
- * on the window's last cycle, which keeps the fabric's next tick —
- * the barrier after the window — exactly one cycle behind the arm,
- * as in a cycle-per-barrier run; arms that were already visible pull
- * nextEventCycle() to now and cap the window at one cycle.
+ * Request arming uses the same per-client slot + count as
+ * Bus::setRequestArmed; armEvents counts disarmed->armed transitions
+ * (attach included) and tells the routing pass when its dense list
+ * went stale.
  *
  * Quiescence contract: after a routing pass that posted nothing, the
  * fabric reports kNever until the next arm event — a client that is
@@ -64,7 +55,6 @@
 #define DDC_DIR_FABRIC_HH
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -118,7 +108,7 @@ class DirectoryFabric : public GlobalFabric, public Tickable
     {
         if (armedClients() == 0)
             return kNever;
-        if (armEvents.load(std::memory_order_relaxed) != seenArmEvents)
+        if (armEvents != seenArmEvents)
             return now;
         return lastRoutingPosted > 0 ? now : kNever;
     }
@@ -172,14 +162,14 @@ class DirectoryFabric : public GlobalFabric, public Tickable
     std::size_t
     armedClients() const
     {
-        return armedCount.load(std::memory_order_relaxed);
+        return armedCount;
     }
 
     // ---- Observability ---------------------------------------------
     /**
      * Attach observability: dir-category trace + directory
-     * histograms for every home (all serial-phase, shard 0), plus
-     * request-latency tracking stamped by the routing pass.
+     * histograms for every home, plus request-latency tracking
+     * stamped by the routing pass from @p clock (the machine clock).
      * @p recorder may be null.  Call after every cluster attached.
      */
     void setObserver(obs::Recorder *recorder, const Clock *clock);
@@ -219,13 +209,13 @@ class DirectoryFabric : public GlobalFabric, public Tickable
     std::vector<BusClient *> clients;
     /** Per-client armed slots (see Bus::setRequestArmed). */
     std::vector<char> armed;
-    std::atomic<std::size_t> armedCount{0};
+    std::size_t armedCount = 0;
     /**
      * Generation counter of disarmed->armed transitions (attach
-     * included); relaxed, single-reader on the serial shard.  The
-     * routing pass rebuilds armedList when it observes a new value.
+     * included).  The routing pass rebuilds armedList when it
+     * observes a new value.
      */
-    std::atomic<std::uint64_t> armEvents{0};
+    std::uint64_t armEvents = 0;
     /** armEvents value the routing pass last synchronized with. */
     std::uint64_t seenArmEvents = 0;
     /**

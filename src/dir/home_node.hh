@@ -44,16 +44,15 @@ namespace dir {
 /**
  * Observability context shared by every home node of one fabric
  * (dir-category trace, directory histograms, request-latency
- * tracking).  Homes tick on the serial shard, so all of it is
- * written single-threaded into shard 0's streams; each home holds a
- * pointer that is null when directory observability is off — the
- * disabled path stays one null test per site.
+ * tracking).  Each home holds a pointer that is null when directory
+ * observability is off — the disabled path stays one null test per
+ * site.
  */
 struct HomeObs
 {
     /** Dir-category trace buffer (null when not traced). */
     obs::TraceBuffer *trace = nullptr;
-    /** Histogram lane for home_service / acks_per_inval (or null). */
+    /** Histograms for home_service / acks_per_inval (or null). */
     obs::RunMetrics *metrics = nullptr;
     const Clock *clock = nullptr;
     /**

@@ -68,8 +68,6 @@ RunResult::toJson(bool include_timing) const
         json["directory_blocks"] = Json(directory_blocks);
         json["directory_max_load_factor"] =
             Json(directory_max_load_factor);
-        json["barrier_epochs"] = Json(barrier_epochs);
-        json["mean_lookahead_window"] = Json(mean_lookahead_window);
     }
 
     Json metrics_json = Json::object();
@@ -193,12 +191,6 @@ RunResult::fromJson(const Json &json)
     }
     if (const Json *load = json.find("directory_max_load_factor"))
         result.directory_max_load_factor = load->asDouble();
-    if (const Json *barriers = json.find("barrier_epochs")) {
-        result.barrier_epochs =
-            static_cast<std::uint64_t>(barriers->asInt());
-    }
-    if (const Json *window = json.find("mean_lookahead_window"))
-        result.mean_lookahead_window = window->asDouble();
     for (const auto &[name, value] : json.find("metrics")->items())
         result.metrics.emplace_back(name, value.asDouble());
     for (const auto &[name, value] : json.find("counters")->items())

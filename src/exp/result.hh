@@ -107,23 +107,6 @@ struct RunResult
      * directory_blocks.
      */
     double directory_max_load_factor = 0.0;
-    /**
-     * Parallel barrier epochs the run's kernel executed (one per
-     * parallel phase, whether it covered one cycle or a multi-cycle
-     * lookahead window); 0 on single-lane runs.  Deterministic for a
-     * given shard count, but a function of the lane count and the
-     * lookahead setting — host-performance knobs — so, like
-     * skipped_cycles, it is serialized only with toJson(true): the
-     * default JSON stays byte-identical across --shards and
-     * --no-lookahead settings.
-     */
-    std::uint64_t barrier_epochs = 0;
-    /**
-     * Mean simulated cycles per barrier window (0 on single-lane
-     * runs; 1.0 means lookahead never batched).  Timing-gated like
-     * barrier_epochs.
-     */
-    double mean_lookahead_window = 0.0;
     /** Ordered derived metrics (bus_per_ref, miss_ratio, ...). */
     std::vector<std::pair<std::string, double>> metrics;
     /** Full merged counter set of the run. */

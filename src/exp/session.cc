@@ -42,12 +42,6 @@ const FlagSpec kFlags[] = {
          setQuiescentSkipEnabled(false);
          return kOk;
      }},
-    {"--no-lookahead", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.no_lookahead = true;
-         setLookaheadEnabled(false);
-         return kOk;
-     }},
     {"--no-snoop-filter", false,
      [](SessionOptions &options, const char *) -> std::string {
          options.no_snoop_filter = true;
@@ -102,16 +96,6 @@ const FlagSpec kFlags[] = {
      [](SessionOptions &options, const char *) -> std::string {
          options.profile = true;
          obs::setPhaseProfilingEnabled(true);
-         return kOk;
-     }},
-    {"--shards", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         options.shards = std::atoi(value);
-         if (options.shards < 1) {
-             return "needs a positive integer, got " +
-                    std::string(value);
-         }
-         setDefaultShards(options.shards);
          return kOk;
      }},
 };

@@ -56,15 +56,6 @@ struct SessionOptions
      */
     bool no_snoop_filter = false;
     /**
-     * Disable conservative-lookahead barrier batching for every
-     * sharded kernel the process builds (A/B baseline: back to one
-     * barrier per simulated cycle; results are byte-identical either
-     * way, only slower).  parseSessionArgs applies it process-wide
-     * via setLookaheadEnabled() so custom experiment points that
-     * construct their own HierSystems are covered too.
-     */
-    bool no_lookahead = false;
-    /**
      * Chrome-trace output file ("" = tracing off).  The first System
      * the process constructs claims it (obs::setTraceOutput), so a
      * traced session should run a single point (--jobs 1) to keep the
@@ -87,29 +78,20 @@ struct SessionOptions
      */
     Cycle sample_every = 0;
     /**
-     * Kernel / fabric phase profiling (host wall-clock split between
-     * tick work, barrier waits, and the fabric's route/serve
-     * phases).  A host measurement like --timing: the profile feeds
-     * the timing-gated JSON fields and bench columns only, so the
-     * deterministic JSON stays byte-identical.
+     * Directory-fabric phase profiling (host wall-clock split between
+     * the fabric's route and serve phases).  A host measurement like
+     * --timing: the profile feeds the timing-gated JSON fields and
+     * bench columns only, so the deterministic JSON stays
+     * byte-identical.
      */
     bool profile = false;
-    /**
-     * Worker lanes each hierarchical machine ticks its clusters on
-     * (the kernel's parallel shard group).  Applied process-wide via
-     * setDefaultShards() so custom experiment points that construct
-     * their own HierSystems are covered too.  Purely a host-
-     * performance knob: results are byte-identical for every value.
-     */
-    int shards = 1;
 };
 
 /**
  * Parse and remove the engine flags (`--jobs N`, `--json PATH`,
- * `--timing`, `--no-skip`, `--no-lookahead`, `--no-snoop-filter`,
- * `--trace-out FILE`, `--trace-categories LIST`, `--histograms`,
- * `--sample-every N`, `--profile`, `--shards N`) from an argv
- * vector.
+ * `--timing`, `--no-skip`, `--no-snoop-filter`, `--trace-out FILE`,
+ * `--trace-categories LIST`, `--histograms`, `--sample-every N`,
+ * `--profile`) from an argv vector.
  *
  * Unrecognized arguments are left in place (benches forward them to
  * google-benchmark).  Exits with an error message on malformed

@@ -112,13 +112,6 @@ class ClusterCache : public BusClient, public MemorySide
      * the issuing L1 armed on the cluster bus — so one of the two
      * buses always reports the pending work and kNever here never
      * hides an event from the skip engine.
-     *
-     * The same property gives the lookahead window its one-cycle
-     * global-serialization latency: cluster traffic only goes
-     * global-ward through here, during the cluster bus's own tick
-     * (execute/forward), so a cluster whose bus has no event before
-     * cycle c cannot arm the global interconnect before c either —
-     * Shard::earliestGlobalEmission counts the bus, not this side.
      */
     Cycle
     nextEventCycle(Cycle now) const override

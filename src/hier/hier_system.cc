@@ -20,13 +20,7 @@ toString(GlobalKind kind)
 }
 
 HierSystem::HierSystem(const HierConfig &config)
-    : config(config),
-      kernel(clock,
-             KernelConfig{config.shards > 0 ? config.shards
-                                            : defaultShards(),
-                          config.deterministic_shards,
-                          config.skip_quiescent,
-                          config.lookahead})
+    : config(config), kernel(clock, KernelConfig{config.skip_quiescent})
 {
     ddc_assert(config.num_clusters >= 1, "need at least one cluster");
     ddc_assert(config.pes_per_cluster >= 1,
@@ -37,10 +31,10 @@ HierSystem::HierSystem(const HierConfig &config)
                "the hierarchical machine supports the RB and RWB schemes");
     protocol = makeProtocol(config.protocol, config.rwb_writes_to_local);
 
-    globalShard = &kernel.makeSerialShard(config.arbiter_seed, 0);
+    globalShard = &kernel.makeSerialShard(0);
     if (config.global == GlobalKind::Directory) {
         // Home nodes replace the global bus + monolithic memory;
-        // they run in the serial phase because the snooping bus
+        // they run in the serial shard because the snooping bus
         // commits supply/kill/deliver atomically within a cycle and
         // the clusters rely on observing them in home order.
         fabric = std::make_unique<dir::DirectoryFabric>(
@@ -51,39 +45,27 @@ HierSystem::HierSystem(const HierConfig &config)
         ddc_assert(config.home_nodes == 1,
                    "home_nodes > 1 needs GlobalKind::Directory");
         memory = std::make_unique<Memory>(globalStats);
-        globalBus = std::make_unique<Bus>(*memory, config.arbiter,
-                                          globalShard->localClock(),
+        globalBus = std::make_unique<Bus>(*memory, config.arbiter, clock,
                                           globalStats,
                                           config.arbiter_seed, 1, 0,
                                           config.snoop_filter);
         globalShard->addComponent(globalBus.get());
     }
 
-    // The serial execution log is one shared stream; recording
-    // pins the run to the calling thread (results are identical —
-    // lanes are a host-performance knob only).
     ExecutionLog *log = config.record_log ? &execLog : nullptr;
-    if (log)
-        kernel.forceSequential();
     for (int c = 0; c < config.num_clusters; c++) {
         clusterStats.push_back(std::make_unique<stats::CounterSet>());
-        l1Stats.push_back(std::make_unique<stats::CounterSet>());
         clusterCaches.push_back(
             std::make_unique<ClusterCache>(c, *clusterStats.back()));
         if (fabric)
             clusterCaches.back()->connectGlobal(*fabric);
         else
             clusterCaches.back()->connectGlobal(*globalBus);
-        // Cluster-resident components stamp observability output from
-        // the shard-local clock: inside a lookahead window the shared
-        // clock is frozen at the window base, and only the shard
-        // knows the cycle it is actually ticking.
         Shard &shard = kernel.makeShard(
-            config.arbiter_seed,
             static_cast<std::size_t>(config.pes_per_cluster));
         clusterShards.push_back(&shard);
         clusterBuses.push_back(std::make_unique<Bus>(
-            *clusterCaches.back(), config.arbiter, shard.localClock(),
+            *clusterCaches.back(), config.arbiter, clock,
             *clusterStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(c) + 1,
             1, 0, config.snoop_filter));
@@ -93,8 +75,8 @@ HierSystem::HierSystem(const HierConfig &config)
         for (int p = 0; p < config.pes_per_cluster; p++) {
             PeId pe = c * config.pes_per_cluster + p;
             l1s.push_back(std::make_unique<Cache>(
-                pe, config.cache_lines, *protocol, shard.localClock(),
-                *l1Stats.back(), log));
+                pe, config.cache_lines, *protocol, clock, cacheStats,
+                log));
             l1s.back()->connectBus(*clusterBuses.back());
             l1s.back()->setWakeFlag(
                 shard.wakeFlag(static_cast<std::size_t>(p)));
@@ -104,35 +86,21 @@ HierSystem::HierSystem(const HierConfig &config)
     agents.resize(static_cast<std::size_t>(numPes()));
 
     // Bus track 0 is the global bus; cluster c's bus is track 1 + c.
-    // Observability streams are sharded like the kernel: the serial
-    // (global) shard writes stream 0 and cluster c writes stream
-    // 1 + c, each single-writer at any lane count — so tracing and
-    // histograms no longer pin the run to one lane (see DESIGN.md,
-    // "The observability contract").
-    recorder = obs::makeRecorder(
-        config.histograms, 0,
-        static_cast<std::size_t>(1 + config.num_clusters));
+    recorder = obs::makeRecorder(config.histograms, 0);
     obs::CounterSampler *sampler = nullptr;
     if (recorder) {
         if (globalBus)
-            globalBus->setObserver(recorder.get(), 0, 0);
+            globalBus->setObserver(recorder.get(), 0);
         // The directory fabric traces on its own "Homes" track
         // (category dir) instead of a bus track.
         if (fabric)
-            fabric->setObserver(recorder.get(),
-                                &globalShard->localClock());
+            fabric->setObserver(recorder.get(), &clock);
         for (int c = 0; c < config.num_clusters; c++)
             clusterBuses[static_cast<std::size_t>(c)]->setObserver(
-                recorder.get(), 1 + c,
-                static_cast<std::size_t>(1 + c));
-        for (PeId pe = 0; pe < numPes(); pe++)
-            l1s[static_cast<std::size_t>(pe)]->setObserver(
-                recorder.get(),
-                static_cast<std::size_t>(1 + clusterOf(pe)));
+                recorder.get(), 1 + c);
+        for (auto &l1 : l1s)
+            l1->setObserver(recorder.get());
         kernel.setQuiesceSink(recorder->trace(obs::Category::Quiesce));
-        if (recorder->trace(obs::Category::Kernel) != nullptr)
-            kernel.setKernelTrace(recorder->sink());
-        kernel.setProfile(recorder->profile());
         if (fabric)
             fabric->setProfile(recorder->profile());
         sampler = recorder->sampler();
@@ -157,7 +125,7 @@ HierSystem::HierSystem(const HierConfig &config)
             // Sampling doubles as the dir_occupancy histogram feed:
             // every row's block count is one occupancy observation.
             obs::RunMetrics *dir_metrics =
-                config.histograms ? recorder->metricsLane(0) : nullptr;
+                config.histograms ? recorder->liveMetrics() : nullptr;
             sampler->addColumn(
                 "dir.blocks", [fab, dir_metrics](Cycle) {
                     auto blocks = static_cast<std::uint64_t>(
@@ -177,22 +145,6 @@ HierSystem::HierSystem(const HierConfig &config)
     }
 }
 
-double
-HierSystem::kernelBarrierWaitMs() const
-{
-    const obs::PhaseProfile *profile =
-        recorder ? recorder->profile() : nullptr;
-    return profile ? profile->kernel_barrier_ms : 0.0;
-}
-
-double
-HierSystem::kernelTickPhaseMs() const
-{
-    const obs::PhaseProfile *profile =
-        recorder ? recorder->profile() : nullptr;
-    return profile ? profile->kernel_tick_ms : 0.0;
-}
-
 void
 HierSystem::loadTrace(const Trace &trace)
 {
@@ -204,8 +156,7 @@ HierSystem::loadTrace(const Trace &trace)
         int cluster = clusterOf(pe);
         agents[static_cast<std::size_t>(pe)] = std::make_unique<TraceAgent>(
             CacheSet({l1s[static_cast<std::size_t>(pe)].get()}),
-            std::move(stream),
-            *l1Stats[static_cast<std::size_t>(cluster)]);
+            std::move(stream), cacheStats);
         clusterShards[static_cast<std::size_t>(cluster)]->setAgent(
             static_cast<std::size_t>(pe % config.pes_per_cluster),
             agents[static_cast<std::size_t>(pe)].get());
@@ -221,7 +172,7 @@ HierSystem::setProgram(PeId pe, Program program)
     int cluster = clusterOf(pe);
     agents[static_cast<std::size_t>(pe)] = std::make_unique<Processor>(
         pe, CacheSet({l1s[static_cast<std::size_t>(pe)].get()}),
-        std::move(program), *l1Stats[static_cast<std::size_t>(cluster)]);
+        std::move(program), cacheStats);
     Shard *shard = clusterShards[static_cast<std::size_t>(cluster)];
     shard->setAgent(static_cast<std::size_t>(pe % config.pes_per_cluster),
                     agents[static_cast<std::size_t>(pe)].get());
@@ -253,8 +204,8 @@ HierSystem::tick()
 Cycle
 HierSystem::run(Cycle max_cycles)
 {
-    // Next-event time advance and shard scheduling live in the
-    // kernel; see Kernel::run.  The hierarchy's buses run at the
+    // Next-event time advance and tick ordering live in the kernel;
+    // see Kernel::run.  The hierarchy's buses run at the
     // unified (zero extra latency) cycle, so skips engage only when
     // every level is simultaneously blocked — but the engine is wired
     // identically so the on/off equivalence guarantee covers this
@@ -338,8 +289,7 @@ HierSystem::counters() const
     kernel.flushStalls();
     stats::CounterSet merged;
     merged.merge(globalStats);
-    for (const auto &l1 : l1Stats)
-        merged.merge(*l1);
+    merged.merge(cacheStats);
     for (const auto &cluster : clusterStats)
         merged.merge(*cluster);
     return merged;

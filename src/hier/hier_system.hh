@@ -88,30 +88,6 @@ struct HierConfig
      */
     bool histograms = false;
     /**
-     * Host worker lanes run() ticks the clusters on (each cluster —
-     * local bus + its L1s + its PEs — is one kernel shard).  0 = the
-     * process-wide default (the --shards flag, itself defaulting to
-     * 1).  Purely a host-performance knob: in deterministic mode
-     * (the default) results are byte-identical for every value.
-     * Machines that must run on the calling thread (record_log, an
-     * attached observability recorder) clamp to one lane.
-     */
-    int shards = 0;
-    /**
-     * Static shard-to-lane schedule with guaranteed byte-identical
-     * output (see KernelConfig::deterministic).  False opts into
-     * dynamic load-balanced claiming.
-     */
-    bool deterministic_shards = true;
-    /**
-     * Conservative-lookahead batching for sharded runs: lanes tick
-     * multi-cycle windows between barriers when no cluster can reach
-     * the global interconnect sooner (see KernelConfig::lookahead).
-     * Byte-identical either way; ANDed with the process-wide
-     * setLookaheadEnabled() switch (the --no-lookahead flag).
-     */
-    bool lookahead = true;
-    /**
      * Global interconnect: the snooping bus (default, the paper's
      * logically single broadcast medium) or the directory fabric
      * (src/dir) for large cluster counts.  With home_nodes == 1 the
@@ -169,27 +145,12 @@ class HierSystem
     /** Cycles run() fast-forwarded instead of ticking. */
     Cycle skippedCycles() const { return kernel.skippedCycles(); }
 
-    /** Parallel barriers run() executed (see Kernel::barrierEpochs). */
-    std::uint64_t barrierEpochs() const { return kernel.barrierEpochs(); }
-
-    /** Mean cycles per barrier window (0 on single-lane runs). */
-    double
-    meanLookaheadWindow() const
-    {
-        return kernel.meanLookaheadWindow();
-    }
-
-    /** Host worker lanes the next run() will use (>= 1). */
-    int workerLanes() const { return kernel.workerLanes(); }
-
     /**
-     * Wall ms the coordinator spent waiting at barriers (0 unless
-     * phase profiling is on — the --profile flag).
+     * Host threads run() uses: always 1, the kernel ticks every
+     * shard on the calling thread.  Kept only because the layer
+     * benchmark (bench/perf) reports it.
      */
-    double kernelBarrierWaitMs() const;
-
-    /** Wall ms the coordinator spent ticking its own lane. */
-    double kernelTickPhaseMs() const;
+    int workerLanes() const { return 1; }
 
     bool allDone() const;
     Cycle now() const { return clock.now; }
@@ -273,12 +234,10 @@ class HierSystem
     HierConfig config;
     Clock clock;
     /**
-     * The shared run-loop driver.  The global bus is the serial
-     * shard (ticked first each cycle by the coordinating thread —
-     * all cross-cluster traffic commits there); each cluster is one
-     * parallel shard, tickable concurrently because within a cycle a
-     * cluster's bus, cluster cache, L1s, and PEs touch only cluster-
-     * local state plus the global bus's atomic request arming.
+     * The shared run-loop driver.  The global interconnect is the
+     * serial shard (ticked first each cycle — all cross-cluster
+     * traffic commits there); each cluster is one further shard,
+     * ticked in cluster order.
      */
     Kernel kernel;
     RunStatus run_status = RunStatus::Finished;
@@ -287,13 +246,8 @@ class HierSystem
 
     stats::CounterSet globalStats;
     std::vector<std::unique_ptr<stats::CounterSet>> clusterStats;
-    /**
-     * Per-cluster L1 + PE counter sets (cacheStats was one shared set
-     * before sharding; CounterSet::merge sums by name, so counters()
-     * is byte-identical to the shared-set scheme while letting each
-     * shard count without cross-thread contention).
-     */
-    std::vector<std::unique_ptr<stats::CounterSet>> l1Stats;
+    /** Every L1's cache.* and every PE's pe.* counters. */
+    stats::CounterSet cacheStats;
 
     /** Global memory + snooping bus (GlobalKind::Snoop mode only). */
     std::unique_ptr<Memory> memory;

@@ -47,25 +47,6 @@ struct RunMetrics
     stats::Histogram acks_per_inval{16, 1};
     /** Directory blocks held fabric-wide at each sample point. */
     stats::Histogram dir_occupancy{64, 64};
-
-    /**
-     * Fold @p other (one shard's lane) into this bundle; histogram
-     * merging is commutative and bucket-exact, so the merged result
-     * is independent of shard-to-lane placement.
-     */
-    void
-    merge(const RunMetrics &other)
-    {
-        miss_service.merge(other.miss_service);
-        bus_wait.merge(other.bus_wait);
-        miss_retries.merge(other.miss_retries);
-        lock_acquire.merge(other.lock_acquire);
-        lock_handoff.merge(other.lock_handoff);
-        write_gap.merge(other.write_gap);
-        home_service.merge(other.home_service);
-        acks_per_inval.merge(other.acks_per_inval);
-        dir_occupancy.merge(other.dir_occupancy);
-    }
 };
 
 } // namespace obs

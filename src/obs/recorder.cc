@@ -1,6 +1,5 @@
 #include "obs/recorder.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -72,27 +71,14 @@ phaseProfilingEnabled()
 }
 
 Recorder::Recorder(std::unique_ptr<TraceSink> trace_sink,
-                   bool histograms, Cycle sample_every,
-                   std::size_t shards, bool profiling)
+                   bool histograms, Cycle sample_every, bool profiling)
     : traceSink(std::move(trace_sink)), histogramsOn(histograms)
 {
-    if (shards < 1)
-        shards = 1;
-    if (histogramsOn) {
-        for (std::size_t i = 0; i < shards; i++)
-            metricsLanes.push_back(std::make_unique<RunMetrics>());
-    }
     if (sample_every > 0)
         counterSampler =
             std::make_unique<CounterSampler>(sample_every);
-    if (wantsLockEvents()) {
-        for (std::size_t i = 0; i < shards; i++)
-            lockLanes.push_back(std::make_unique<LockLog>());
-    }
     if (profiling)
         phaseProfile = std::make_unique<PhaseProfile>();
-    if (traceSink)
-        traceSink->buffer(shards - 1);
 }
 
 Recorder::~Recorder()
@@ -104,35 +90,13 @@ Recorder::~Recorder()
 }
 
 RunMetrics *
-Recorder::metricsLane(std::size_t shard)
-{
-    if (!histogramsOn)
-        return nullptr;
-    while (metricsLanes.size() <= shard)
-        metricsLanes.push_back(std::make_unique<RunMetrics>());
-    return metricsLanes[shard].get();
-}
-
-RunMetrics *
 Recorder::metrics()
 {
     if (!histogramsOn)
         return nullptr;
-    mergedMetrics = RunMetrics{};
-    for (const auto &lane : metricsLanes)
-        mergedMetrics.merge(*lane);
-    replayLocks(&mergedMetrics, nullptr);
-    return &mergedMetrics;
-}
-
-LockLog *
-Recorder::lockLane(std::size_t shard)
-{
-    if (!wantsLockEvents())
-        return nullptr;
-    while (lockLanes.size() <= shard)
-        lockLanes.push_back(std::make_unique<LockLog>());
-    return lockLanes[shard].get();
+    replayedMetrics = runMetrics;
+    replayLocks(&replayedMetrics, nullptr);
+    return &replayedMetrics;
 }
 
 void
@@ -149,19 +113,6 @@ void
 Recorder::replayLocks(RunMetrics *into,
                       TraceBuffer *lock_trace) const
 {
-    // Merge the per-shard logs into the serial kernel's emission
-    // order: stable sort by cycle, shard index breaking ties (shard
-    // 0 ticks first within a cycle, then the clusters in order).
-    std::vector<const LockEvent *> order;
-    for (const auto &lane : lockLanes) {
-        for (const LockEvent &event : lane->entries())
-            order.push_back(&event);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [](const LockEvent *a, const LockEvent *b) {
-                         return a->cycle < b->cycle;
-                     });
-
     /** Addresses that have carried an RMW (lock-word heuristic). */
     std::unordered_set<Addr> known;
     /** Open spin episodes: (pe, lock addr) -> first-failure cycle. */
@@ -169,43 +120,43 @@ Recorder::replayLocks(RunMetrics *into,
     /** Pending hand-offs: lock addr -> release cycle. */
     std::unordered_map<Addr, Cycle> lastRelease;
 
-    for (const LockEvent *event : order) {
-        if (event->kind == 2) {
+    for (const LockEvent &event : lockEvents.entries()) {
+        if (event.kind == 2) {
             // A release only counts once the address is known to
             // behave like a lock word.
-            if (known.find(event->addr) == known.end())
+            if (known.find(event.addr) == known.end())
                 continue;
-            lastRelease[event->addr] = event->cycle;
+            lastRelease[event.addr] = event.cycle;
             if (lock_trace) {
                 TraceEvent out;
-                out.ts = event->cycle;
+                out.ts = event.cycle;
                 out.name = "release";
-                out.addr = event->addr;
+                out.addr = event.addr;
                 out.has_addr = true;
                 out.track = kTrackLocks;
-                out.tid = event->pe;
+                out.tid = event.pe;
                 lock_trace->push(out);
             }
             continue;
         }
 
-        known.insert(event->addr);
-        auto key = std::make_pair(event->pe, event->addr);
+        known.insert(event.addr);
+        auto key = std::make_pair(event.pe, event.addr);
         auto episode = spinning.find(key);
 
-        if (event->kind == 0) {
+        if (event.kind == 0) {
             // A failed attempt opens (or extends) a spin episode.
             if (episode == spinning.end()) {
-                spinning.emplace(key, event->cycle);
+                spinning.emplace(key, event.cycle);
                 if (lock_trace) {
                     TraceEvent out;
-                    out.ts = event->cycle;
+                    out.ts = event.cycle;
                     out.name = "spin";
-                    out.addr = event->addr;
+                    out.addr = event.addr;
                     out.has_addr = true;
                     out.phase = 'B';
                     out.track = kTrackLocks;
-                    out.tid = event->pe;
+                    out.tid = event.pe;
                     lock_trace->push(out);
                 }
             }
@@ -217,47 +168,46 @@ Recorder::replayLocks(RunMetrics *into,
         // acquire — the hand-off gap.
         Cycle waited = 0;
         if (episode != spinning.end()) {
-            waited = event->cycle - episode->second;
+            waited = event.cycle - episode->second;
             spinning.erase(episode);
             if (lock_trace) {
                 TraceEvent out;
-                out.ts = event->cycle;
+                out.ts = event.cycle;
                 out.name = "spin";
                 out.phase = 'E';
                 out.track = kTrackLocks;
-                out.tid = event->pe;
+                out.tid = event.pe;
                 lock_trace->push(out);
             }
         }
         if (into)
             into->lock_acquire.sample(waited);
 
-        auto release = lastRelease.find(event->addr);
+        auto release = lastRelease.find(event.addr);
         if (release != lastRelease.end()) {
             if (into)
-                into->lock_handoff.sample(event->cycle -
+                into->lock_handoff.sample(event.cycle -
                                           release->second);
             lastRelease.erase(release);
         }
 
         if (lock_trace) {
             TraceEvent out;
-            out.ts = event->cycle;
+            out.ts = event.cycle;
             out.name = "acquire";
-            out.addr = event->addr;
+            out.addr = event.addr;
             out.has_addr = true;
             out.value = static_cast<std::int64_t>(waited);
             out.value_name = "spin_cycles";
             out.track = kTrackLocks;
-            out.tid = event->pe;
+            out.tid = event.pe;
             lock_trace->push(out);
         }
     }
 }
 
 std::unique_ptr<Recorder>
-makeRecorder(bool config_histograms, Cycle config_sample_every,
-             std::size_t shards)
+makeRecorder(bool config_histograms, Cycle config_sample_every)
 {
     std::unique_ptr<TraceSink> sink;
     {
@@ -276,8 +226,7 @@ makeRecorder(bool config_histograms, Cycle config_sample_every,
     if (!sink && !histograms && sample_every == 0 && !profiling)
         return nullptr;
     return std::make_unique<Recorder>(std::move(sink), histograms,
-                                      sample_every, shards,
-                                      profiling);
+                                      sample_every, profiling);
 }
 
 } // namespace obs

@@ -10,14 +10,6 @@
  * The trace output file is claimed by the first System that asks for
  * it (one file, one run); parallel experiment workers therefore
  * trace exactly one run instead of interleaving into one file.
- *
- * Shard safety: every mutable stream is striped per shard — trace
- * events via TraceSink buffers, histograms via RunMetrics lanes,
- * lock events via append-only LockLogs — so parallel phases write
- * without locks.  Reads (metrics(), the trace file, the lock-episode
- * replay) merge the lanes deterministically; because the shard
- * partition is fixed by configuration, every merged result is
- * independent of the worker-lane count.
  */
 
 #ifndef DDC_OBS_RECORDER_HH
@@ -59,16 +51,17 @@ bool phaseProfilingEnabled();
 /**
  * Host wall-clock phase splits (--profile): where the simulator
  * itself spends real time, as opposed to the simulated-cycle
- * quantities every other obs stream records.  Written only from
- * serial phases (the kernel coordinator, the fabric tick), read
- * after the run; host-dependent by design, so the values ride the
- * timing-gated JSON block, never the deterministic result surface.
+ * quantities every other obs stream records.  Written by the fabric
+ * tick, read after the run; host-dependent by design, so the values
+ * ride the timing-gated JSON block, never the deterministic result
+ * surface.
  */
 struct PhaseProfile
 {
-    /** Coordinator tick work (serial shard + own lane share). */
-    double kernel_tick_ms = 0.0;
-    /** Coordinator wait for the other lanes at the epoch barrier. */
+    /**
+     * Always 0: the kernel runs on one thread and has no barrier.
+     * Kept only because the layer benchmark (bench/perf) reads it.
+     */
     double kernel_barrier_ms = 0.0;
     /** Directory fabric: request routing pass. */
     double fabric_route_ms = 0.0;
@@ -76,7 +69,7 @@ struct PhaseProfile
     double fabric_serve_ms = 0.0;
 };
 
-/** One raw lock-word event, appended by a Bus on its own shard. */
+/** One raw lock-word event, appended by a Bus or Cache. */
 struct LockEvent
 {
     Cycle cycle = 0;
@@ -87,11 +80,11 @@ struct LockEvent
 };
 
 /**
- * One shard's append-only lock-event log.  Buses record raw
- * attempt/release events here instead of driving episode state
- * machines directly: episode reconstruction (spin spans, acquire
- * latency, hand-off gaps) needs cross-shard order, so it runs as a
- * single-threaded replay over the merged logs after the run.
+ * A run's append-only lock-event log, in simulation order.  Buses
+ * and caches record raw attempt/release events here instead of
+ * driving episode state machines directly; episode reconstruction
+ * (spin spans, acquire latency, hand-off gaps) replays the log after
+ * the run.
  */
 class LockLog
 {
@@ -119,49 +112,48 @@ class LockLog
 
 /**
  * One System's observability state: the trace sink (if this System
- * won the claim), the per-shard histogram lanes, the counter
- * sampler, the per-shard lock logs, and the host phase profile.
+ * won the claim), the histograms, the counter sampler, the lock log,
+ * and the host phase profile.
  *
- * Writers address their shard's lane (trace(category, shard),
- * metricsLane(shard), lockLane(shard)); readers use the merging
- * accessors (metrics(), the written trace).  Shard 0 is the serial
- * shard (global bus / directory fabric); cluster c writes lane 1+c.
- * Flat systems use shard 0 throughout.
+ * Components write through trace(category), liveMetrics() and
+ * lockLog(); readers use metrics() and the written trace.
  */
 class Recorder
 {
   public:
-    /**
-     * @param shards Number of metric/lock lanes to provision (the
-     *        machine's shard count, not the worker-lane count).
-     * @param profiling Allocate the PhaseProfile.
-     */
+    /** @param profiling Allocate the PhaseProfile. */
     Recorder(std::unique_ptr<TraceSink> trace_sink, bool histograms,
-             Cycle sample_every, std::size_t shards = 1,
-             bool profiling = false);
+             Cycle sample_every, bool profiling = false);
 
     /** Replays the lock trace, then the sink writes its file. */
     ~Recorder();
 
-    /** Buffer for @p category on @p shard, or null when not traced. */
+    /** Buffer for @p category, or null when it is not traced. */
     TraceBuffer *
-    trace(Category category, std::size_t shard = 0)
+    trace(Category category)
     {
         return traceSink && traceSink->enabled(category)
-                   ? traceSink->buffer(shard)
+                   ? traceSink->buffer()
                    : nullptr;
     }
 
-    /** The trace sink itself, or null (kernel lanes, writeFile). */
+    /** The trace sink itself, or null (writeFile). */
     TraceSink *sink() { return traceSink.get(); }
 
-    /** Histogram lane for @p shard, or null when --histograms off. */
-    RunMetrics *metricsLane(std::size_t shard);
+    /**
+     * The histograms components sample into during the run, or null
+     * when --histograms is off.  Holds no lock episodes; see metrics().
+     */
+    RunMetrics *
+    liveMetrics()
+    {
+        return histogramsOn ? &runMetrics : nullptr;
+    }
 
     /**
-     * The merged view: all lanes folded together plus the lock
-     * episodes replayed.  Recomputed on each call; valid until the
-     * next call.  Null when --histograms is off.
+     * liveMetrics() plus the lock episodes replayed from the lock
+     * log.  Recomputed on each call; valid until the next call.  Null
+     * when --histograms is off.
      */
     RunMetrics *metrics();
 
@@ -179,11 +171,15 @@ class Recorder
                (traceSink && traceSink->enabled(Category::Lock));
     }
 
-    /** Lock log for @p shard, or null when lock events are off. */
-    LockLog *lockLane(std::size_t shard);
+    /** The lock log, or null when lock events are off. */
+    LockLog *
+    lockLog()
+    {
+        return wantsLockEvents() ? &lockEvents : nullptr;
+    }
 
     /**
-     * Replay the merged lock logs into the trace's lock track
+     * Replay the lock log into the trace's lock track
      * (spin B/E spans, acquire/release markers).  Idempotent; runs
      * automatically at destruction, before the sink writes.  Call
      * early only to write the trace while the Recorder is alive.
@@ -192,32 +188,29 @@ class Recorder
 
   private:
     /**
-     * Single-threaded episode reconstruction over the merged lock
-     * logs (stable by cycle, shard order breaking ties — the serial
-     * kernel's tick order).  Feeds lock_acquire / lock_handoff into
-     * @p into and/or emits lock-track events into @p lock_trace.
+     * Episode reconstruction over the lock log.  Feeds lock_acquire /
+     * lock_handoff into @p into and/or emits lock-track events into
+     * @p lock_trace.
      */
     void replayLocks(RunMetrics *into, TraceBuffer *lock_trace) const;
 
     std::unique_ptr<TraceSink> traceSink;
     bool histogramsOn;
-    std::vector<std::unique_ptr<RunMetrics>> metricsLanes;
-    RunMetrics mergedMetrics;
+    RunMetrics runMetrics;
+    RunMetrics replayedMetrics;
     std::unique_ptr<CounterSampler> counterSampler;
-    std::vector<std::unique_ptr<LockLog>> lockLanes;
+    LockLog lockEvents;
     std::unique_ptr<PhaseProfile> phaseProfile;
     bool lockTraceFlushed = false;
 };
 
 /**
  * Build the Recorder for a System given its per-config histogram
- * flag, sampling interval (0 = use the process-wide interval), and
- * shard count.
+ * flag and sampling interval (0 = use the process-wide interval).
  * @return null when no observability feature is enabled.
  */
 std::unique_ptr<Recorder> makeRecorder(bool config_histograms,
-                                       Cycle config_sample_every,
-                                       std::size_t shards = 1);
+                                       Cycle config_sample_every);
 
 } // namespace obs
 } // namespace ddc

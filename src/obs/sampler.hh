@@ -68,8 +68,7 @@ class CounterSampler
 
     /**
      * The next scheduled sample cycle.  The kernel clamps quiescent
-     * skips and lookahead windows to this bound so rows land exactly
-     * on the sampling grid regardless of lane count.
+     * skips to this bound so rows land exactly on the sampling grid.
      */
     Cycle nextAt() const { return next; }
 

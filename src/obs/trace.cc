@@ -25,7 +25,6 @@ constexpr CategoryName kCategoryNames[] = {
     {"miss", Category::Miss},
     {"quiesce", Category::Quiesce},
     {"dir", Category::Dir},
-    {"kernel", Category::Kernel},
 };
 
 /** Minimal JSON string escaping; names are ASCII by construction. */
@@ -67,7 +66,6 @@ trackName(std::int32_t track)
       case kTrackLocks: return "Locks";
       case kTrackSim: return "Sim";
       case kTrackHomes: return "Homes";
-      case kTrackKernel: return "Kernel";
       default: return "Track";
     }
 }
@@ -81,7 +79,6 @@ tidPrefix(std::int32_t track)
       case kTrackLocks: return "pe";
       case kTrackSim: return "sim";
       case kTrackHomes: return "home";
-      case kTrackKernel: return "lane";
       default: return "t";
     }
 }
@@ -144,9 +141,7 @@ categoryNames(std::uint32_t mask)
 
 TraceSink::TraceSink(std::uint32_t categories, std::string path)
     : mask(categories), outPath(std::move(path))
-{
-    lanes.push_back(std::make_unique<TraceBuffer>());
-}
+{}
 
 TraceSink::~TraceSink()
 {
@@ -156,82 +151,48 @@ TraceSink::~TraceSink()
                   << "'\n";
 }
 
-TraceBuffer *
-TraceSink::buffer(std::size_t index)
-{
-    while (lanes.size() <= index)
-        lanes.push_back(std::make_unique<TraceBuffer>());
-    return lanes[index].get();
-}
-
-TraceBuffer *
-TraceSink::newBuffer()
-{
-    lanes.push_back(std::make_unique<TraceBuffer>());
-    return lanes.back().get();
-}
-
-std::size_t
-TraceSink::size() const
-{
-    std::size_t total = 0;
-    for (const auto &lane : lanes)
-        total += lane->size();
-    return total;
-}
-
 void
 TraceSink::write(std::ostream &os) const
 {
-    // Merge the per-shard buffers deterministically: concatenate in
-    // buffer order, then stable-sort by (ts, track, tid).  Chrome
-    // requires a non-decreasing timestamp stream; the track tiebreak
-    // fixes the cross-buffer interleave so the merge does not depend
-    // on how shards were spread over worker lanes, and same-key
-    // events keep buffer order (a B at cycle t sorts before its
-    // same-cycle E because its single writing buffer emitted it
-    // first).
-    std::vector<TraceEvent> merged;
-    merged.reserve(size());
-    for (const auto &lane : lanes) {
-        merged.insert(merged.end(), lane->entries().begin(),
-                      lane->entries().end());
-    }
-    std::stable_sort(merged.begin(), merged.end(),
+    // Stable-sort by (ts, track, tid).  Chrome requires a
+    // non-decreasing timestamp stream; the track tiebreak groups each
+    // cycle's events by track, and same-key events keep emission
+    // order (a B at cycle t sorts before its same-cycle E).
+    std::vector<TraceEvent> sorted = events.entries();
+    std::stable_sort(sorted.begin(), sorted.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {
                          return std::tie(a.ts, a.track, a.tid) <
                                 std::tie(b.ts, b.track, b.tid);
                      });
 
     // Coalesce abutting quiescent-skip spans into maximal
-    // machine-quiescent intervals.  The sequential kernel and the
-    // lookahead-window kernel skip the same quiescent cycle set but
-    // chop it at different boundaries (window edges, sampler
-    // clamps); gluing [a,b)+[b,c) -> [a,c) makes the written trace
-    // independent of that chopping.
+    // machine-quiescent intervals.  The kernel chops one quiescent
+    // stretch at sample points and at run() budgets; gluing
+    // [a,b)+[b,c) -> [a,c) makes the written trace independent of
+    // that chopping.
     std::size_t out = 0;
-    std::size_t last_quiesce = merged.size();
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-        if (isQuiesceSpan(merged[i]) && last_quiesce < out &&
-            merged[last_quiesce].ts + merged[last_quiesce].dur ==
-                merged[i].ts) {
-            merged[last_quiesce].dur += merged[i].dur;
+    std::size_t last_quiesce = sorted.size();
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        if (isQuiesceSpan(sorted[i]) && last_quiesce < out &&
+            sorted[last_quiesce].ts + sorted[last_quiesce].dur ==
+                sorted[i].ts) {
+            sorted[last_quiesce].dur += sorted[i].dur;
             continue;
         }
-        if (isQuiesceSpan(merged[i]))
+        if (isQuiesceSpan(sorted[i]))
             last_quiesce = out;
         if (out != i)
-            merged[out] = merged[i];
+            sorted[out] = sorted[i];
         ++out;
     }
-    merged.resize(out);
+    sorted.resize(out);
 
     os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
 
     // Name every track that carries events so Perfetto shows
     // "PEs/pe 0", "Buses/bus 1", ... instead of bare numbers.
     std::vector<std::pair<std::int32_t, std::int32_t>> tracks;
-    for (const TraceEvent &event : merged)
+    for (const TraceEvent &event : sorted)
         tracks.emplace_back(event.track, event.tid);
     std::sort(tracks.begin(), tracks.end());
     tracks.erase(std::unique(tracks.begin(), tracks.end()),
@@ -265,7 +226,7 @@ TraceSink::write(std::ostream &os) const
     };
 
     Cycle max_ts = 0;
-    for (const TraceEvent &event : merged) {
+    for (const TraceEvent &event : sorted) {
         max_ts = std::max(max_ts, event.ts + event.dur);
         if (event.phase == 'B')
             ++depthOf(event.track, event.tid);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Structured event tracing: categories, events, per-shard buffers,
- * and the TraceSink that merges them and writes Chrome trace-event
+ * Structured event tracing: categories, events, the event buffer,
+ * and the TraceSink that sorts it and writes Chrome trace-event
  * JSON.
  *
  * Components never talk to the sink directly when tracing is off:
@@ -9,14 +9,6 @@
  * its category was enabled, so the disabled path costs exactly one
  * pointer test — no heap traffic, no string formatting, no virtual
  * calls (the zero-overhead-when-off contract; see DESIGN.md).
- *
- * Shard safety: the sink owns one private TraceBuffer per shard
- * (plus any lane-local buffers the kernel requests), so parallel
- * phases append without locks.  The writer concatenates the buffers
- * in index order and stable-sorts by (ts, track, tid); because every
- * (track, tid) pair is written by exactly one buffer, the merged
- * stream is deterministic — independent of worker-lane count — and a
- * sharded run's trace file is byte-identical to the sequential one.
  *
  * Event names and detail strings must have static storage duration:
  * the sink stores the pointers, not copies, so the hot path never
@@ -29,7 +21,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,25 +49,14 @@ enum class Category : std::uint32_t {
     Quiesce = 1u << 4,
     /** Directory-fabric home traffic: grants, fwd/inval/ack, NACKs. */
     Dir = 1u << 5,
-    /**
-     * Kernel self-profiling: per-lane tick spans, barrier waits, and
-     * the lookahead-window counter track.  Deliberately NOT part of
-     * "all": these events depend on the host lane count, so enabling
-     * them forfeits the byte-identical-across---shards guarantee the
-     * simulation categories keep.
-     */
-    Kernel = 1u << 6,
 };
 
-/**
- * Every simulation category enabled (the --trace-categories
- * default).  Excludes Kernel, which is host-dependent by design.
- */
+/** Every category enabled (the --trace-categories default). */
 inline constexpr std::uint32_t kAllCategories = 0x3F;
 
 /**
  * Parse a comma-separated category list ("bus,state,lock,miss,
- * quiesce,dir,kernel", or "all") into a bitmask.
+ * quiesce,dir", or "all") into a bitmask.
  * @return 0 on a malformed list; @p error (when non-null) receives
  *         the offending token.
  */
@@ -88,7 +68,7 @@ std::string categoryNames(std::uint32_t mask);
 
 /**
  * Track groups (Chrome "pid"); the track id ("tid") within a group is
- * the PE, bus, home-node, or lane index.  One track per PE, one per
+ * the PE, bus, or home-node index.  One track per PE, one per
  * bus, one per directory home, as the Perfetto view expects.
  */
 inline constexpr std::int32_t kTrackPes = 1;
@@ -96,7 +76,6 @@ inline constexpr std::int32_t kTrackBuses = 2;
 inline constexpr std::int32_t kTrackLocks = 3;
 inline constexpr std::int32_t kTrackSim = 4;
 inline constexpr std::int32_t kTrackHomes = 5;
-inline constexpr std::int32_t kTrackKernel = 6;
 
 /** One buffered trace event (1 simulated cycle == 1 trace us). */
 struct TraceEvent
@@ -125,12 +104,7 @@ struct TraceEvent
     std::int32_t tid = 0;
 };
 
-/**
- * One shard's (or lane's) private append-only event buffer.  A
- * buffer has exactly one writer at a time — the shard that owns it —
- * so push() needs no synchronization.  Buffers are created and read
- * only by the owning TraceSink.
- */
+/** The append-only event buffer a TraceSink owns. */
 class TraceBuffer
 {
   public:
@@ -146,22 +120,18 @@ class TraceBuffer
 };
 
 /**
- * Owns the per-shard TraceBuffers and serializes their merged event
- * stream as a Chrome trace-event JSON document on destruction (or
- * via writeFile()).
+ * Owns the TraceBuffer and serializes its events as a Chrome
+ * trace-event JSON document on destruction (or via writeFile()).
  *
- * The writer emits process/thread metadata naming every track,
- * concatenates the buffers in index order, stable-sorts by
- * (ts, track, tid) — Chrome requires non-decreasing ts; the track
- * tiebreak makes the merge independent of which shard's buffer an
- * event sat in; same-key events keep buffer order, and every
- * (track, tid) pair has a single writing buffer, so the result is
- * deterministic.  Abutting quiescent-skip spans are coalesced into
- * maximal machine-quiescent intervals (the sequential and windowed
- * kernels chop the same quiescent cycles at different boundaries),
- * and duration pairs are balanced by synthesizing an 'E' at the
- * final timestamp for any span still open when the run ended (e.g. a
- * timed-out miss).
+ * The writer emits process/thread metadata naming every track, then
+ * the events stable-sorted by (ts, track, tid) — Chrome requires
+ * non-decreasing ts, the track tiebreak groups each cycle's events
+ * by track, and same-key events keep emission order.  Abutting
+ * quiescent-skip spans are coalesced into maximal machine-quiescent
+ * intervals (the kernel chops one quiescent stretch at sample points
+ * and at run() budgets), and duration pairs are balanced by
+ * synthesizing an 'E' at the final timestamp for any span still open
+ * when the run ended (e.g. a timed-out miss).
  */
 class TraceSink
 {
@@ -190,24 +160,14 @@ class TraceSink
 
     const std::string &path() const { return outPath; }
 
-    /** Append one event to the shard-0 buffer (serial phases). */
-    void push(const TraceEvent &event) { lanes[0]->push(event); }
+    /** Append one event. */
+    void push(const TraceEvent &event) { events.push(event); }
 
-    /**
-     * The buffer for shard @p index, created on first use.  Call
-     * only from wiring or serial phases (growth is not thread safe);
-     * the returned buffer may then be written by its owning shard.
-     */
-    TraceBuffer *buffer(std::size_t index);
+    /** The event buffer components append to. */
+    TraceBuffer *buffer() { return &events; }
 
-    /**
-     * Append a fresh anonymous buffer (kernel lane-local streams).
-     * Serial phases only.
-     */
-    TraceBuffer *newBuffer();
-
-    /** Total number of buffered events across all buffers. */
-    std::size_t size() const;
+    /** Number of buffered events. */
+    std::size_t size() const { return events.size(); }
 
     /** Serialize the Chrome trace-event document to @p os. */
     void write(std::ostream &os) const;
@@ -222,7 +182,7 @@ class TraceSink
     std::uint32_t mask;
     std::string outPath;
     bool written = false;
-    std::vector<std::unique_ptr<TraceBuffer>> lanes;
+    TraceBuffer events;
 };
 
 } // namespace obs

@@ -37,17 +37,6 @@ class Agent
     virtual bool done() const = 0;
 
     /**
-     * Lower bound on the cycle whose tick could first make done()
-     * true (part of the lookahead contract, see DESIGN.md).  The
-     * kernel uses it to clamp multi-cycle barrier windows so a
-     * machine's completion cycle is re-checked exactly where a
-     * cycle-by-cycle run would have stopped.  Must be side-effect
-     * free; the conservative default — could finish this cycle —
-     * keeps windows at one cycle around agents that do not opt in.
-     */
-    virtual Cycle earliestDoneCycle(Cycle now) const { return now; }
-
-    /**
      * Earliest cycle at which this agent can next change machine state
      * (part of the next-event contract, see DESIGN.md).
      *

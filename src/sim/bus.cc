@@ -117,7 +117,7 @@ Bus::attach(BusClient *client)
     ddc_assert(client != nullptr, "null bus client");
     clients.push_back(client);
     armed.push_back(1);
-    armedCount.fetch_add(1, std::memory_order_relaxed);
+    armedCount++;
     suppliers.push_back(1);
     supplierCount++;
     indexed.push_back(0);
@@ -210,9 +210,9 @@ Bus::setRequestArmed(int client, bool is_armed)
         return;
     armed[index] = flag;
     if (is_armed)
-        armedCount.fetch_add(1, std::memory_order_relaxed);
+        armedCount++;
     else
-        armedCount.fetch_sub(1, std::memory_order_relaxed);
+        armedCount--;
 }
 
 const std::vector<int> &
@@ -329,13 +329,11 @@ Bus::revertToFullSnoop()
 }
 
 void
-Bus::setObserver(obs::Recorder *recorder, int bus_id,
-                 std::size_t shard)
+Bus::setObserver(obs::Recorder *recorder, int bus_id)
 {
     busId = bus_id;
-    busTrace = recorder ? recorder->trace(obs::Category::Bus, shard)
-                        : nullptr;
-    lockRec = recorder ? recorder->lockLane(shard) : nullptr;
+    busTrace = recorder ? recorder->trace(obs::Category::Bus) : nullptr;
+    lockRec = recorder ? recorder->lockLog() : nullptr;
 }
 
 void

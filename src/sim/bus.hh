@@ -28,7 +28,6 @@
 #define DDC_SIM_BUS_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -224,11 +223,8 @@ class Bus : public GlobalFabric, public Tickable
      *        a flat machine, a cluster cache on the hierarchical one;
      *        a not-ready side NACKs and the transaction retries).
      * @param arbiter_kind Arbitration policy.
-     * @param clock Cycle counter to stamp observability output from
-     *        (read-only use).  Pass the owning shard's localClock():
-     *        inside a lookahead window the machine clock is frozen at
-     *        the window base, and only the shard-local clock carries
-     *        the cycle actually being ticked.
+     * @param clock The machine clock, read to stamp observability
+     *        output (read-only use).
      * @param stats Counter set receiving bus.* statistics.
      * @param seed Seed for the Random arbitration policy.
      * @param block_words Words per cache block (block transfers
@@ -266,7 +262,7 @@ class Bus : public GlobalFabric, public Tickable
     std::size_t
     armedClients() const
     {
-        return armedCount.load(std::memory_order_relaxed);
+        return armedCount;
     }
 
     /**
@@ -356,13 +352,9 @@ class Bus : public GlobalFabric, public Tickable
      * Attach observability (trace events on the "bus @p bus_id"
      * track, raw lock attempt events).  @p recorder may be null; the
      * cached per-category pointers keep the disabled path at one
-     * null test per emission site.  @p shard is the machine shard
-     * this bus ticks on (0 = the serial shard): the bus writes that
-     * shard's private trace buffer and lock log, so parallel lanes
-     * never share a stream.
+     * null test per emission site.
      */
-    void setObserver(obs::Recorder *recorder, int bus_id,
-                     std::size_t shard = 0);
+    void setObserver(obs::Recorder *recorder, int bus_id);
 
     /** Advance one cycle (at most one new transaction begins). */
     void tick() override;
@@ -501,21 +493,10 @@ class Bus : public GlobalFabric, public Tickable
     std::size_t blockSize;
     std::size_t memoryLatency;
     std::vector<BusClient *> clients;
-    /**
-     * Per-client armed flag (1 = poll; parallel to clients).  Each
-     * entry is written only by its owning client — on the global bus
-     * of a sharded hierarchical run that means one shard thread per
-     * entry, so the plain chars are race-free.
-     */
+    /** Per-client armed flag (1 = poll; parallel to clients). */
     std::vector<char> armed;
-    /**
-     * Count of set entries in armed.  Atomic (relaxed) because
-     * cluster shards arm/disarm their global-bus request slots
-     * concurrently during the parallel phase; a count is
-     * order-insensitive, so the final value — and every simulation
-     * byte — is independent of the interleaving.
-     */
-    std::atomic<std::size_t> armedCount{0};
+    /** Count of set entries in armed. */
+    std::size_t armedCount = 0;
     /** Per-client potential-supplier flag (parallel to clients). */
     std::vector<char> suppliers;
     /** Count of set entries in suppliers. */
@@ -587,7 +568,7 @@ class Bus : public GlobalFabric, public Tickable
 
     /** Bus-category trace buffer (null when not traced). */
     obs::TraceBuffer *busTrace = nullptr;
-    /** This shard's lock log (null when lock events are off). */
+    /** The recorder's lock log (null when lock events are off). */
     obs::LockLog *lockRec = nullptr;
     /** Trace track id (bus index within the System). */
     std::int32_t busId = 0;

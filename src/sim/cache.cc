@@ -148,16 +148,13 @@ Cache::setArmed(bool is_armed)
 }
 
 void
-Cache::setObserver(obs::Recorder *recorder, std::size_t shard)
+Cache::setObserver(obs::Recorder *recorder)
 {
     stateTrace =
-        recorder ? recorder->trace(obs::Category::State, shard)
-                 : nullptr;
-    missTrace =
-        recorder ? recorder->trace(obs::Category::Miss, shard)
-                 : nullptr;
-    metrics = recorder ? recorder->metricsLane(shard) : nullptr;
-    lockRec = recorder ? recorder->lockLane(shard) : nullptr;
+        recorder ? recorder->trace(obs::Category::State) : nullptr;
+    missTrace = recorder ? recorder->trace(obs::Category::Miss) : nullptr;
+    metrics = recorder ? recorder->liveMetrics() : nullptr;
+    lockRec = recorder ? recorder->lockLog() : nullptr;
     if (metrics && lastWrite.empty())
         lastWrite.assign(lines.size(), kNever);
     if (stateTrace)

@@ -58,10 +58,8 @@ class Cache : public BusClient
      * @param num_lines Number of lines (> 0); capacity in words is
      *        num_lines * block_words.
      * @param protocol Coherence policy (shared, not owned).
-     * @param clock Cycle counter to stamp observability output (and
-     *        execution-log entries) from; pass the owning shard's
-     *        localClock() — see Bus for why the machine clock is not
-     *        safe inside a lookahead window.
+     * @param clock The machine clock, read to stamp observability
+     *        output and execution-log entries.
      * @param stats Counter set receiving cache.* statistics.
      * @param log Optional serial execution log for consistency checks.
      * @param block_words Words per block (paper default: 1).
@@ -83,12 +81,9 @@ class Cache : public BusClient
      * Attach observability (state-transition instants, miss-service
      * spans, latency histograms).  @p recorder may be null; the
      * cached per-category pointers keep the disabled path at one
-     * null test per emission site.  @p shard is the machine shard
-     * this cache ticks on: the cache writes that shard's private
-     * trace buffer, histogram lane, and lock log, so parallel lanes
-     * never share a stream.
+     * null test per emission site.
      */
-    void setObserver(obs::Recorder *recorder, std::size_t shard = 0);
+    void setObserver(obs::Recorder *recorder);
 
     /**
      * Add this cache's per-tag line population into @p counts
@@ -373,10 +368,10 @@ class Cache : public BusClient
     obs::TraceBuffer *stateTrace = nullptr;
     /** Miss-category trace buffer (null when not traced). */
     obs::TraceBuffer *missTrace = nullptr;
-    /** This shard's histogram lane (null when --histograms is off). */
+    /** The recorder's histograms (null when --histograms is off). */
     obs::RunMetrics *metrics = nullptr;
     /**
-     * This shard's lock log (null unless lock events are wanted).
+     * The recorder's lock log (null unless lock events are wanted).
      * Releases are reported here, at the program-store level: under
      * write-back schemes the releasing store can complete in-cache
      * (line Local) and never reach the bus, so the bus cannot see it.

@@ -11,9 +11,8 @@
  * GlobalFabric is what a global-level client (the hierarchical
  * machine's ClusterCache) attaches to: a request slot it can arm and
  * disarm, on either the snooping global Bus or the home-node
- * directory fabric.  Arming crosses shard threads (per-client slots
- * plus a relaxed atomic count — see Bus::setRequestArmed), so the
- * interface carries the same contract for every implementation.
+ * directory fabric, with the same arming contract for every
+ * implementation (see Bus::setRequestArmed).
  */
 
 #ifndef DDC_SIM_FABRIC_HH
@@ -61,10 +60,9 @@ class GlobalFabric
     virtual int attach(BusClient *client) = 0;
 
     /**
-     * Arm/disarm client @p client's request slot (the one cross-shard
-     * edge of a parallel run; see Bus::setRequestArmed).  Disarming is
-     * strictly a promise that hasRequest() would return false until
-     * the client re-arms.
+     * Arm/disarm client @p client's request slot (see
+     * Bus::setRequestArmed).  Disarming is strictly a promise that
+     * hasRequest() would return false until the client re-arms.
      */
     virtual void setRequestArmed(int client, bool is_armed) = 0;
 

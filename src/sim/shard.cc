@@ -6,9 +6,7 @@
 
 namespace ddc {
 
-Shard::Shard(int id, std::uint64_t seed, std::size_t agent_slots)
-    : shardId(id),
-      stream(StreamRng::forShard(seed, static_cast<std::uint64_t>(id)))
+Shard::Shard(std::size_t agent_slots)
 {
     agents.assign(agent_slots, nullptr);
     stalled.assign(agent_slots, 0);
@@ -103,42 +101,6 @@ Shard::nextEventCycle(Cycle now) const
         earliest = std::min(earliest, next);
     }
     return earliest;
-}
-
-Cycle
-Shard::earliestGlobalEmission(Cycle now) const
-{
-    Cycle earliest = kNever;
-    for (const Tickable *component : components) {
-        // A runnable bus could execute a request and forward it
-        // global-ward within its own tick.
-        Cycle next = component->nextEventCycle(now);
-        if (next <= now)
-            return now;
-        earliest = std::min(earliest, next);
-    }
-    for (std::size_t slot : active) {
-        // Stalled with no wake pending: only the cache's completion
-        // can rouse the agent — no emission, without the virtual call.
-        if (stalled[slot] && !wake[slot])
-            continue;
-        Cycle next = agents[slot]->nextEventCycle(now);
-        if (next == kNever)
-            continue;
-        // An agent's access arms at most the shard-local bus; the bus
-        // can first carry it to the global edge one tick later.
-        earliest = std::min(earliest, std::max(next, now) + 1);
-    }
-    return earliest;
-}
-
-Cycle
-Shard::earliestDoneCycle(Cycle now) const
-{
-    Cycle latest = now;
-    for (std::size_t slot : active)
-        latest = std::max(latest, agents[slot]->earliestDoneCycle(now));
-    return latest;
 }
 
 void

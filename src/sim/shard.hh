@@ -1,16 +1,13 @@
 /**
  * @file
  * One shard of a simulated machine: the buses and agents that tick
- * together on one host thread.
+ * together as a unit.
  *
- * A shard is the kernel's unit of parallel work (see DESIGN.md, "The
- * kernel and shard contract").  On the flat machine the whole system
- * is one shard; on the hierarchical machine the global bus forms the
+ * A shard is the kernel's grouping of per-cycle work (see DESIGN.md,
+ * "The kernel").  On the flat machine the whole system is one shard;
+ * on the hierarchical machine the global interconnect forms the
  * serial shard and each cluster (cluster bus + its L1 caches + its
- * PEs) is one parallel shard.  Within a cycle a shard's tick touches
- * only shard-local state — the single cross-shard exception is arming
- * a request slot on the global bus, which is per-client storage plus
- * an atomic count and therefore both race-free and order-insensitive.
+ * PEs) is one further shard, ticked in cluster order.
  *
  * The shard owns the stall-skip machinery extracted from the old
  * System::tick: an agent whose tick reported stalledOnCompletion() is
@@ -27,50 +24,18 @@
 #include "sim/agent.hh"
 #include "sim/clock.hh"
 #include "sim/fabric.hh"
-#include "trace/rng.hh"
 
 namespace ddc {
 
-/** The buses and agents one host thread ticks as a unit. */
+/** The buses and agents that tick together as a unit. */
 class Shard
 {
   public:
     /**
-     * @param id Kernel-assigned shard id (creation order); fixes the
-     *        cross-shard event ordering key (cycle, shard id, agent
-     *        slot) and seeds the shard's random stream.
-     * @param seed Machine seed; the shard's stream is seed ^ id.
      * @param agent_slots Number of agent slots (fixed up front so
      *        wake-flag pointers handed to caches stay stable).
      */
-    Shard(int id, std::uint64_t seed, std::size_t agent_slots);
-
-    int id() const { return shardId; }
-
-    /**
-     * This shard's counter-based random stream.  Any stochastic
-     * behaviour a shard-resident component introduces must draw from
-     * here (or from its own fixed-seed Rng): draw i is a pure
-     * function of (machine seed ^ shard id, i), so shard count and
-     * host-thread interleaving can never perturb the values drawn.
-     */
-    StreamRng &rng() { return stream; }
-
-    /**
-     * Shard-local cycle counter: the cycle this shard is currently
-     * ticking, kept in sync by the kernel (the machine clock in the
-     * sequential path, the window-local cycle inside a lookahead
-     * window, where the shared clock is frozen at the window base).
-     * Shard-resident components must stamp observability output —
-     * trace events, lock-log entries, latency histogram samples —
-     * from here, never from the machine clock, so the bytes they
-     * record are identical at every lane count.  Stable for the
-     * shard's lifetime; hand it to components at construction.
-     */
-    const Clock &localClock() const { return local; }
-
-    /** Kernel only: set the cycle the next tick()/skipCycles is at. */
-    void syncLocalTime(Cycle now) { local.now = now; }
+    explicit Shard(std::size_t agent_slots);
 
     /**
      * Attach a component ticked (and skipped) by this shard before
@@ -121,27 +86,6 @@ class Shard
     void skipCycles(Cycle count);
 
     /**
-     * Earliest cycle at which this shard could next make state outside
-     * the shard visible, i.e. arm a request slot on the global
-     * interconnect (the lookahead contract, see DESIGN.md).  A
-     * component (bus) arms during its own tick, so it contributes its
-     * nextEventCycle directly; agents post only shard-locally, so an
-     * agent acting at cycle c first reaches the global edge at c + 1,
-     * through its cluster bus's next tick — the cluster-cache
-     * global-serialization latency the conservative lookahead window
-     * leans on.  Side-effect free; kNever when nothing in the shard
-     * can ever emit.
-     */
-    Cycle earliestGlobalEmission(Cycle now) const;
-
-    /**
-     * Lower bound on the cycle whose tick could first finish the last
-     * of this shard's still-running agents (@p now when none could
-     * constrain, including an already-done shard).  Side-effect free.
-     */
-    Cycle earliestDoneCycle(Cycle now) const;
-
-    /**
      * Push stall cycles accrued while skipping stalled agents' ticks
      * into the owning agents' counters; called at wake, at the end of
      * a run, and before any counter read, so observed statistics
@@ -150,10 +94,6 @@ class Shard
     void flushStalls() const;
 
   private:
-    int shardId;
-    StreamRng stream;
-    /** See localClock(). */
-    Clock local;
     std::vector<Tickable *> components;
     /** Installed agents by slot (non-owning; null = empty slot). */
     std::vector<Agent *> agents;

@@ -11,7 +11,7 @@ namespace ddc {
 
 System::System(const SystemConfig &config)
     : config(config),
-      kernel(clock, KernelConfig{1, true, config.skip_quiescent})
+      kernel(clock, KernelConfig{config.skip_quiescent})
 {
     ddc_assert(config.num_pes >= 1, "need at least one PE");
     ddc_assert(config.num_buses >= 1, "need at least one bus");
@@ -21,13 +21,13 @@ System::System(const SystemConfig &config)
     proto = makeProtocol(config.protocol, config.rwb_writes_to_local);
 
     auto num_pes = static_cast<std::size_t>(config.num_pes);
-    shard = &kernel.makeShard(config.arbiter_seed, num_pes);
+    shard = &kernel.makeShard(num_pes);
 
     for (int b = 0; b < config.num_buses; b++) {
         busStats.push_back(std::make_unique<stats::CounterSet>());
         memories.push_back(std::make_unique<Memory>(*busStats.back()));
         buses.push_back(std::make_unique<Bus>(
-            *memories.back(), config.arbiter, shard->localClock(),
+            *memories.back(), config.arbiter, clock,
             *busStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(b),
             config.block_words, config.memory_latency,
@@ -39,7 +39,7 @@ System::System(const SystemConfig &config)
     for (PeId pe = 0; pe < config.num_pes; pe++) {
         for (int b = 0; b < config.num_buses; b++) {
             caches.push_back(std::make_unique<Cache>(
-                pe, config.cache_lines, *proto, shard->localClock(),
+                pe, config.cache_lines, *proto, clock,
                 cacheStats, log, config.block_words, config.ways));
             caches.back()->connectBus(*buses[static_cast<std::size_t>(b)]);
             caches.back()->setWakeFlag(
@@ -69,9 +69,6 @@ System::System(const SystemConfig &config)
         for (auto &cache : caches)
             cache->setObserver(recorder.get());
         kernel.setQuiesceSink(recorder->trace(obs::Category::Quiesce));
-        if (recorder->trace(obs::Category::Kernel) != nullptr)
-            kernel.setKernelTrace(recorder->sink());
-        kernel.setProfile(recorder->profile());
         sampler = recorder->sampler();
         kernel.setSampler(sampler);
     }

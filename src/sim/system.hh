@@ -237,11 +237,10 @@ class System
     SystemConfig config;
     Clock clock;
     /**
-     * The shared run-loop driver.  The flat machine is inherently one
-     * shard — every PE's CacheSet spans every bus — so the kernel
-     * holds a single parallel shard and always runs one lane; the
-     * loop, skip, and stall machinery is the same code the
-     * hierarchical machine shards across threads.
+     * The shared run-loop driver.  The flat machine is one shard —
+     * every PE's CacheSet spans every bus — so the kernel holds a
+     * single shard; the loop, skip, and stall machinery is the same
+     * code the hierarchical machine runs.
      */
     Kernel kernel;
     /** The machine's single shard (owned by the kernel). */

@@ -41,21 +41,6 @@ class TraceAgent : public Agent
 
     void skipCycles(Cycle count) override;
 
-    /**
-     * Each tick retires at most one reference (consuming a completion
-     * returns without issuing the next access), so with r references
-     * left the agent cannot finish before now + r - 1.
-     */
-    Cycle
-    earliestDoneCycle(Cycle now) const override
-    {
-        // Not yet issued, plus the one in flight.
-        auto remaining = static_cast<std::size_t>(end - next) +
-                         (waiting ? 1 : 0);
-        return remaining > 1
-            ? now + static_cast<Cycle>(remaining) - 1 : now;
-    }
-
     /** Ticking while a miss is outstanding only counts a stall. */
     bool
     stalledOnCompletion() const override

@@ -82,27 +82,6 @@ Histogram::percentile(double fraction) const
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    ddc_assert(buckets.size() == other.buckets.size() &&
-                   width == other.width,
-               "merging histograms with different geometry");
-    if (other.sampleCount == 0)
-        return;
-    for (std::size_t i = 0; i < buckets.size(); i++)
-        buckets[i] += other.buckets[i];
-    if (sampleCount == 0) {
-        sampleMin = other.sampleMin;
-        sampleMax = other.sampleMax;
-    } else {
-        sampleMin = std::min(sampleMin, other.sampleMin);
-        sampleMax = std::max(sampleMax, other.sampleMax);
-    }
-    sampleCount += other.sampleCount;
-    sampleSum += other.sampleSum;
-}
-
-void
 Histogram::clear()
 {
     std::fill(buckets.begin(), buckets.end(), 0);

@@ -71,13 +71,6 @@ class Histogram
      */
     std::uint64_t percentile(double fraction) const;
 
-    /**
-     * Fold @p other into this histogram.  Both must share the same
-     * geometry (bucket count and width); per-shard metric lanes are
-     * constructed identically, so merging is bucket-wise addition.
-     */
-    void merge(const Histogram &other);
-
     /** Reset to empty. */
     void clear();
 

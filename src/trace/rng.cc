@@ -123,32 +123,6 @@ Rng::nextGeometric(double decay, std::uint64_t bound)
     return k >= bound ? bound - 1 : k;
 }
 
-std::uint64_t
-StreamRng::at(std::uint64_t draw) const
-{
-    // SplitMix64 with the stream position folded into the state: the
-    // finalizer decorrelates nearby seeds and nearby draw indices, so
-    // seed ^ shard_id streams are independent even for adjacent shard
-    // ids.
-    std::uint64_t x = seed + (draw + 1) * 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-StreamRng::nextBelow(std::uint64_t bound)
-{
-    ddc_assert(bound > 0, "nextBelow bound must be positive");
-    std::uint64_t threshold = (~bound + 1) % bound; // (2^64 - bound) % bound
-    for (;;) {
-        std::uint64_t value = next();
-        if (value >= threshold)
-            return value % bound;
-    }
-}
-
 ZipfSampler::ZipfSampler(double s, std::uint64_t n)
 {
     ddc_assert(n > 0, "ZipfSampler needs a positive support size");

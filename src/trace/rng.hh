@@ -59,59 +59,6 @@ class Rng
 };
 
 /**
- * A counter-based random stream: draw number i is a pure function of
- * (stream seed, i), with no evolving hidden state beyond the draw
- * counter itself.
- *
- * This is the per-shard stream type of the parallel kernel (see
- * DESIGN.md, "The kernel and shard contract"): because a draw depends
- * only on the stream seed and the draw index, two runs that partition
- * the machine into different shard counts — or interleave shard
- * execution differently across host threads — observe identical
- * values, and one shard can never consume (or shift) another shard's
- * randomness.  The mixer is the SplitMix64 finalizer over
- * seed + (i + 1) * golden-gamma, the same expansion Rng seeds with.
- */
-class StreamRng
-{
-  public:
-    /** Stream over @p stream_seed; draws start at index 0. */
-    explicit StreamRng(std::uint64_t stream_seed)
-        : seed(stream_seed)
-    {}
-
-    /** The stream of shard @p shard_id under machine seed @p seed. */
-    static StreamRng
-    forShard(std::uint64_t seed, std::uint64_t shard_id)
-    {
-        return StreamRng(seed ^ shard_id);
-    }
-
-    /** Draw @p draw of this stream (order-independent, const). */
-    std::uint64_t at(std::uint64_t draw) const;
-
-    /** Next sequential draw (at(counter), then counter++). */
-    std::uint64_t
-    next()
-    {
-        return at(counter++);
-    }
-
-    /** Uniform integer in [0, bound); @p bound must be positive. */
-    std::uint64_t nextBelow(std::uint64_t bound);
-
-    /** Draws taken so far via next(). */
-    std::uint64_t drawsTaken() const { return counter; }
-
-    /** The stream seed (shard streams: machine seed ^ shard id). */
-    std::uint64_t streamSeed() const { return seed; }
-
-  private:
-    std::uint64_t seed;
-    std::uint64_t counter = 0;
-};
-
-/**
  * Zipf(s) sampler over [0, n) with a precomputed inverse CDF.
  *
  * Valid for any exponent s >= 0 (s == 0 degenerates to uniform);

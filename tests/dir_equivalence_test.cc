@@ -13,8 +13,7 @@
  * status, the execution log, and the merged counter report, with the
  * directory's own dir.* message counters the one permitted addition
  * (stripped before comparison).  On top of that, directory-mode runs
- * must be byte-identical across shard counts and stay serially
- * consistent with many homes.
+ * must stay serially consistent with many homes.
  */
 
 #include <gtest/gtest.h>
@@ -256,36 +255,6 @@ TEST(DirEquivalence, LockProgramsMatchAcrossModes)
         }
         expectIdentical(seen[0], seen[1]);
     }
-}
-
-TEST(DirEquivalence, ShardCountIsUnobservable)
-{
-    // Homes live on the serial shard; cluster shards only arm
-    // requests across the boundary.  Results must be byte-identical
-    // however many worker lanes tick the clusters.
-    auto trace = makeUniformRandomTrace(16, 2000, 96, 0.3, 0.05, 29);
-    HierConfig config;
-    config.num_clusters = 8;
-    config.pes_per_cluster = 2;
-    config.cache_lines = 64;
-    config.global = GlobalKind::Directory;
-    config.home_nodes = 4;
-
-    std::string reports[2];
-    Cycle cycles[2] = {0, 0};
-    int lanes[2] = {1, 4};
-    for (int i = 0; i < 2; i++) {
-        config.shards = lanes[i];
-        HierSystem system(config);
-        system.loadTrace(trace);
-        cycles[i] = system.run();
-        EXPECT_EQ(system.runStatus(), RunStatus::Finished);
-        // Full report, dir.* included: sharding may not move even a
-        // message counter.
-        reports[i] = system.counters().report();
-    }
-    EXPECT_EQ(cycles[0], cycles[1]);
-    EXPECT_EQ(reports[0], reports[1]);
 }
 
 TEST(DirEquivalence, ManyHomesStaySeriallyConsistent)

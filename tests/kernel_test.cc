@@ -2,10 +2,7 @@
  * @file
  * Unit tests for the simulation kernel (sim/kernel.hh) against stub
  * agents: tick ordering, the quiescent-skip window (minimum of every
- * shard's nextEventCycle), budget clamping, stall-skip flushing,
- * shard id / random-stream assignment, the parallel-lane barrier, and
- * the conservative-lookahead windows (multi-cycle parallel phases
- * composed with quiescent skip, stall accrual, and the wake flag).
+ * shard's nextEventCycle), budget clamping, and stall-skip flushing.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +12,6 @@
 #include "sim/clock.hh"
 #include "sim/kernel.hh"
 #include "sim/shard.hh"
-#include "trace/rng.hh"
 
 namespace ddc {
 namespace {
@@ -109,27 +105,11 @@ class StallingAgent : public Agent
     bool issued = false;
 };
 
-TEST(Kernel, ShardIdsFollowCreationOrderAndSeedTheStreams)
-{
-    Clock clock;
-    Kernel kernel(clock, KernelConfig{});
-    Shard &serial = kernel.makeSerialShard(100, 0);
-    Shard &first = kernel.makeShard(100, 1);
-    Shard &second = kernel.makeShard(100, 1);
-    EXPECT_EQ(serial.id(), 0);
-    EXPECT_EQ(first.id(), 1);
-    EXPECT_EQ(second.id(), 2);
-    EXPECT_EQ(serial.rng().streamSeed(), 100u ^ 0u);
-    EXPECT_EQ(first.rng().at(5), StreamRng::forShard(100, 1).at(5));
-    EXPECT_EQ(second.rng().at(5), StreamRng::forShard(100, 2).at(5));
-    EXPECT_NE(first.rng().at(5), second.rng().at(5));
-}
-
 TEST(Kernel, RunsAgentsToCompletion)
 {
     Clock clock;
     Kernel kernel(clock, KernelConfig{});
-    Shard &shard = kernel.makeShard(1, 2);
+    Shard &shard = kernel.makeShard(2);
     CountingAgent fast(5);
     CountingAgent slow(12);
     shard.setAgent(0, &fast);
@@ -149,8 +129,8 @@ TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
 {
     Clock clock;
     Kernel kernel(clock, KernelConfig{});
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
+    Shard &a = kernel.makeShard(1);
+    Shard &b = kernel.makeShard(1);
     WaiterAgent late(clock, 10);
     WaiterAgent early(clock, 5);
     a.setAgent(0, &late);
@@ -173,7 +153,7 @@ TEST(Kernel, SkipDisabledTicksEveryCycle)
     KernelConfig config;
     config.skip_quiescent = false;
     Kernel kernel(clock, config);
-    Shard &shard = kernel.makeShard(1, 1);
+    Shard &shard = kernel.makeShard(1);
     WaiterAgent waiter(clock, 20);
     shard.setAgent(0, &waiter);
     shard.rebuild();
@@ -188,7 +168,7 @@ TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
 {
     Clock clock;
     Kernel kernel(clock, KernelConfig{});
-    Shard &shard = kernel.makeShard(1, 1);
+    Shard &shard = kernel.makeShard(1);
     BlockedAgent blocked;
     shard.setAgent(0, &blocked);
     shard.rebuild();
@@ -205,7 +185,7 @@ TEST(Kernel, StallSkipAccruesAndFlushes)
 {
     Clock clock;
     Kernel kernel(clock, KernelConfig{});
-    Shard &shard = kernel.makeShard(1, 2);
+    Shard &shard = kernel.makeShard(2);
     StallingAgent stalling;
     CountingAgent busy(10); // keeps the machine non-quiescent
     shard.setAgent(0, &stalling);
@@ -226,7 +206,7 @@ TEST(Kernel, StalledAgentWakesOnTheFlag)
 {
     Clock clock;
     Kernel kernel(clock, KernelConfig{});
-    Shard &shard = kernel.makeShard(1, 2);
+    Shard &shard = kernel.makeShard(2);
     StallingAgent stalling;
     CountingAgent busy(4);
     shard.setAgent(0, &stalling);
@@ -272,9 +252,9 @@ TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
         int remaining;
     };
 
-    Shard &serial = kernel.makeSerialShard(1, 1);
-    Shard &first = kernel.makeShard(1, 1);
-    Shard &second = kernel.makeShard(1, 1);
+    Shard &serial = kernel.makeSerialShard(1);
+    Shard &first = kernel.makeShard(1);
+    Shard &second = kernel.makeShard(1);
     TaggedAgent a(order, 0, 2), b(order, 1, 2), c(order, 2, 2);
     serial.setAgent(0, &a);
     first.setAgent(0, &b);
@@ -285,349 +265,6 @@ TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
 
     EXPECT_EQ(kernel.run(100), RunStatus::Finished);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
-}
-
-TEST(Kernel, WorkerLanesClampToTheShardCount)
-{
-    Clock clock;
-    KernelConfig config;
-    config.shards = 8;
-    {
-        Kernel kernel(clock, config);
-        kernel.makeShard(1, 1);
-        kernel.makeShard(1, 1);
-        kernel.makeShard(1, 1);
-        EXPECT_EQ(kernel.workerLanes(), 3);
-        kernel.forceSequential();
-        EXPECT_EQ(kernel.workerLanes(), 1);
-    }
-    {
-        // A single parallel shard never pays for a pool.
-        Kernel kernel(clock, config);
-        kernel.makeShard(1, 1);
-        EXPECT_EQ(kernel.workerLanes(), 1);
-    }
-}
-
-TEST(Kernel, ParallelLanesTickEveryShardOncePerCycle)
-{
-    for (bool deterministic : {true, false}) {
-        Clock clock;
-        KernelConfig config;
-        config.shards = 4;
-        config.deterministic = deterministic;
-        Kernel kernel(clock, config);
-        Shard &serial = kernel.makeSerialShard(1, 1);
-        CountingAgent coordinator(50);
-        serial.setAgent(0, &coordinator);
-        serial.rebuild();
-        std::vector<std::unique_ptr<CountingAgent>> agents;
-        for (int s = 0; s < 4; s++) {
-            Shard &shard = kernel.makeShard(1, 1);
-            agents.push_back(
-                std::make_unique<CountingAgent>(40 + 10 * s));
-            shard.setAgent(0, agents.back().get());
-            shard.rebuild();
-        }
-        EXPECT_EQ(kernel.workerLanes(), 4);
-
-        EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-        EXPECT_EQ(clock.now, 70u);
-        EXPECT_EQ(coordinator.ticks, 50);
-        for (int s = 0; s < 4; s++) {
-            EXPECT_EQ(agents[static_cast<std::size_t>(s)]->ticks,
-                      40 + 10 * s)
-                << "shard " << s
-                << (deterministic ? " (static)" : " (dynamic)");
-        }
-    }
-}
-
-/**
- * Lookahead-capable worker: always runnable, ticks @p work times,
- * then done.  Never reads the kernel clock (windows tick it with the
- * clock frozen at the window base) and bounds its completion cycle,
- * so multi-cycle windows can form around it.
- */
-class WindowedAgent : public Agent
-{
-  public:
-    explicit WindowedAgent(int work) : remaining(work) {}
-
-    void
-    tick() override
-    {
-        ticks++;
-        if (remaining > 0)
-            remaining--;
-    }
-
-    bool done() const override { return remaining == 0; }
-
-    Cycle
-    earliestDoneCycle(Cycle now) const override
-    {
-        return remaining > 1
-            ? now + static_cast<Cycle>(remaining) - 1 : now;
-    }
-
-    int ticks = 0;
-
-  private:
-    int remaining;
-};
-
-/**
- * Lookahead-capable self-timed waiter: event-free until cycle
- * @p wake_at, one tick of work there, done.  Tracks its own cycle
- * position through ticks and skips instead of reading the clock.
- */
-class WindowWaiterAgent : public Agent
-{
-  public:
-    explicit WindowWaiterAgent(Cycle wake_at) : wakeAt(wake_at) {}
-
-    void
-    tick() override
-    {
-        if (lived >= wakeAt)
-            finished = true;
-        lived++;
-    }
-
-    bool done() const override { return finished; }
-
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        return now >= wakeAt ? now : wakeAt;
-    }
-
-    Cycle
-    earliestDoneCycle(Cycle now) const override
-    {
-        return std::max(now, wakeAt);
-    }
-
-    void
-    skipCycles(Cycle count) override
-    {
-        lived += count;
-        skipped += count;
-    }
-
-    Cycle skipped = 0;
-
-  private:
-    Cycle wakeAt;
-    Cycle lived = 0;
-    bool finished = false;
-};
-
-/**
- * Lookahead-capable staller: stalls on a never-completing access
- * after its first tick until the wake flag is raised externally, then
- * finishes on its second tick.  Skipped stall cycles must land in
- * stallCycles whether they arrive tick-by-tick (addStallCycles) or in
- * bulk (skipCycles), exactly like a trace agent's stall counter.
- */
-class WindowStallAgent : public Agent
-{
-  public:
-    void
-    tick() override
-    {
-        ticks++;
-        if (ticks >= 2)
-            finished = true;
-        issued = true;
-    }
-
-    bool done() const override { return finished; }
-
-    bool
-    stalledOnCompletion() const override
-    {
-        return issued && !finished;
-    }
-
-    Cycle
-    earliestDoneCycle(Cycle) const override
-    {
-        return kNever;
-    }
-
-    void addStallCycles(Cycle count) override { stallCycles += count; }
-    void skipCycles(Cycle count) override { stallCycles += count; }
-
-    int ticks = 0;
-    Cycle stallCycles = 0;
-
-  private:
-    bool issued = false;
-    bool finished = false;
-};
-
-TEST(Kernel, LookaheadBatchesCyclesBetweenBarriers)
-{
-    // Two always-runnable shards that bound their completion: every
-    // parallel phase may cover two cycles (each shard's next global
-    // emission is one cycle out, observed serially one cycle later),
-    // so 30 simulated cycles cost 15 barriers — and with lookahead
-    // disabled the same run pays one barrier per cycle, with every
-    // simulation observable unchanged.
-    for (bool lookahead : {true, false}) {
-        Clock clock;
-        KernelConfig config;
-        config.shards = 2;
-        config.lookahead = lookahead;
-        Kernel kernel(clock, config);
-        Shard &a = kernel.makeShard(1, 1);
-        Shard &b = kernel.makeShard(1, 1);
-        WindowedAgent slow(30), fast(20);
-        a.setAgent(0, &slow);
-        b.setAgent(0, &fast);
-        a.rebuild();
-        b.rebuild();
-
-        EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-        EXPECT_EQ(clock.now, 30u);
-        EXPECT_EQ(slow.ticks, 30);
-        EXPECT_EQ(fast.ticks, 20);
-        EXPECT_EQ(kernel.skippedCycles(), 0u);
-        if (lookahead) {
-            EXPECT_EQ(kernel.barrierEpochs(), 15u);
-            EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 2.0);
-        } else {
-            EXPECT_EQ(kernel.barrierEpochs(), 30u);
-            EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 1.0);
-        }
-    }
-}
-
-TEST(Kernel, LookaheadComposesQuiescentSkipInsideWindows)
-{
-    // A busy shard drives 2-cycle windows while the waiter shard is
-    // quiescent until cycle 9: the waiter's idle stretch is skipped
-    // *inside* each window (shard-local next-event advance), but no
-    // whole-machine cycle was quiescent, so skippedCycles stays 0 —
-    // exactly the sequential accounting.
-    Clock clock;
-    KernelConfig config;
-    config.shards = 2;
-    Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WindowedAgent busy(12);
-    WindowWaiterAgent waiter(9);
-    a.setAgent(0, &busy);
-    b.setAgent(0, &waiter);
-    a.rebuild();
-    b.rebuild();
-
-    EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    EXPECT_EQ(clock.now, 12u);
-    EXPECT_EQ(busy.ticks, 12);
-    EXPECT_EQ(waiter.skipped, 9u);
-    EXPECT_EQ(kernel.skippedCycles(), 0u);
-    EXPECT_EQ(kernel.barrierEpochs(), 6u);
-    EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 2.0);
-}
-
-TEST(Kernel, LookaheadCountsMachineWideQuiescenceOnceEverywhere)
-{
-    // Cycle 1 sits inside a 2-cycle window with *both* shards
-    // quiescent; the sequential run would have covered it with a
-    // whole-machine skip, so the window accounting must land it in
-    // skippedCycles too.  Cycles 2..4 are skipped by the ordinary
-    // outer engine between barriers.
-    Clock clock;
-    KernelConfig config;
-    config.shards = 2;
-    Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WindowedAgent burst(1);
-    WindowWaiterAgent waiter(5);
-    a.setAgent(0, &burst);
-    b.setAgent(0, &waiter);
-    a.rebuild();
-    b.rebuild();
-
-    EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    // Window [0,2): burst ticks at 0, everything idle at 1 (counted
-    // skipped); outer skip covers 2..4; window [5,6) runs the waiter.
-    EXPECT_EQ(clock.now, 6u);
-    EXPECT_EQ(burst.ticks, 1);
-    EXPECT_EQ(kernel.skippedCycles(), 4u);
-    EXPECT_EQ(kernel.barrierEpochs(), 2u);
-}
-
-TEST(Kernel, LookaheadWindowsAccrueStallsAndHonorTheWake)
-{
-    // The staller ticks once and stalls; its shard turns quiescent,
-    // so windows skip it in bulk — the bulk skip must account stall
-    // cycles exactly as ticking through the stall would have.  After
-    // the external wake it finishes on its next tick, still under
-    // multi-cycle windows.
-    Clock clock;
-    KernelConfig config;
-    config.shards = 2;
-    Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WindowStallAgent stalling;
-    WindowedAgent busy(20);
-    a.setAgent(0, &stalling);
-    b.setAgent(0, &busy);
-    a.rebuild();
-    b.rebuild();
-
-    EXPECT_EQ(kernel.run(6), RunStatus::TimedOut);
-    EXPECT_EQ(clock.now, 6u);
-    EXPECT_EQ(stalling.ticks, 1);
-    EXPECT_EQ(stalling.stallCycles, 5u);
-    EXPECT_EQ(kernel.barrierEpochs(), 3u);
-
-    // The completion arrives: the agent wakes inside the next window
-    // and finishes; the busy shard runs out its remaining work.
-    *a.wakeFlag(0) = 1;
-    EXPECT_EQ(kernel.run(100), RunStatus::Finished);
-    EXPECT_EQ(clock.now, 20u);
-    EXPECT_EQ(stalling.ticks, 2);
-    EXPECT_EQ(stalling.stallCycles, 5u);
-    EXPECT_EQ(busy.ticks, 20);
-    EXPECT_EQ(kernel.skippedCycles(), 0u);
-    EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 2.0);
-}
-
-TEST(Kernel, ParallelRunSurvivesRepeatedRuns)
-{
-    // The persistent pool must serve a second run() (epoch watermarks
-    // carry across) after agents are reinstalled.
-    Clock clock;
-    KernelConfig config;
-    config.shards = 2;
-    Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    CountingAgent first(30), second(25);
-    a.setAgent(0, &first);
-    b.setAgent(0, &second);
-    a.rebuild();
-    b.rebuild();
-    EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    EXPECT_EQ(clock.now, 30u);
-
-    CountingAgent third(15), fourth(20);
-    a.setAgent(0, &third);
-    b.setAgent(0, &fourth);
-    a.rebuild();
-    b.rebuild();
-    EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    EXPECT_EQ(clock.now, 50u);
-    EXPECT_EQ(third.ticks, 15);
-    EXPECT_EQ(fourth.ticks, 20);
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * trace-event writer (well-formedness, track metadata, sorted
  * timestamps, balanced B/E pairs), the counter sampler, the lock
  * episode tracker, the first-System-wins trace claim, and the
- * end-to-end --histograms / --sample-every paths through a System.
+ * end-to-end --histograms / --sample-every paths through a System
+ * and through the hierarchical machine's directory fabric.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "core/rb.hh"
 #include "core/simulator.hh"
 #include "exp/json.hh"
+#include "hier/hier_system.hh"
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
@@ -48,20 +50,6 @@ TEST(Categories, ParseListAndAll)
                   static_cast<std::uint32_t>(Category::Lock));
     EXPECT_EQ(obs::parseCategories("bus,state,lock,miss,quiesce,dir"),
               obs::kAllCategories);
-}
-
-TEST(Categories, KernelIsOptInOnly)
-{
-    // The kernel self-profile is host-dependent (wall-clock args,
-    // lane layout), so "all" must not include it: an --trace-out run
-    // without --trace-categories=kernel keeps the byte-identical-
-    // across---shards guarantee.
-    auto kernel = obs::parseCategories("kernel");
-    EXPECT_NE(kernel, 0u);
-    EXPECT_EQ(kernel & obs::kAllCategories, 0u);
-    EXPECT_EQ(obs::parseCategories("dir,kernel"),
-              static_cast<std::uint32_t>(Category::Dir) |
-                  static_cast<std::uint32_t>(Category::Kernel));
 }
 
 TEST(Categories, ParseRejectsUnknownToken)
@@ -259,23 +247,20 @@ TEST(CounterSamplerTest, SamplesOnGridAndRealignsAfterSkip)
 
 TEST(RecorderTest, LockEpisodesFeedHistograms)
 {
-    // Events land on two shard lanes (as two buses would record
-    // them); the replay must merge them by cycle before running the
-    // episode state machine.
-    obs::Recorder recorder(nullptr, true, 0, 2);
+    // The replay runs the episode state machine over the raw
+    // attempt/release events buses and caches log.
+    obs::Recorder recorder(nullptr, true, 0);
     ASSERT_TRUE(recorder.wantsLockEvents());
-    auto *lane0 = recorder.lockLane(0);
-    auto *lane1 = recorder.lockLane(1);
-    ASSERT_NE(lane0, nullptr);
-    ASSERT_NE(lane1, nullptr);
+    auto *log = recorder.lockLog();
+    ASSERT_NE(log, nullptr);
 
     // PE 0 wins immediately: acquire latency 0, no handoff.
-    lane0->attempt(0, 0x100, 10, true);
+    log->attempt(0, 0x100, 10, true);
     // PE 1 spins from cycle 12 and wins at 30: latency 18.
-    lane1->attempt(1, 0x100, 12, false);
-    lane1->attempt(1, 0x100, 20, false);
-    lane0->release(0, 0x100, 25);
-    lane1->attempt(1, 0x100, 30, true);
+    log->attempt(1, 0x100, 12, false);
+    log->attempt(1, 0x100, 20, false);
+    log->release(0, 0x100, 25);
+    log->attempt(1, 0x100, 30, true);
 
     auto *metrics = recorder.metrics();
     ASSERT_NE(metrics, nullptr);
@@ -290,8 +275,8 @@ TEST(RecorderTest, LockEpisodesFeedHistograms)
     EXPECT_EQ(handoff.max(), 5u);
 
     // Writes to an address that never carried an RMW are not lock
-    // releases; metrics() recomputes the merged view idempotently.
-    lane0->release(0, 0x999, 40);
+    // releases; metrics() recomputes the replayed view idempotently.
+    log->release(0, 0x999, 40);
     metrics = recorder.metrics();
     EXPECT_EQ(metrics->lock_handoff.count(), 1u);
     EXPECT_EQ(metrics->lock_acquire.count(), 2u);
@@ -387,6 +372,43 @@ TEST(ObsSystem, WriteGapFillsWhenHistogramsAttachLate)
     const auto &gaps = recorder->metrics()->write_gap;
     EXPECT_EQ(gaps.count(), 1u);
     EXPECT_EQ(gaps.max(), 100u);
+}
+
+TEST(ObsSystem, DirectoryHistogramsCollect)
+{
+    // The directory instrumentation: home-service latencies, acks per
+    // invalidate, and the sampler-fed occupancy histogram all collect
+    // on a histogrammed, sampled directory run.
+    auto trace = makeUniformRandomTrace(16, 800, 64, 0.4, 0.15, 53);
+    hier::HierConfig config;
+    config.num_clusters = 8;
+    config.pes_per_cluster = 2;
+    config.cache_lines = 64;
+    config.global = hier::GlobalKind::Directory;
+    config.home_nodes = 4;
+    config.histograms = true;
+    obs::setSampleInterval(64);
+    hier::HierSystem system(config);
+    system.loadTrace(trace);
+    system.run();
+    obs::setSampleInterval(0);
+    ASSERT_EQ(system.runStatus(), RunStatus::Finished);
+
+    auto *observability = system.observability();
+    ASSERT_NE(observability, nullptr);
+    auto *metrics = observability->metrics();
+    ASSERT_NE(metrics, nullptr);
+    EXPECT_GT(metrics->home_service.count(), 0u);
+    EXPECT_GT(metrics->acks_per_inval.count(), 0u);
+    EXPECT_GT(metrics->dir_occupancy.count(), 0u);
+    // One occupancy observation per sampler row.
+    EXPECT_EQ(metrics->dir_occupancy.count(),
+              observability->sampler()->series().rows.size());
+    // Hot-home skew reads are always on.
+    auto *fabric = system.directoryFabric();
+    ASSERT_NE(fabric, nullptr);
+    EXPECT_GE(fabric->maxHomeMessages(),
+              static_cast<std::uint64_t>(fabric->meanHomeMessages()));
 }
 
 TEST(ObsSystem, LockHistogramsThroughWorkload)

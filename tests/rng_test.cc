@@ -165,54 +165,5 @@ TEST(ZipfSampler, SamplesWithinSupport)
         EXPECT_LT(zipf.sample(rng), 7u);
 }
 
-TEST(StreamRng, DrawIsPureFunctionOfSeedAndIndex)
-{
-    // The shard contract: draw i never depends on what was drawn
-    // before it, so host-thread interleaving cannot perturb a stream.
-    StreamRng fresh(42);
-    StreamRng consumed(42);
-    for (int i = 0; i < 50; i++)
-        consumed.next();
-    EXPECT_EQ(fresh.at(123), consumed.at(123));
-    EXPECT_EQ(fresh.at(0), StreamRng(42).next());
-}
-
-TEST(StreamRng, NextWalksTheDrawIndex)
-{
-    StreamRng sequential(9);
-    StreamRng indexed(9);
-    for (std::uint64_t i = 0; i < 64; i++)
-        EXPECT_EQ(sequential.next(), indexed.at(i)) << "draw " << i;
-    EXPECT_EQ(sequential.drawsTaken(), 64u);
-}
-
-TEST(StreamRng, ForShardXorsTheMachineSeed)
-{
-    auto stream = StreamRng::forShard(100, 3);
-    EXPECT_EQ(stream.streamSeed(), 100u ^ 3u);
-    EXPECT_EQ(stream.at(7), StreamRng(100 ^ 3).at(7));
-}
-
-TEST(StreamRng, ShardStreamsDiverge)
-{
-    auto a = StreamRng::forShard(1, 0);
-    auto b = StreamRng::forShard(1, 1);
-    int equal = 0;
-    for (int i = 0; i < 64; i++) {
-        if (a.next() == b.next())
-            equal++;
-    }
-    EXPECT_LT(equal, 4);
-}
-
-TEST(StreamRng, NextBelowStaysInRange)
-{
-    StreamRng stream(7);
-    for (int i = 0; i < 1000; i++)
-        EXPECT_LT(stream.nextBelow(17), 17u);
-    for (int i = 0; i < 16; i++)
-        EXPECT_EQ(stream.nextBelow(1), 0u);
-}
-
 } // namespace
 } // namespace ddc

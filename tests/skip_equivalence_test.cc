@@ -256,14 +256,15 @@ TEST(SkipEquivalence, LockWorkloadsViaProcessWideSwitch)
 /** Observe one hierarchical run (skip toggled per-config). */
 Observed
 observeHier(hier::HierConfig config, const Trace &trace,
-            bool skip_quiescent)
+            bool skip_quiescent,
+            Cycle max_cycles = System::kDefaultMaxCycles)
 {
     config.record_log = true;
     config.skip_quiescent = skip_quiescent;
     hier::HierSystem system(config);
     system.loadTrace(trace);
     Observed seen;
-    seen.cycles = system.run();
+    seen.cycles = system.run(max_cycles);
     seen.status = system.runStatus();
     seen.skipped = system.skippedCycles();
     seen.counters = system.counters().report();
@@ -286,6 +287,26 @@ TEST(SkipEquivalence, HierarchicalMachine)
         expectIdentical(observeHier(config, trace, true),
                         observeHier(config, trace, false));
     }
+}
+
+// Named for the multi-lane equivalence suite this case came from.  A
+// hierarchical run cut by its budget stops on exactly the budget
+// cycle and reports timed_out; a fresh machine repeats it byte for
+// byte, and so does the same run with skipping off.
+TEST(ParallelEquivalence, TimedOutRunReportsTheSameWallCycle)
+{
+    auto trace = makeHotSpotTrace(8, 400, 4);
+    hier::HierConfig config;
+    config.num_clusters = 4;
+    config.pes_per_cluster = 2;
+    config.cache_lines = 64;
+    Observed cut = observeHier(config, trace, true, 200);
+    EXPECT_EQ(cut.status, RunStatus::TimedOut);
+    EXPECT_EQ(cut.cycles, 200u);
+    Observed unskipped = observeHier(config, trace, false, 200);
+    expectIdentical(cut, unskipped);
+    expectIdentical(unskipped, observeHier(config, trace, false, 200));
+    EXPECT_EQ(cut.skipped, observeHier(config, trace, true, 200).skipped);
 }
 
 } // namespace

@@ -8,9 +8,10 @@
  * cycle count, and the serialized RunResult JSON must be
  * byte-identical with the features on or off, including under the
  * Random arbiter (whose RNG stream must not shift) and for lock
- * workloads (whose episode tracking hangs off the bus hot path).
- * Histograms and samples only *add* JSON fields; everything shared
- * stays byte-identical.
+ * workloads (whose episode tracking hangs off the bus hot path), on
+ * the flat machine and on the hierarchical machine with either global
+ * interconnect.  Histograms and samples only *add* JSON fields;
+ * everything shared stays byte-identical.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include "core/simulator.hh"
 #include "exp/runner.hh"
+#include "hier/hier_system.hh"
 #include "obs/recorder.hh"
 #include "sim/system.hh"
 #include "sync/workload.hh"
@@ -36,6 +38,7 @@ struct Observed
 {
     Cycle cycles = 0;
     RunStatus status = RunStatus::Finished;
+    Cycle skipped = 0;
     std::string counters;
     std::vector<LogEntry> log;
 };
@@ -45,6 +48,7 @@ expectIdentical(const Observed &observed, const Observed &plain)
 {
     EXPECT_EQ(observed.cycles, plain.cycles);
     EXPECT_EQ(observed.status, plain.status);
+    EXPECT_EQ(observed.skipped, plain.skipped);
     EXPECT_EQ(observed.counters, plain.counters);
     ASSERT_EQ(observed.log.size(), plain.log.size());
     for (std::size_t i = 0; i < observed.log.size(); i++) {
@@ -74,6 +78,7 @@ observeFlat(SystemConfig config, const Trace &trace, bool traced)
         system.loadTrace(trace);
         seen.cycles = system.run();
         seen.status = system.runStatus();
+        seen.skipped = system.skippedCycles();
         seen.counters = system.counters().report();
         seen.log = system.log().all();
         if (traced) {
@@ -109,6 +114,48 @@ checkFlat(SystemConfig config, const Trace &trace)
     with_histograms.histograms = true;
     with_histograms.sample_every = 64;
     expectIdentical(observeFlat(with_histograms, trace, false), plain);
+}
+
+/**
+ * Hierarchical run; when @p observed, traced into a real file,
+ * histogrammed, and sampled all at once.
+ */
+Observed
+observeHier(hier::HierConfig config, const Trace &trace, bool observed)
+{
+    config.record_log = true;
+    config.histograms = observed;
+    if (observed) {
+        obs::setTraceOutput(kTracePath);
+        obs::setSampleInterval(64);
+    }
+    Observed seen;
+    {
+        hier::HierSystem system(config);
+        system.loadTrace(trace);
+        seen.cycles = system.run();
+        seen.status = system.runStatus();
+        seen.skipped = system.skippedCycles();
+        seen.counters = system.counters().report();
+        seen.log = system.log().all();
+        if (observed) {
+            // Non-vacuous: every observer must actually be attached.
+            obs::Recorder *observability = system.observability();
+            EXPECT_NE(observability, nullptr);
+            if (observability) {
+                EXPECT_NE(observability->metrics(), nullptr);
+                EXPECT_NE(observability->sampler(), nullptr);
+                obs::TraceSink *sink = observability->sink();
+                EXPECT_TRUE(sink && sink->size() > 0);
+            }
+        }
+    }
+    if (observed) {
+        obs::setTraceOutput("");
+        obs::setSampleInterval(0);
+        std::remove(kTracePath);
+    }
+    return seen;
 }
 
 TEST(TraceDeterminism, FlatAllProtocols)
@@ -152,6 +199,25 @@ TEST(TraceDeterminism, QuiescentSkipAndMultiWordBlocks)
     config.memory_latency = 16;
     config.skip_quiescent = true;
     checkFlat(config, trace);
+}
+
+TEST(TraceDeterminism, HierarchicalSnoopAndDirectory)
+{
+    for (bool directory : {false, true}) {
+        SCOPED_TRACE(directory ? "directory" : "snoop");
+        auto trace = makeUniformRandomTrace(16, 600, 64, 0.35, 0.1,
+                                            directory ? 43 : 31);
+        hier::HierConfig config;
+        config.num_clusters = 8;
+        config.pes_per_cluster = 2;
+        config.cache_lines = 64;
+        if (directory) {
+            config.global = hier::GlobalKind::Directory;
+            config.home_nodes = 4;
+        }
+        expectIdentical(observeHier(config, trace, true),
+                        observeHier(config, trace, false));
+    }
 }
 
 TEST(TraceDeterminism, RunResultJsonByteIdenticalTracingOnVsOff)

@@ -16,6 +16,7 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -41,7 +42,7 @@ usage(std::ostream &os)
         "\n"
         "machine options:\n"
         "  --protocol P     RB | RWB | WriteOnce | WriteThrough | CmStar\n"
-        "                   (default RB)\n"
+        "                   (default RB; RB or RWB with --clusters)\n"
         "  --pes N          number of processing elements (default 4)\n"
         "  --lines N        cache lines per PE (default 1024)\n"
         "  --block W        words per cache block (default 1)\n"
@@ -49,6 +50,8 @@ usage(std::ostream &os)
         "  --latency L      extra bus cycles per memory transaction\n"
         "                   (default 0, the paper's unified cycle)\n"
         "  --buses K        interleaved shared buses (default 1)\n"
+        "                   (--block, --ways, --latency and --buses\n"
+        "                   apply to the flat machine only)\n"
         "  --clusters C     run the two-level hierarchical machine\n"
         "                   (recursive RB) with C clusters of\n"
         "                   --pes PEs each\n"
@@ -86,13 +89,6 @@ usage(std::ostream &os)
         "  --no-snoop-filter  disable the sharer-indexed snoop filter\n"
         "                   (A/B baseline; results are byte-identical,\n"
         "                   only snoop_visits moves)\n"
-        "  --shards N       host threads a hierarchical run ticks its\n"
-        "                   clusters on (default 1; results are\n"
-        "                   byte-identical for every value)\n"
-        "  --no-lookahead   barrier sharded runs once per cycle instead\n"
-        "                   of batching multi-cycle lookahead windows\n"
-        "                   (A/B baseline; results are byte-identical,\n"
-        "                   the run is just slower)\n"
         "\n"
         "observability options:\n"
         "  --trace-out FILE  write a Chrome trace-event JSON of the run\n"
@@ -133,6 +129,22 @@ parseArgs(int argc, char **argv, Options &options)
         }
         return argv[++i];
     };
+    // The value of a count flag, or 0 (after an error message) when
+    // it is missing or not a positive integer.
+    auto need_count = [&](int &i) -> long {
+        const char *flag = argv[i];
+        const char *value = need_value(i);
+        if (value == nullptr)
+            return 0;
+        char *end = nullptr;
+        long count = std::strtol(value, &end, 10);
+        if (end == value || *end != '\0' || count < 1) {
+            std::cerr << "ddcsim: " << flag
+                      << " needs a positive count, got " << value << "\n";
+            return 0;
+        }
+        return count;
+    };
 
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -149,37 +161,40 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             options.config.protocol = parseProtocolKind(value);
         } else if (arg == "--pes") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.config.num_pes = std::atoi(value);
+            options.config.num_pes = static_cast<int>(count);
         } else if (arg == "--lines") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.config.cache_lines =
-                static_cast<std::size_t>(std::atoll(value));
+            options.config.cache_lines = static_cast<std::size_t>(count);
         } else if (arg == "--block") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.config.block_words =
-                static_cast<std::size_t>(std::atoll(value));
+            options.config.block_words = static_cast<std::size_t>(count);
         } else if (arg == "--ways") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.config.ways =
-                static_cast<std::size_t>(std::atoll(value));
+            options.config.ways = static_cast<std::size_t>(count);
         } else if (arg == "--latency") {
             if (!(value = need_value(i)))
                 return false;
             options.config.memory_latency =
                 static_cast<std::size_t>(std::atoll(value));
         } else if (arg == "--buses") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.config.num_buses = std::atoi(value);
+            options.config.num_buses = static_cast<int>(count);
         } else if (arg == "--clusters") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.clusters = std::atoi(value);
+            options.clusters = static_cast<int>(count);
         } else if (arg == "--global") {
             if (!(value = need_value(i)))
                 return false;
@@ -194,14 +209,10 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             }
         } else if (arg == "--homes") {
-            if (!(value = need_value(i)))
+            long count = need_count(i);
+            if (count == 0)
                 return false;
-            options.homes = std::atoi(value);
-            if (options.homes < 1) {
-                std::cerr << "ddcsim: --homes needs a positive count, "
-                             "got " << value << "\n";
-                return false;
-            }
+            options.homes = static_cast<int>(count);
         } else if (arg == "--rwb-k") {
             if (!(value = need_value(i)))
                 return false;
@@ -249,6 +260,42 @@ parseArgs(int argc, char **argv, Options &options)
         std::cerr << "ddcsim: give exactly one of --trace / --workload\n";
         return false;
     }
+    bool directory = options.global == hier::GlobalKind::Directory;
+    if (options.clusters == 0) {
+        if (directory || options.homes != 1) {
+            std::cerr << "ddcsim: --global and --homes need --clusters\n";
+            return false;
+        }
+        return true;
+    }
+    if (options.homes != 1 && !directory) {
+        std::cerr << "ddcsim: --homes needs --global directory\n";
+        return false;
+    }
+    // Options the hierarchical machine would silently ignore.
+    const SystemConfig &config = options.config;
+    const SystemConfig flat;
+    const char *flat_only = nullptr;
+    if (config.block_words != flat.block_words)
+        flat_only = "--block";
+    else if (config.ways != flat.ways)
+        flat_only = "--ways";
+    else if (config.memory_latency != flat.memory_latency)
+        flat_only = "--latency";
+    else if (config.num_buses != flat.num_buses)
+        flat_only = "--buses";
+    if (flat_only) {
+        std::cerr << "ddcsim: " << flat_only
+                  << " applies to the flat machine only, not with "
+                     "--clusters\n";
+        return false;
+    }
+    ProtocolKind protocol = config.protocol;
+    if (protocol != ProtocolKind::Rb && protocol != ProtocolKind::Rwb) {
+        std::cerr << "ddcsim: the hierarchical machine runs RB or RWB, "
+                     "not " << toString(protocol) << "\n";
+        return false;
+    }
     return true;
 }
 
@@ -279,9 +326,7 @@ buildWorkload(const Options &options, Trace &trace)
         trace = makeFalseSharingTrace(pes, static_cast<int>(refs / 2) + 1);
     } else if (name == "walk") {
         // Read-only private streaming that fits L1 after the cold
-        // pass: the hit-dominated pattern where the sharded kernel's
-        // lookahead windows actually batch barriers (a saturated
-        // global bus pins the window at one cycle).
+        // pass: the hit-dominated pattern.
         trace = makeSequentialWalkTrace(pes, 128,
                                         static_cast<int>(refs / 128) + 1,
                                         0);
@@ -316,9 +361,7 @@ describeResult(const exp::RunResult &result)
 
 /**
  * Structured results for a hierarchical run.  Every field is
- * lane-invariant — CI diffs the --shards 1 and --shards 4 files —
- * so kernel facts that depend on the lane count (barrier epochs,
- * lookahead windows) stay on stdout only.
+ * deterministic unless --profile adds the host phase split.
  */
 bool
 writeHierJson(const std::string &path, const hier::HierConfig &config,
@@ -356,17 +399,11 @@ writeHierJson(const std::string &path, const hier::HierConfig &config,
         if (auto *sampler = observability->sampler())
             json["samples"] = exp::samplesJson(sampler->series());
         // Host-dependent by design; rides the --profile flag only, so
-        // the default JSON stays lane- and host-invariant.
-        if (const auto *profile = observability->profile()) {
-            json["tick_phase_ms"] = exp::Json(profile->kernel_tick_ms);
-            json["barrier_wait_ms"] =
-                exp::Json(profile->kernel_barrier_ms);
-            if (system.directoryFabric()) {
-                json["route_phase_ms"] =
-                    exp::Json(profile->fabric_route_ms);
-                json["serve_phase_ms"] =
-                    exp::Json(profile->fabric_serve_ms);
-            }
+        // the default JSON stays host-invariant.
+        const auto *profile = observability->profile();
+        if (profile && system.directoryFabric()) {
+            json["route_phase_ms"] = exp::Json(profile->fabric_route_ms);
+            json["serve_phase_ms"] = exp::Json(profile->fabric_serve_ms);
         }
     }
     std::ofstream out(path);
@@ -447,18 +484,7 @@ main(int argc, char **argv)
                   << " in " << system.now() << " cycles; "
                   << system.globalBusTransactions()
                   << " global bus ops; " << system.clusterBusTransactions()
-                  << " cluster bus ops";
-        // Sharded runs barrier once per lookahead window, not once per
-        // cycle; the epoch count is what CI asserts stays below the
-        // cycle count on hit-dominated workloads.
-        if (system.barrierEpochs() > 0) {
-            std::ostringstream window;
-            window << system.meanLookaheadWindow();
-            std::cout << "; " << system.barrierEpochs()
-                      << " barrier epochs (mean window "
-                      << window.str() << ")";
-        }
-        std::cout << "\n";
+                  << " cluster bus ops\n";
         if (options.check) {
             std::cout << "serial consistency: "
                       << (consistent ? "OK" : "VIOLATED") << "\n";
