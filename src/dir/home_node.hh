@@ -98,7 +98,12 @@ class HomeNode
     std::uint64_t messages() const { return msgCount; }
 
     /** Post client @p client's request into this cycle's inbox. */
-    void post(int client) { inbox.push_back(client); }
+    void
+    post(int client)
+    {
+        inbox.resize(static_cast<std::size_t>(client) + 1);
+        inbox.set(client);
+    }
 
     /** Whether nothing routed here this cycle (touched-home test). */
     bool inboxEmpty() const { return inbox.empty(); }
@@ -185,7 +190,7 @@ class HomeNode
     Directory dir;
     std::unique_ptr<Arbiter> arbiter;
     /** Clients whose pending request routed here this cycle. */
-    std::vector<int> inbox;
+    ClientMask inbox;
     /** Scratch target list for write-like deliveries. */
     std::vector<int> targets;
 

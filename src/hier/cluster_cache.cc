@@ -63,7 +63,15 @@ ClusterCache::addChild(Cache *child)
     ddc_assert(child != nullptr, "null child cache");
     ddc_assert(child->blockWords() == 1,
                "the hierarchical machine uses one-word blocks");
-    childByPe[child->peId()] = child;
+    childByPe[child->peId()].cache = child;
+}
+
+ClusterCache::Child &
+ClusterCache::childOf(PeId pe)
+{
+    Child *child = childByPe.lookup(pe);
+    ddc_assert(child != nullptr, "forward from an unknown PE ", pe);
+    return *child;
 }
 
 bool
@@ -91,20 +99,18 @@ ClusterCache::value(Addr addr) const
 void
 ClusterCache::enqueueForward(BusOp op, Addr addr, Word data, PeId pe)
 {
-    for (const Forward &forward : forwards) {
-        if (forward.origin == pe)
-            return; // One outstanding global op per PE.
-    }
-    Cache *const *child = childByPe.lookup(pe);
-    ddc_assert(child != nullptr, "forward from an unknown PE ", pe);
+    Child &child = childOf(pe);
+    if (child.queued)
+        return; // One outstanding global op per PE.
+    child.queued = true;
 
     Forward forward;
     forward.op = op;
     forward.addr = addr;
     forward.data = data;
     forward.origin = pe;
-    forward.origin_child = *child;
-    forward.child_access = (*child)->accessId();
+    forward.origin_child = child.cache;
+    forward.child_access = child.cache->accessId();
     forwards.push_back(forward);
     updateArmed();
     stats.add(statForwardOp[static_cast<std::size_t>(op)]);
@@ -118,16 +124,27 @@ ClusterCache::cancelForward(PeId pe)
     // arrived meanwhile), so a queued global forward for it is stale.
     // Between bus ticks no forward is mid-flight, so erasing the front
     // is safe too.
-    for (auto it = forwards.begin(); it != forwards.end(); ++it) {
-        if (it->origin == pe) {
-            if (it == forwards.begin())
-                flushing = false;
-            forwards.erase(it);
-            updateArmed();
-            stats.add(statForwardCancelled);
-            return;
-        }
-    }
+    if (!childOf(pe).queued)
+        return;
+    auto it = std::find_if(forwards.begin(), forwards.end(),
+                           [pe](const Forward &forward) {
+                               return forward.origin == pe;
+                           });
+    ddc_assert(it != forwards.end(), "PE ", pe,
+               " is flagged queued but has no forward");
+    dequeue(it);
+    stats.add(statForwardCancelled);
+}
+
+std::deque<ClusterCache::Forward>::iterator
+ClusterCache::dequeue(std::deque<Forward>::iterator it)
+{
+    childOf(it->origin).queued = false;
+    if (it == forwards.begin())
+        flushing = false;
+    it = forwards.erase(it);
+    updateArmed();
+    return it;
 }
 
 void
@@ -194,10 +211,7 @@ ClusterCache::resolvePendingLocally()
         }
 
         if (resolved) {
-            if (it == forwards.begin())
-                flushing = false;
-            it = forwards.erase(it);
-            updateArmed();
+            it = dequeue(it);
             stats.add(statForwardResolvedLocally);
         } else {
             ++it;
@@ -264,8 +278,7 @@ ClusterCache::requestComplete(const BusResult &result)
         stats.add(statFlush);
         return;
     }
-    forwards.pop_front();
-    updateArmed();
+    dequeue(forwards.begin());
 
     // Apply the global RB completion to the cluster-level entry and
     // forward the effective broadcast to the children: the global bus

@@ -157,11 +157,32 @@ class ClusterCache : public BusClient, public MemorySide
         std::uint64_t child_access = 0;
     };
 
+    /** A child L1 and whether its PE has a forward queued. */
+    struct Child
+    {
+        Cache *cache = nullptr;
+        /**
+         * A forward from this PE is in forwards.  Set by
+         * enqueueForward; cleared by every path that dequeues one
+         * (cancelForward, resolvePendingLocally, requestComplete).
+         */
+        bool queued = false;
+    };
+
+    /** @p pe's child entry (the PE must be a registered child). */
+    Child &childOf(PeId pe);
+
     /** Queue a forward unless @p pe already has one in flight. */
     void enqueueForward(BusOp op, Addr addr, Word data, PeId pe);
 
     /** Drop @p pe's queued forward (its op is being served locally). */
     void cancelForward(PeId pe);
+
+    /**
+     * Remove the forward at @p it (ending a pre-flush when it is the
+     * front) and clear its PE's queued flag; returns the next one.
+     */
+    std::deque<Forward>::iterator dequeue(std::deque<Forward>::iterator it);
 
     /**
      * Serve queued forwards that became cluster-serviceable.  Only
@@ -194,7 +215,7 @@ class ClusterCache : public BusClient, public MemorySide
 
     int clusterId;
     stats::CounterSet &stats;
-    FlatMap<PeId, Cache *> childByPe;
+    FlatMap<PeId, Child> childByPe;
     /** The cluster bus whose memory side this cache is. */
     Bus *clusterBus = nullptr;
     GlobalFabric *global = nullptr;

@@ -78,8 +78,7 @@ HierSystem::HierSystem(const HierConfig &config)
                 pe, config.cache_lines, *protocol, clock, cacheStats,
                 log));
             l1s.back()->connectBus(*clusterBuses.back());
-            l1s.back()->setWakeFlag(
-                shard.wakeFlag(static_cast<std::size_t>(p)));
+            l1s.back()->setWakeSlot(&shard, static_cast<std::size_t>(p));
             clusterCaches.back()->addChild(l1s.back().get());
         }
     }

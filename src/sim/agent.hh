@@ -51,7 +51,8 @@ class Agent
 
     /**
      * Account for @p count cycles skipped while this agent was
-     * quiescent.  Only called when nextEventCycle() reported no event
+     * quiescent (a stalled agent is paid through addStallCycles()
+     * instead).  Only called when nextEventCycle() reported no event
      * in the skipped interval; must update exactly the state and
      * statistics that @p count consecutive tick() calls would have
      * (stall counters etc.), so skipping stays byte-identical.
@@ -60,19 +61,20 @@ class Agent
 
     /**
      * True when every tick until the agent's outstanding cache access
-     * completes would only account one stall cycle.  The System
+     * completes would only account one stall cycle.  The shard
      * consults this once after each real tick and then stops ticking
-     * the agent until its cache raises the completion wake flag,
-     * adding the skipped cycles in bulk via addStallCycles() —
-     * strictly an optimization contract: ticking through the stall
-     * anyway must be behaviorally identical.  The conservative
+     * the agent until its cache raises the completion wake (see
+     * Shard::raiseWake), adding the cycles it sat out, quiescent ones
+     * included, in bulk via addStallCycles() — strictly an
+     * optimization contract: ticking through the stall anyway must be
+     * behaviorally identical.  The conservative
      * default (never stalled) keeps agents that do not opt in on the
      * every-cycle schedule.
      */
     virtual bool stalledOnCompletion() const { return false; }
 
     /**
-     * Account @p count stall cycles the System skipped while
+     * Account @p count stall cycles the shard did not tick while
      * stalledOnCompletion() held (exactly the bookkeeping those
      * ticks would have done).
      */

@@ -15,6 +15,23 @@ toString(ArbiterKind kind)
     return "?";
 }
 
+int
+ClientMask::nth(std::size_t n) const
+{
+    for (std::size_t w = 0; w < words.size(); w++) {
+        std::uint64_t bits = words[w];
+        auto in_word = static_cast<std::size_t>(std::popcount(bits));
+        if (n >= in_word) {
+            n -= in_word;
+            continue;
+        }
+        for (; n > 0; n--)
+            bits &= bits - 1;
+        return static_cast<int>(w * 64) + std::countr_zero(bits);
+    }
+    ddc_panic("client mask has no member ", n);
+}
+
 namespace {
 
 /** Rotating-priority arbitration; guarantees progress for every client. */
@@ -22,19 +39,16 @@ class RoundRobinArbiter : public Arbiter
 {
   public:
     int
-    pick(const std::vector<int> &requesters) override
+    pick(const ClientMask &requesters) override
     {
-        ddc_assert(!requesters.empty(), "arbiter invoked with no requests");
         // Grant the smallest index strictly greater than the previous
         // grant, wrapping around.
-        for (int index : requesters) {
-            if (index > last) {
-                last = index;
-                return index;
-            }
-        }
-        last = requesters.front();
-        return last;
+        int grant = requesters.nextAfter(last);
+        if (grant < 0)
+            grant = requesters.first();
+        ddc_assert(grant >= 0, "arbiter invoked with no requests");
+        last = grant;
+        return grant;
     }
 
   private:
@@ -46,10 +60,11 @@ class FixedPriorityArbiter : public Arbiter
 {
   public:
     int
-    pick(const std::vector<int> &requesters) override
+    pick(const ClientMask &requesters) override
     {
-        ddc_assert(!requesters.empty(), "arbiter invoked with no requests");
-        return requesters.front();
+        int grant = requesters.first();
+        ddc_assert(grant >= 0, "arbiter invoked with no requests");
+        return grant;
     }
 };
 
@@ -60,10 +75,11 @@ class RandomArbiter : public Arbiter
     explicit RandomArbiter(std::uint64_t seed) : rng(seed) {}
 
     int
-    pick(const std::vector<int> &requesters) override
+    pick(const ClientMask &requesters) override
     {
-        ddc_assert(!requesters.empty(), "arbiter invoked with no requests");
-        return requesters[rng.nextBelow(requesters.size())];
+        std::size_t count = requesters.count();
+        ddc_assert(count > 0, "arbiter invoked with no requests");
+        return requesters.nth(rng.nextBelow(count));
     }
 
   private:

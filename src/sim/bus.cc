@@ -116,12 +116,15 @@ Bus::attach(BusClient *client)
 {
     ddc_assert(client != nullptr, "null bus client");
     clients.push_back(client);
-    armed.push_back(1);
+    int index = static_cast<int>(clients.size()) - 1;
+    for (ClientMask *mask : {&armed, &poll, &always, &ready})
+        mask->resize(clients.size());
+    armed.set(index);
     armedCount++;
+    always.set(index);
     suppliers.push_back(1);
     supplierCount++;
     indexed.push_back(0);
-    int index = static_cast<int>(clients.size()) - 1;
     if (clients.size() > kMaxFilterClients) {
         revertToFullSnoop();
     } else {
@@ -203,29 +206,74 @@ Bus::setSupplier(int client, bool is_supplier)
 void
 Bus::setRequestArmed(int client, bool is_armed)
 {
-    auto index = static_cast<std::size_t>(client);
-    ddc_assert(index < clients.size(), "bad bus client index ", client);
-    char flag = is_armed ? 1 : 0;
-    if (armed[index] == flag)
+    ddc_assert(static_cast<std::size_t>(client) < clients.size(),
+               "bad bus client index ", client);
+    if (armed.test(client) == is_armed)
         return;
-    armed[index] = flag;
-    if (is_armed)
+    if (is_armed) {
+        armed.set(client);
         armedCount++;
-    else
+    } else {
+        armed.reset(client);
+        poll.reset(client);
         armedCount--;
+    }
 }
 
-const std::vector<int> &
+void
+Bus::setPollOnStale(int client)
+{
+    ddc_assert(static_cast<std::size_t>(client) < clients.size(),
+               "bad bus client index ", client);
+    always.reset(client);
+    // A client opting in while armed gets one real poll first.
+    if (armed.test(client))
+        poll.set(client);
+}
+
+const ClientMask &
 Bus::collectRequesters()
 {
-    requesters.clear();
+    ready.clear();
     if (armedClients() == 0)
-        return requesters;
-    for (std::size_t i = 0; i < clients.size(); i++) {
-        if (armed[i] && clients[i]->hasRequest())
-            requesters.push_back(static_cast<int>(i));
+        return ready;
+    // Poll in ascending order, exactly where a poll of every armed
+    // client would have made a call that can matter, and re-read the
+    // masks after each poll: a poll may arm, disarm or mark another
+    // client, and only clients above it see that in the same pass.
+    // An opted-in client between two polls counts as ready as the
+    // pass reaches it (its unpolled answer is a side-effect-free yes).
+    for (std::size_t w = 0; w < armed.numWords(); w++) {
+        // The bits of this word at or below the last poll.
+        std::uint64_t passed = 0;
+        for (;;) {
+            std::uint64_t due = armed.word(w) &
+                                (poll.word(w) | always.word(w)) & ~passed;
+            std::uint64_t next = due & -due; // lowest due bit, or 0
+            std::uint64_t reached = (next - 1) & ~passed;
+            ready.word(w) |= armed.word(w) & ~always.word(w) &
+                             ~poll.word(w) & reached;
+            if (next == 0)
+                break;
+            passed = next | (next - 1);
+            int client = static_cast<int>(w * 64) + std::countr_zero(next);
+            poll.reset(client);
+            if (clients[static_cast<std::size_t>(client)]->hasRequest())
+                ready.set(client);
+        }
     }
-    return requesters;
+#ifndef NDEBUG
+    // Cross-check the promise: every opted-in client counted without
+    // a poll must answer yes (and, unstale, without side effects).
+    for (std::size_t i = 0; i < clients.size(); i++) {
+        int client = static_cast<int>(i);
+        if (armed.test(client) && !always.test(client) &&
+            !poll.test(client))
+            ddc_assert(clients[i]->hasRequest(), "bus client ", client,
+                       " is armed and unstale but has no request");
+    }
+#endif
+    return ready;
 }
 
 bool
@@ -272,7 +320,7 @@ Bus::tick()
         return;
     }
 
-    const std::vector<int> &ready = collectRequesters();
+    const ClientMask &ready = collectRequesters();
     if (ready.empty()) {
         stats.add(statIdle);
         return;

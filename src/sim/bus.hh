@@ -111,9 +111,12 @@ reactionBit(BusOp op)
 /**
  * Interface between the bus and an attached cache.
  *
- * A client has at most one pending request; the bus polls hasRequest()
- * each cycle (giving the cache a chance to lazily re-validate multi-
- * phase operations whose preconditions a snooped transaction erased).
+ * A client has at most one pending request.  On every free cycle the
+ * bus polls hasRequest() of each armed client that is always-polled
+ * (the default) or that reported a change through Bus::noteStale()
+ * since its last poll, giving the cache a chance to lazily re-validate
+ * multi-phase operations whose preconditions a snooped transaction
+ * erased (see Bus::setPollOnStale).
  */
 class BusClient
 {
@@ -248,15 +251,32 @@ class Bus : public GlobalFabric, public Tickable
 
     /**
      * Fast-path hint: whether client @p client may have a pending
-     * request.  Clients attach armed (and a client that never calls
-     * this is polled every cycle, exactly as before); a client that
-     * tracks its own pending state can disarm while it has nothing to
-     * issue so idle cycles cost no virtual polling at all.
+     * request.  Clients attach armed (so one that never calls this is
+     * considered on every free cycle); a client that tracks its own
+     * pending state can disarm while it has nothing to issue so idle
+     * cycles cost no virtual polling at all.
      *
      * Disarming is strictly a promise that hasRequest() would return
      * false (and have no side effects) until the client re-arms.
      */
     void setRequestArmed(int client, bool is_armed) override;
+
+    /**
+     * Stop polling @p client every cycle.  Clients attach
+     * always-polled; opting in is a promise that, while the client is
+     * armed, hasRequest() returns true with no side effects until the
+     * client calls noteStale().  The bus then polls it once, at its
+     * next free cycle, and counts it as a requester without a call in
+     * between.
+     */
+    void setPollOnStale(int client);
+
+    /**
+     * Opted-in client @p client's answer may have changed (a snoop
+     * moved the line of its pending access): poll it at the next free
+     * cycle.
+     */
+    void noteStale(int client) { poll.set(client); }
 
     /** Number of currently armed clients. */
     std::size_t
@@ -406,13 +426,14 @@ class Bus : public GlobalFabric, public Tickable
     static constexpr std::size_t kNumBusOps = 6;
 
     /**
-     * Poll the armed clients and collect those with a request into
-     * the reusable scratch vector (ascending client indices, as the
-     * arbiter requires).  One pass serves both the idle check and
-     * arbitration; when every client is disarmed it returns empty
-     * without a single virtual call.
+     * Collect the armed clients with a request into the reusable
+     * scratch mask.  Only the always-polled and the stale opted-in
+     * clients are polled, in ascending order; every other armed client
+     * counts as a requester without a call.  One pass serves both the
+     * idle check and arbitration; when every client is disarmed it
+     * returns empty without a single virtual call.
      */
-    const std::vector<int> &collectRequesters();
+    const ClientMask &collectRequesters();
 
     /** Handle Read / ReadLock / Rmw, including the kill/supply path. */
     void executeReadLike(int grant, const BusRequest &request);
@@ -493,16 +514,20 @@ class Bus : public GlobalFabric, public Tickable
     std::size_t blockSize;
     std::size_t memoryLatency;
     std::vector<BusClient *> clients;
-    /** Per-client armed flag (1 = poll; parallel to clients). */
-    std::vector<char> armed;
-    /** Count of set entries in armed. */
+    /** Clients that may have a pending request. */
+    ClientMask armed;
+    /** Opted-in clients to poll at the next free cycle (noteStale). */
+    ClientMask poll;
+    /** Clients polled on every free cycle while armed (the default). */
+    ClientMask always;
+    /** Members of armed. */
     std::size_t armedCount = 0;
     /** Per-client potential-supplier flag (parallel to clients). */
     std::vector<char> suppliers;
     /** Count of set entries in suppliers. */
     std::size_t supplierCount = 0;
-    /** Scratch requester list reused every cycle (no allocation). */
-    std::vector<int> requesters;
+    /** Scratch requester set reused every cycle (no allocation). */
+    ClientMask ready;
     /** Remaining cycles of an in-flight transaction. */
     std::size_t transferCyclesLeft = 0;
 

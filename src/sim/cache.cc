@@ -5,6 +5,7 @@
 #include <string>
 
 #include "base/logging.hh"
+#include "sim/shard.hh"
 
 namespace ddc {
 
@@ -132,6 +133,9 @@ Cache::connectBus(Bus &bus_to_join)
     // and no line is held yet, so the supplier scan can skip us too.
     bus->setRequestArmed(clientIndex, false);
     bus->setSupplier(clientIndex, false);
+    // While armed, hasRequest() is a pure "yes" until a snoop marks
+    // the pending plan stale (markStale), so the bus polls only then.
+    bus->setPollOnStale(clientIndex);
     if (bus->snoopFilterActive()) {
         // Snoops can only matter for lines that react to them, so let
         // the bus's sharer index route them; every line is NotPresent
@@ -145,6 +149,14 @@ void
 Cache::setArmed(bool is_armed)
 {
     bus->setRequestArmed(clientIndex, is_armed);
+}
+
+void
+Cache::markStale()
+{
+    pending.stale = true;
+    if (pending.active)
+        bus->noteStale(clientIndex);
 }
 
 void
@@ -762,7 +774,7 @@ Cache::observe(const BusTransaction &txn)
         // The pending plan is a pure function of line *state* (data is
         // read only at completion), so a snarf that merely refreshes
         // the value leaves it valid.
-        pending.stale = true;
+        markStale();
         setLineState(line, reaction.next);
     }
     if (reaction.snarf) {
@@ -790,7 +802,7 @@ Cache::supplied(Addr addr)
     if (stateTrace)
         stateCause = "supply";
     setLineState(*line, protocol.afterSupply(line->state));
-    pending.stale = true;
+    markStale();
 }
 
 void
@@ -852,8 +864,8 @@ Cache::finish(const AccessResult &result)
     setArmed(false);
     completionReady = true;
     completion = result;
-    if (wakeFlag != nullptr)
-        *wakeFlag = 1;
+    if (wakeShard != nullptr)
+        wakeShard->raiseWake(wakeSlot);
 }
 
 void

@@ -21,9 +21,10 @@
  *
  * Preconditions of the earlier phases can be erased (or re-created)
  * by snooped transactions, so the whole plan is lazily re-validated
- * each time the bus polls hasRequest(); a pending read whose line was
- * refilled by a snooped broadcast completes without ever using the
- * bus — the RWB scheme's "data can be fetched from any cache".
+ * when the bus next polls hasRequest() after such a snoop; a pending
+ * read whose line was refilled by a snooped broadcast completes
+ * without ever using the bus — the RWB scheme's "data can be fetched
+ * from any cache".
  */
 
 #ifndef DDC_SIM_CACHE_HH
@@ -40,6 +41,8 @@
 #include "trace/trace.hh"
 
 namespace ddc {
+
+class Shard;
 
 /** One direct-mapped private cache (or one bank of a multi-bus set). */
 class Cache : public BusClient
@@ -113,13 +116,17 @@ class Cache : public BusClient
     bool hasCompletion() const { return completionReady; }
 
     /**
-     * Register a flag raised whenever an outstanding access completes
-     * (every completionReady transition).  The System points this at
-     * the owning agent's wake slot so an agent stalled on a miss
-     * needs no per-cycle completion polling (see
-     * Agent::stalledOnCompletion).
+     * Raise @p shard's wake for agent slot @p slot whenever an
+     * outstanding access completes (every completionReady
+     * transition), so an agent stalled on a miss needs no per-cycle
+     * completion polling (see Agent::stalledOnCompletion).
      */
-    void setWakeFlag(char *flag) { wakeFlag = flag; }
+    void
+    setWakeSlot(Shard *shard, std::size_t slot)
+    {
+        wakeShard = shard;
+        wakeSlot = slot;
+    }
 
     /** Retrieve (and consume) the completed access's result. */
     AccessResult takeCompletion();
@@ -198,8 +205,9 @@ class Cache : public BusClient
          * True when a snoop may have changed the stored reaction or
          * phase.  The re-derivation is pure in the line array, so
          * hasRequest() only re-runs it after a line actually mutated
-         * (observe / supplied / requestComplete) instead of on every
-         * poll of every cycle.
+         * (observe / supplied) instead of on every poll of every
+         * cycle.  Set only through markStale(), which also tells the
+         * bus to poll again.
          */
         bool stale = false;
         /** Cycle cpuAccess() issued this access (observability). */
@@ -293,6 +301,13 @@ class Cache : public BusClient
 
     /** Tell the bus whether this cache needs polling (fast path). */
     void setArmed(bool is_armed);
+
+    /**
+     * A snoop moved a line: flag the pending plan for re-derivation
+     * and, while an access is pending, have the bus poll this cache
+     * at its next free cycle (the Bus::setPollOnStale promise).
+     */
+    void markStale();
 
     /** Emit a tag-transition instant (stateTrace known non-null). */
     void traceStateChange(LineTag from, LineTag to, Addr base);
@@ -397,8 +412,9 @@ class Cache : public BusClient
     PendingOp pending;
     std::uint64_t accessCounter = 0;
     bool completionReady = false;
-    /** Raised on completion for the owning agent (see setWakeFlag). */
-    char *wakeFlag = nullptr;
+    /** Woken on completion for the owning agent (see setWakeSlot). */
+    Shard *wakeShard = nullptr;
+    std::size_t wakeSlot = 0;
     AccessResult completion{};
 };
 

@@ -1,6 +1,7 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/logging.hh"
 
@@ -9,9 +10,8 @@ namespace ddc {
 Shard::Shard(std::size_t agent_slots)
 {
     agents.assign(agent_slots, nullptr);
-    stalled.assign(agent_slots, 0);
-    wake.assign(agent_slots, 0);
-    accrued.assign(agent_slots, 0);
+    waits.assign(agent_slots, Runnable);
+    paid.assign(agent_slots, 0);
 }
 
 void
@@ -22,11 +22,16 @@ Shard::addComponent(Tickable *component)
     components.push_back(component);
 }
 
-char *
-Shard::wakeFlag(std::size_t slot)
+void
+Shard::raiseWake(std::size_t slot)
 {
-    ddc_assert(slot < wake.size(), "agent slot out of range");
-    return &wake[slot];
+    ddc_assert(slot < waits.size(), "agent slot out of range");
+    ddc_assert(!inAgentPass, "agent slot ", slot,
+               " woken during its shard's agent pass");
+    if (waits[slot] != Stalled)
+        return;
+    waits[slot] = Woken;
+    woken.push_back(slot);
 }
 
 void
@@ -40,44 +45,59 @@ void
 Shard::rebuild()
 {
     flushStalls();
-    std::fill(stalled.begin(), stalled.end(), 0);
-    std::fill(wake.begin(), wake.end(), 0);
-    active.clear();
+    std::fill(waits.begin(), waits.end(), Runnable);
+    woken.clear();
+    parked = 0;
+    runnable.clear();
     for (std::size_t slot = 0; slot < agents.size(); slot++) {
         if (agents[slot] && !agents[slot]->done())
-            active.push_back(slot);
+            runnable.push_back(slot);
     }
+}
+
+void
+Shard::admitWoken()
+{
+    // The cycles between the stall and this tick each owed one stall
+    // cycle; this tick is the agent's own.
+    std::sort(woken.begin(), woken.end());
+    for (std::size_t slot : woken) {
+        Cycle owed = cycles - 1 - paid[slot];
+        if (owed > 0)
+            agents[slot]->addStallCycles(owed);
+        waits[slot] = Runnable;
+    }
+    parked -= woken.size();
+    merged.clear();
+    std::merge(runnable.begin(), runnable.end(), woken.begin(),
+               woken.end(), std::back_inserter(merged));
+    runnable.swap(merged);
+    woken.clear();
 }
 
 void
 Shard::tick()
 {
+    cycles++;
     for (Tickable *component : components)
         component->tick();
+    if (!woken.empty())
+        admitWoken();
+    inAgentPass = true;
     std::size_t out = 0;
-    for (std::size_t slot : active) {
-        if (stalled[slot]) {
-            if (!wake[slot]) {
-                accrued[slot]++;
-                active[out++] = slot;
-                continue;
-            }
-            stalled[slot] = 0;
-            wake[slot] = 0;
-            if (accrued[slot] > 0) {
-                agents[slot]->addStallCycles(accrued[slot]);
-                accrued[slot] = 0;
-            }
+    for (std::size_t slot : runnable) {
+        Agent *agent = agents[slot];
+        agent->tick();
+        if (agent->stalledOnCompletion()) {
+            waits[slot] = Stalled;
+            paid[slot] = cycles;
+            parked++;
+        } else if (!agent->done()) {
+            runnable[out++] = slot;
         }
-        agents[slot]->tick();
-        if (agents[slot]->stalledOnCompletion()) {
-            stalled[slot] = 1;
-            wake[slot] = 0;
-        }
-        if (!agents[slot]->done())
-            active[out++] = slot;
     }
-    active.resize(out);
+    runnable.resize(out);
+    inAgentPass = false;
 }
 
 Cycle
@@ -90,11 +110,11 @@ Shard::nextEventCycle(Cycle now) const
             return now;
         earliest = std::min(earliest, next);
     }
-    for (std::size_t slot : active) {
-        // A stalled agent with no wake pending can only be woken by
-        // its cache's completion: kNever, without the virtual call.
-        if (stalled[slot] && !wake[slot])
-            continue;
+    // A woken agent ticks this cycle; a stalled one can only be woken
+    // by its cache's completion, so it is off the list.
+    if (!woken.empty())
+        return now;
+    for (std::size_t slot : runnable) {
         Cycle next = agents[slot]->nextEventCycle(now);
         if (next <= now)
             return now;
@@ -106,20 +126,23 @@ Shard::nextEventCycle(Cycle now) const
 void
 Shard::skipCycles(Cycle count)
 {
+    ddc_assert(woken.empty(), "skipped cycles a woken agent would run");
     for (Tickable *component : components)
         component->skipCycles(count);
-    for (std::size_t slot : active)
+    cycles += count;
+    for (std::size_t slot : runnable)
         agents[slot]->skipCycles(count);
 }
 
 void
 Shard::flushStalls() const
 {
-    for (std::size_t slot = 0; slot < accrued.size(); slot++) {
-        if (accrued[slot] > 0 && agents[slot]) {
-            agents[slot]->addStallCycles(accrued[slot]);
-            accrued[slot] = 0;
-        }
+    for (std::size_t slot = 0; slot < waits.size(); slot++) {
+        if (waits[slot] == Runnable || agents[slot] == nullptr)
+            continue;
+        if (cycles > paid[slot])
+            agents[slot]->addStallCycles(cycles - paid[slot]);
+        paid[slot] = cycles;
     }
 }
 

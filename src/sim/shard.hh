@@ -9,10 +9,11 @@
  * serial shard and each cluster (cluster bus + its L1 caches + its
  * PEs) is one further shard, ticked in cluster order.
  *
- * The shard owns the stall-skip machinery extracted from the old
- * System::tick: an agent whose tick reported stalledOnCompletion() is
- * skipped (one accrued stall cycle per skipped tick, flushed in bulk)
- * until its cache raises the per-slot wake flag.
+ * The shard owns the stall-skip machinery: an agent whose tick
+ * reported stalledOnCompletion() leaves the runnable list and costs
+ * nothing per cycle until its cache calls raiseWake() for its slot.
+ * The stall cycles it would have counted are paid in one call at wake
+ * (or flush), from the shard's count of ticked and skipped cycles.
  */
 
 #ifndef DDC_SIM_SHARD_HH
@@ -31,10 +32,7 @@ namespace ddc {
 class Shard
 {
   public:
-    /**
-     * @param agent_slots Number of agent slots (fixed up front so
-     *        wake-flag pointers handed to caches stay stable).
-     */
+    /** @param agent_slots Number of agent slots (fixed up front). */
     explicit Shard(std::size_t agent_slots);
 
     /**
@@ -45,34 +43,38 @@ class Shard
     void addComponent(Tickable *component);
 
     /**
-     * Wake flag of agent slot @p slot, for Cache::setWakeFlag (stable
-     * for the shard's lifetime).
+     * The access agent slot @p slot waits on completed (called by
+     * Cache::finish, see Cache::setWakeSlot).  A stalled slot is
+     * queued and rejoins the runnable list, in slot order, at the
+     * next tick's agent pass; a wake for a runnable slot is ignored.
+     * A wake during this shard's own agent pass panics: it could
+     * move an agent's tick.
      */
-    char *wakeFlag(std::size_t slot);
+    void raiseWake(std::size_t slot);
 
     /** Install (or replace) the agent in @p slot; then rebuild(). */
     void setAgent(std::size_t slot, Agent *agent);
 
     /**
-     * Recompute the not-yet-done agent list after (re)installs and
-     * reset the stall/wake machinery (accrued stalls are flushed
-     * first so no owed cycles are dropped).
+     * Recompute the runnable list after (re)installs and reset the
+     * stall/wake machinery (owed stalls are flushed first so no
+     * cycles are dropped).
      */
     void rebuild();
 
     /**
-     * Advance one cycle: buses in attach order, then the still-running
-     * agents in slot order.  Agents that finished are dropped;
-     * compaction is stable so the tick (and execution-log commit)
-     * order never changes.  An agent stalled on a miss is skipped
-     * without even the virtual call until its cache raises the wake
-     * flag; each skipped tick would only have accrued one stall
-     * cycle, added in bulk at wake (or by flushStalls()).
+     * Advance one cycle: components in attach order, then the
+     * runnable agents in slot order, after admitting the slots woken
+     * since the last pass.  Agents that finished or stalled on a miss
+     * leave the list; compaction is stable so the tick (and
+     * execution-log commit) order never changes.  Each cycle a
+     * stalled agent sits out would only have counted one stall
+     * cycle; the shard pays them in bulk at wake (or flushStalls()).
      */
     void tick();
 
     /** True when every installed agent has finished. */
-    bool done() const { return active.empty(); }
+    bool done() const { return runnable.empty() && parked == 0; }
 
     /**
      * Earliest cycle at which any of this shard's buses or active
@@ -82,33 +84,57 @@ class Shard
      */
     Cycle nextEventCycle(Cycle now) const;
 
-    /** Fast-forward @p count quiescent cycles (bulk bookkeeping). */
+    /**
+     * Fast-forward @p count quiescent cycles (bulk bookkeeping); the
+     * stalled agents are paid for them at wake or flush.
+     */
     void skipCycles(Cycle count);
 
     /**
-     * Push stall cycles accrued while skipping stalled agents' ticks
-     * into the owning agents' counters; called at wake, at the end of
-     * a run, and before any counter read, so observed statistics
-     * always match the tick-every-cycle baseline.
+     * Pay every stalled agent the stall cycles owed so far; called at
+     * the end of a run and before any counter read, so observed
+     * statistics always match the tick-every-cycle baseline.
      */
     void flushStalls() const;
 
   private:
+    /** Where a slot stands with respect to the runnable list. */
+    enum Wait : char
+    {
+        Runnable, //!< on the list (or empty / finished)
+        Stalled,  //!< off the list, waiting for raiseWake()
+        Woken,    //!< off the list, queued in woken
+    };
+
+    /**
+     * Pay the woken slots their stall cycles and merge them into the
+     * runnable list in slot order.
+     */
+    void admitWoken();
+
     std::vector<Tickable *> components;
     /** Installed agents by slot (non-owning; null = empty slot). */
     std::vector<Agent *> agents;
-    /** Slots of installed agents that have not finished, in order. */
-    std::vector<std::size_t> active;
-    /** Per-slot stalled-on-miss flag (see tick()). */
-    std::vector<char> stalled;
-    /** Per-slot wake flag, raised by Cache::finish() on completion. */
-    std::vector<char> wake;
+    /** Slots whose agent ticks this cycle, ascending. */
+    std::vector<std::size_t> runnable;
+    /** Stalled slots woken since the last agent pass. */
+    std::vector<std::size_t> woken;
+    /** Scratch for admitWoken's merge (no allocation per wake). */
+    std::vector<std::size_t> merged;
+    /** Per-slot Wait state. */
+    std::vector<Wait> waits;
+    /** Slots off the runnable list (Stalled or Woken). */
+    std::size_t parked = 0;
+    /** Cycles this shard ticked or skipped so far. */
+    Cycle cycles = 0;
     /**
-     * Stall cycles accrued per slot while its ticks were skipped
-     * (mutable: counter reads are const but must observe the flushed
-     * totals).
+     * Per stalled slot, the cycle count up to which its stall cycles
+     * are paid: the tick it stalled in, or the last flush (mutable:
+     * counter reads are const but must observe the flushed totals).
      */
-    mutable std::vector<Cycle> accrued;
+    mutable std::vector<Cycle> paid;
+    /** True while tick() visits agents (raiseWake must not run). */
+    bool inAgentPass = false;
 };
 
 } // namespace ddc

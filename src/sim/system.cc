@@ -42,8 +42,8 @@ System::System(const SystemConfig &config)
                 pe, config.cache_lines, *proto, clock,
                 cacheStats, log, config.block_words, config.ways));
             caches.back()->connectBus(*buses[static_cast<std::size_t>(b)]);
-            caches.back()->setWakeFlag(
-                shard->wakeFlag(static_cast<std::size_t>(pe)));
+            caches.back()->setWakeSlot(shard,
+                                       static_cast<std::size_t>(pe));
         }
     }
     agents.resize(num_pes);

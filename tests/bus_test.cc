@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/rb.hh"
 #include "core/rwb.hh"
@@ -717,6 +719,188 @@ TEST(SnoopFilterFallback, FilterOffBusNeverCountsADegradation)
         bus.attach(&clients.back());
     }
     EXPECT_EQ(bus.snoopFilterFallbacks(), 0u);
+}
+
+/** An always-polled client that logs its index on every poll. */
+class PollLoggingClient : public FakeClient
+{
+  public:
+    PollLoggingClient(PeId pe, std::vector<int> &polls)
+        : FakeClient(pe), polls(polls)
+    {}
+
+    bool
+    hasRequest() override
+    {
+        polls.push_back(pe);
+        return FakeClient::hasRequest();
+    }
+
+  private:
+    std::vector<int> &polls;
+};
+
+/**
+ * A client keeping the Bus::setPollOnStale promise, as a Cache does:
+ * armed exactly while it holds requests, and its answer may change
+ * only after markStale(), which it reports through noteStale().  A
+ * poll that consumes the mark is logged; the side-effect-free polls
+ * of Debug builds' cross-check are not.
+ */
+class StaleClient : public FakeClient
+{
+  public:
+    StaleClient(PeId pe, Bus &bus, std::vector<int> &polls)
+        : FakeClient(pe), bus(bus), polls(polls)
+    {
+        index = bus.attach(this);
+        bus.setRequestArmed(index, false);
+        bus.setPollOnStale(index);
+    }
+
+    void
+    push(BusRequest request)
+    {
+        FakeClient::push(request);
+        bus.setRequestArmed(index, true);
+    }
+
+    void
+    markStale()
+    {
+        stale = true;
+        bus.noteStale(index);
+    }
+
+    bool
+    hasRequest() override
+    {
+        if (stale) {
+            stale = false;
+            polls.push_back(pe);
+        }
+        return FakeClient::hasRequest();
+    }
+
+    void
+    requestComplete(const BusResult &result) override
+    {
+        FakeClient::requestComplete(result);
+        if (requests.empty())
+            bus.setRequestArmed(index, false);
+    }
+
+    int index = -1;
+
+  private:
+    Bus &bus;
+    std::vector<int> &polls;
+    bool stale = false;
+};
+
+TEST(BusPolling, OptedInClientIsPolledOnlyAfterNoteStale)
+{
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory(stats);
+    Bus bus(memory, ArbiterKind::FixedPriority, clock, stats, 0, 1,
+            /*memory_latency=*/2);
+    std::vector<int> polls;
+    PollLoggingClient hog(0, polls);
+    bus.attach(&hog);
+    StaleClient waiter(1, bus, polls);
+    hog.push({BusOp::Write, 100, 1, false, {}});
+    hog.push({BusOp::Write, 101, 1, false, {}});
+    waiter.push({BusOp::Read, 10, 0, false, {}});
+
+    bus.tick(); // free: polls the hog only; grants its first write
+    EXPECT_EQ(polls, (std::vector<int>{0}));
+    waiter.markStale();
+    bus.tick(); // the write holds the bus: nobody is polled
+    bus.tick();
+    EXPECT_EQ(polls, (std::vector<int>{0}));
+    bus.tick(); // free: the hog, then the stale waiter, ascending
+    EXPECT_EQ(polls, (std::vector<int>{0, 0, 1}));
+    bus.tick();
+    bus.tick();
+    bus.tick(); // the hog is done; the unstale waiter counts as ready
+    EXPECT_EQ(polls, (std::vector<int>{0, 0, 1, 0}));
+    ASSERT_EQ(waiter.completions.size(), 1u);
+    EXPECT_EQ(hog.completions.size(), 2u);
+    bus.tick(); // the waiter's read holds the bus too
+    bus.tick();
+    EXPECT_EQ(polls, (std::vector<int>{0, 0, 1, 0}));
+    bus.tick(); // free: the always-polled hog is polled again
+    EXPECT_EQ(polls, (std::vector<int>{0, 0, 1, 0, 0}));
+    EXPECT_TRUE(bus.idle());
+}
+
+#ifndef NDEBUG
+// The polling cross-check is compiled into Debug builds only.
+TEST(BusPolling, CrossCheckCatchesABrokenPromise)
+{
+    // An opted-in client that stays armed with nothing to issue breaks
+    // the setPollOnStale promise: the pass after its poll must panic.
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory(stats);
+    Bus bus(memory, ArbiterKind::RoundRobin, clock, stats);
+    FakeClient liar(0);
+    bus.setPollOnStale(bus.attach(&liar));
+    EXPECT_DEATH(bus.tick(), "armed and unstale but has no request");
+}
+#endif
+
+TEST(BusPolling, ReadySetSpansTheWordBoundary)
+{
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory(stats);
+    Bus bus(memory, ArbiterKind::RoundRobin, clock, stats);
+    std::vector<int> polls;
+    std::deque<FakeClient> plain;
+    std::deque<StaleClient> opted;
+    std::vector<FakeClient *> byPe;
+    // Clients 63, 64 and 69 opt in; the other 67 stay always-polled.
+    for (PeId pe = 0; pe < 70; pe++) {
+        if (pe == 63 || pe == 64 || pe == 69) {
+            opted.emplace_back(pe, bus, polls);
+            byPe.push_back(&opted.back());
+        } else {
+            plain.emplace_back(pe);
+            bus.attach(&plain.back());
+            byPe.push_back(&plain.back());
+        }
+    }
+    const std::vector<int> requesters{2, 63, 64, 65, 69};
+    for (int pe : requesters) {
+        auto addr = static_cast<Addr>(1000 + pe);
+        memory.write(addr, static_cast<Word>(pe));
+        BusRequest read{BusOp::Read, addr, 0, false, {}};
+        if (pe == 63 || pe == 64 || pe == 69)
+            static_cast<StaleClient *>(byPe[pe])->push(read);
+        else
+            byPe[pe]->push(read);
+    }
+    opted[1].markStale(); // client 64: one real poll, still a yes
+
+    // Round-robin grants each requester once, in ascending order
+    // across the word boundary; only the stale client is polled.
+    std::vector<int> grants;
+    for (std::size_t cycle = 0; cycle < requesters.size(); cycle++) {
+        bus.tick();
+        for (int pe : requesters) {
+            if (byPe[pe]->completions.size() == 1 &&
+                std::find(grants.begin(), grants.end(), pe) ==
+                    grants.end())
+                grants.push_back(pe);
+        }
+    }
+    EXPECT_EQ(grants, requesters);
+    EXPECT_EQ(polls, (std::vector<int>{64}));
+    for (int pe : requesters)
+        EXPECT_EQ(byPe[pe]->completions[0].data, static_cast<Word>(pe));
+    EXPECT_TRUE(bus.idle());
 }
 
 } // namespace

@@ -623,6 +623,76 @@ TEST(ClusterCacheUnit, QueuedReadResolvesOnThePollAfterASiblingCompletes)
     EXPECT_EQ(l1b.takeCompletion().value, 42u);
 }
 
+TEST(ClusterCacheUnit, OneForwardPerPeUntilCancelResolveOrCompletion)
+{
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory(stats);
+    Bus global(memory, ArbiterKind::RoundRobin, clock, stats);
+    ClusterCache cluster(0, stats);
+    cluster.connectGlobal(global);
+    Bus cluster_bus(cluster, ArbiterKind::RoundRobin, clock, stats);
+    cluster.connectCluster(cluster_bus);
+    RbProtocol rb;
+    Cache l1a(0, 8, rb, clock, stats);
+    Cache l1b(1, 8, rb, clock, stats);
+    for (Cache *l1 : {&l1a, &l1b}) {
+        l1->connectBus(cluster_bus);
+        cluster.addChild(l1);
+    }
+    auto reads = [&] { return stats.get("hier.forward.BusRead"); };
+    constexpr Addr kA = 8, kB = 9, kC = 10;
+    Word data = 0;
+
+    // Both PEs miss on kA.  A PE's second forward is refused while its
+    // first is queued, whatever its op.
+    ASSERT_FALSE(l1a.cpuAccess({CpuOp::Read, kA}).complete);
+    ASSERT_FALSE(l1b.cpuAccess({CpuOp::Read, kA}).complete);
+    EXPECT_FALSE(cluster.tryRead(kA, 0, data));
+    EXPECT_FALSE(cluster.tryRead(kA, 0, data));
+    Word old = 0;
+    bool success = false;
+    EXPECT_FALSE(cluster.tryRmw(kA, 0, 1, old, success));
+    EXPECT_FALSE(cluster.tryRead(kA, 1, data));
+    EXPECT_EQ(reads(), 2u);
+    EXPECT_EQ(stats.get("hier.forward.BusRmw"), 0u);
+
+    // Completion: PE 0's forward is served globally, so PE 0 may
+    // forward again.
+    EXPECT_EQ(cluster.currentRequest().addr, kA);
+    cluster.requestComplete({42, false, {}});
+    ASSERT_TRUE(l1a.hasCompletion());
+    l1a.takeCompletion();
+    ASSERT_FALSE(l1a.cpuAccess({CpuOp::Read, kB}).complete);
+    EXPECT_FALSE(cluster.tryRead(kB, 0, data));
+    EXPECT_EQ(reads(), 3u);
+
+    // Cancel: the cluster bus serves PE 1's kA read from the new
+    // entry, dropping its queued forward; PE 1 may forward again.
+    EXPECT_TRUE(cluster.tryRead(kA, 1, data));
+    EXPECT_EQ(data, 42u);
+    EXPECT_EQ(stats.get("hier.forward_cancelled"), 1u);
+    l1b.requestComplete({data, false, {}});
+    l1b.takeCompletion();
+    ASSERT_FALSE(l1b.cpuAccess({CpuOp::Read, kB}).complete);
+    EXPECT_FALSE(cluster.tryRead(kB, 1, data));
+    EXPECT_EQ(reads(), 4u);
+
+    // Local resolve: PE 0's kB read completes globally, and the next
+    // poll serves PE 1's queued kB read from the entry it created;
+    // PE 1 may forward again.
+    EXPECT_EQ(cluster.currentRequest().addr, kB);
+    cluster.requestComplete({7, false, {}});
+    EXPECT_FALSE(cluster.hasRequest());
+    EXPECT_EQ(stats.get("hier.forward_resolved_locally"), 1u);
+    ASSERT_TRUE(l1b.hasCompletion());
+    EXPECT_EQ(l1b.takeCompletion().value, 7u);
+    ASSERT_FALSE(l1b.cpuAccess({CpuOp::Read, kC}).complete);
+    EXPECT_FALSE(cluster.tryRead(kC, 1, data));
+    EXPECT_EQ(reads(), 5u);
+    EXPECT_TRUE(cluster.hasRequest());
+}
+
 } // namespace
 } // namespace hier
 } // namespace ddc

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the simulation kernel (sim/kernel.hh) against stub
  * agents: tick ordering, the quiescent-skip window (minimum of every
- * shard's nextEventCycle), budget clamping, and stall-skip flushing.
+ * shard's nextEventCycle), budget clamping, and the stalled-agent
+ * wake list with its bulk stall payments.
  */
 
 #include <gtest/gtest.h>
@@ -215,12 +216,151 @@ TEST(Kernel, StalledAgentWakesOnTheFlag)
 
     EXPECT_EQ(kernel.run(3), RunStatus::TimedOut);
     EXPECT_EQ(stalling.ticks, 1);
-    // The completion arrives: the accrued stalls land before the next
+    // The completion arrives: the owed stalls land before the next
     // tick, then the agent stalls again on its re-issued access.
-    *shard.wakeFlag(0) = 1;
+    shard.raiseWake(0);
     kernel.tickOnce();
     EXPECT_EQ(stalling.ticks, 2);
     EXPECT_EQ(stalling.stallCycles, 2u);
+}
+
+/** Stalls on completion after every tick; logs its slot per tick. */
+class LoggingStaller : public Agent
+{
+  public:
+    LoggingStaller(std::vector<int> &order, int slot)
+        : order(order), slot(slot)
+    {}
+
+    void tick() override { order.push_back(slot); }
+    bool done() const override { return false; }
+    bool stalledOnCompletion() const override { return true; }
+
+  private:
+    std::vector<int> &order;
+    int slot;
+};
+
+TEST(Kernel, WakesRaisedOutOfOrderAreAdmittedInSlotOrder)
+{
+    Clock clock;
+    Kernel kernel(clock, KernelConfig{});
+    Shard &shard = kernel.makeShard(4);
+    std::vector<int> order;
+    LoggingStaller a(order, 0), b(order, 1), c(order, 2), d(order, 3);
+    shard.setAgent(0, &a);
+    shard.setAgent(1, &b);
+    shard.setAgent(2, &c);
+    shard.setAgent(3, &d);
+    shard.rebuild();
+
+    kernel.tickOnce(); // every agent ticks once, then stalls
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    shard.raiseWake(3);
+    shard.raiseWake(0);
+    shard.raiseWake(2);
+    kernel.tickOnce();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 2, 3}));
+    kernel.tickOnce(); // all stalled again: nothing ticks
+    EXPECT_EQ(order.size(), 7u);
+    EXPECT_FALSE(kernel.allDone());
+}
+
+/** Raises a wake for slot 0 of a shard when the clock reaches a cycle. */
+class WakeAt : public Tickable
+{
+  public:
+    WakeAt(const Clock &clock, Shard &shard, Cycle at)
+        : clock(clock), shard(shard), at(at)
+    {}
+
+    void
+    tick() override
+    {
+        if (clock.now == at)
+            shard.raiseWake(0);
+    }
+
+    Cycle
+    nextEventCycle(Cycle now) const override
+    {
+        return now <= at ? at : kNever;
+    }
+
+    void skipCycles(Cycle) override {}
+
+  private:
+    const Clock &clock;
+    Shard &shard;
+    Cycle at;
+};
+
+TEST(Kernel, StallCyclesOwedAcrossAQuiescentSkipArePaidAtWake)
+{
+    Clock clock;
+    Kernel kernel(clock, KernelConfig{});
+    Shard &shard = kernel.makeShard(2);
+    WakeAt waker(clock, shard, 10);
+    shard.addComponent(&waker);
+    StallingAgent stalling;
+    CountingAgent busy(3); // runnable for cycles 0..2, then done
+    shard.setAgent(0, &stalling);
+    shard.setAgent(1, &busy);
+    shard.rebuild();
+
+    EXPECT_EQ(kernel.run(11), RunStatus::TimedOut);
+    // Stalled in cycle 0, woken in cycle 10: it owes cycles 1..9, two
+    // ticked (1, 2) and seven skipped (3..9), and ticks again in 10.
+    EXPECT_EQ(kernel.skippedCycles(), 7u);
+    EXPECT_EQ(stalling.ticks, 2);
+    EXPECT_EQ(stalling.stallCycles, 9u);
+    // Stalled again in cycle 10, the run's last: nothing more owed.
+    kernel.flushStalls();
+    EXPECT_EQ(stalling.stallCycles, 9u);
+}
+
+TEST(Kernel, WakeForARunnableSlotIsIgnored)
+{
+    Clock clock;
+    Kernel kernel(clock, KernelConfig{});
+    Shard &shard = kernel.makeShard(1);
+    StallingAgent stalling;
+    shard.setAgent(0, &stalling);
+    shard.rebuild();
+
+    shard.raiseWake(0); // runnable: nothing to wake
+    kernel.tickOnce();  // ticks, then stalls
+    kernel.tickOnce();  // the early wake did not carry over
+    EXPECT_EQ(stalling.ticks, 1);
+    // A stalled slot woken twice is admitted once.
+    shard.raiseWake(0);
+    shard.raiseWake(0);
+    kernel.tickOnce();
+    EXPECT_EQ(stalling.ticks, 2);
+    EXPECT_EQ(stalling.stallCycles, 1u);
+}
+
+TEST(Kernel, WakeDuringTheAgentPassPanics)
+{
+    /** Wakes slot 0 from inside its own tick. */
+    class SelfWaker : public Agent
+    {
+      public:
+        explicit SelfWaker(Shard &shard) : shard(shard) {}
+        void tick() override { shard.raiseWake(0); }
+        bool done() const override { return false; }
+
+      private:
+        Shard &shard;
+    };
+
+    Clock clock;
+    Kernel kernel(clock, KernelConfig{});
+    Shard &shard = kernel.makeShard(1);
+    SelfWaker waker(shard);
+    shard.setAgent(0, &waker);
+    shard.rebuild();
+    EXPECT_DEATH(kernel.tickOnce(), "during its shard's agent pass");
 }
 
 TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
