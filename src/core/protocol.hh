@@ -26,9 +26,11 @@
 #ifndef DDC_CORE_PROTOCOL_HH
 #define DDC_CORE_PROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace ddc {
@@ -76,6 +78,8 @@ struct CpuReaction
      * never cached (Table 1-1's emulation rule).
      */
     bool allocate = true;
+
+    bool operator==(const CpuReaction &other) const = default;
 };
 
 /** Reaction of a protocol to a snooped bus transaction. */
@@ -96,9 +100,14 @@ struct SnoopReaction
 /**
  * Abstract decentralized cache-coherence scheme.
  *
- * Implementations are stateless policy objects (all per-line state
- * lives in LineState), so one Protocol instance serves every line of
- * every cache.
+ * Implementations are policy objects holding no per-line state (all of
+ * it lives in LineState), so one Protocol instance serves every line
+ * of every cache of one machine.  The base class adds the memoizing
+ * accessors snoop() and access() that the caches' hot paths use; their
+ * tables fill lazily, so they are per-instance mutable state with no
+ * locking.  A Protocol belongs to the one machine that built it, and
+ * the experiment runner never shares a machine across threads
+ * (exp/runner.hh), so no two threads fill one table.
  */
 class Protocol
 {
@@ -166,6 +175,70 @@ class Protocol
     {
         return needsWriteback(state);
     }
+
+    /**
+     * onSnoop through this instance's memo.  The reaction for a
+     * streak-free state is a constant per (tag, op); states carrying
+     * a write streak (RWB FirstWrite) call onSnoop directly.
+     */
+    SnoopReaction
+    snoop(LineState state, BusOp op) const
+    {
+        auto op_index = static_cast<std::size_t>(op);
+        ddc_assert(op_index < kNumSnoopOps,
+                   "snooped an unresolved conditional bus op");
+        if (state.streak != 0)
+            return onSnoop(state, op);
+        // Filled lazily rather than eagerly at construction:
+        // combinations a protocol treats as impossible panic inside
+        // onSnoop, and must keep doing so only when actually reached.
+        auto tag_index = static_cast<std::size_t>(state.tag);
+        if (!snoopMemoValid[tag_index][op_index]) {
+            snoopMemo[tag_index][op_index] = onSnoop(state, op);
+            snoopMemoValid[tag_index][op_index] = true;
+        }
+        return snoopMemo[tag_index][op_index];
+    }
+
+    /**
+     * onCpuAccess through the same kind of memo.  The table is the
+     * instance's own: a reaction may depend on its configuration
+     * (RWB's k decides Readable + Write).
+     */
+    CpuReaction
+    access(LineState state, CpuOp op, DataClass cls) const
+    {
+        if (state.streak != 0)
+            return onCpuAccess(state, op, cls);
+        auto tag_index = static_cast<std::size_t>(state.tag);
+        auto op_index = static_cast<std::size_t>(op);
+        auto cls_index = static_cast<std::size_t>(cls);
+        if (!cpuMemoValid[tag_index][op_index][cls_index]) {
+            cpuMemo[tag_index][op_index][cls_index] =
+                onCpuAccess(state, op, cls);
+            cpuMemoValid[tag_index][op_index][cls_index] = true;
+        }
+        return cpuMemo[tag_index][op_index][cls_index];
+    }
+
+  private:
+    /** Number of LineTag / CpuOp / DataClass enumerators. */
+    static constexpr std::size_t kNumTags = 8;
+    static constexpr std::size_t kNumCpuOps = 5;
+    static constexpr std::size_t kNumClasses = 3;
+    /**
+     * Snooped bus ops are the contiguous enum prefix Read, Write,
+     * Invalidate (the bus resolves Rmw / ReadLock / WriteUnlock to an
+     * effective Read or Write before broadcast).
+     */
+    static constexpr std::size_t kNumSnoopOps = 3;
+
+    /** Snoop reactions for streak-free states, filled lazily. */
+    mutable SnoopReaction snoopMemo[kNumTags][kNumSnoopOps];
+    mutable bool snoopMemoValid[kNumTags][kNumSnoopOps] = {};
+    /** CPU reactions for streak-free states, filled lazily. */
+    mutable CpuReaction cpuMemo[kNumTags][kNumCpuOps][kNumClasses];
+    mutable bool cpuMemoValid[kNumTags][kNumCpuOps][kNumClasses] = {};
 };
 
 } // namespace ddc

@@ -133,8 +133,9 @@ Cache::connectBus(Bus &bus_to_join)
     // and no line is held yet, so the supplier scan can skip us too.
     bus->setRequestArmed(clientIndex, false);
     bus->setSupplier(clientIndex, false);
-    // While armed, hasRequest() is a pure "yes" until a snoop marks
-    // the pending plan stale (markStale), so the bus polls only then.
+    // While armed, hasRequest() is a pure "yes" until a snoop moves the
+    // line reserved for the pending access (markStale), so the bus
+    // polls only then.
     bus->setPollOnStale(clientIndex);
     if (bus->snoopFilterActive()) {
         // Snoops can only matter for lines that react to them, so let
@@ -152,11 +153,28 @@ Cache::setArmed(bool is_armed)
 }
 
 void
-Cache::markStale()
+Cache::markStale(const Line &line)
 {
-    pending.stale = true;
-    if (pending.active)
+    if (!pending.active)
+        return;
+    if (&line == &pendingLine()) {
+        pending.stale = true;
         bus->noteStale(clientIndex);
+        return;
+    }
+#ifndef NDEBUG
+    // The plan is a pure function of the reserved line, so moving any
+    // other line must leave a fresh plan exactly as derived.
+    if (!pending.stale) {
+        CpuReaction reaction =
+            protocol.access(stateFor(pendingLine(), pending.ref.addr),
+                            pending.ref.op, pending.ref.cls);
+        ddc_assert(reaction == pending.reaction &&
+                       computePhase() == pending.phase,
+                   "PE ", pe, ": a snoop on another line moved the plan "
+                   "of the pending access to ", pending.ref.addr);
+    }
+#endif
 }
 
 void
@@ -304,48 +322,13 @@ Cache::stateFor(const Line &line, Addr addr) const
     return line.state;
 }
 
-SnoopReaction
-Cache::snoopReaction(LineState state, BusOp op) const
-{
-    auto op_index = static_cast<std::size_t>(op);
-    ddc_assert(op_index < kNumSnoopOps,
-               "snooped an unresolved conditional bus op");
-    if (state.streak != 0)
-        return protocol.onSnoop(state, op);
-    // Filled lazily rather than eagerly at construction: combinations
-    // a protocol treats as impossible panic inside onSnoop, and must
-    // keep doing so only when actually reached.
-    auto tag_index = static_cast<std::size_t>(state.tag);
-    if (!snoopMemoValid[tag_index][op_index]) {
-        snoopMemo[tag_index][op_index] = protocol.onSnoop(state, op);
-        snoopMemoValid[tag_index][op_index] = true;
-    }
-    return snoopMemo[tag_index][op_index];
-}
-
-CpuReaction
-Cache::cpuReaction(LineState state, CpuOp op, DataClass cls) const
-{
-    if (state.streak != 0)
-        return protocol.onCpuAccess(state, op, cls);
-    auto tag_index = static_cast<std::size_t>(state.tag);
-    auto op_index = static_cast<std::size_t>(op);
-    auto cls_index = static_cast<std::size_t>(cls);
-    if (!cpuMemoValid[tag_index][op_index][cls_index]) {
-        cpuMemo[tag_index][op_index][cls_index] =
-            protocol.onCpuAccess(state, op, cls);
-        cpuMemoValid[tag_index][op_index][cls_index] = true;
-    }
-    return cpuMemo[tag_index][op_index][cls_index];
-}
-
 ReactionClass
 Cache::classOf(LineState state) const
 {
     if (state.tag == LineTag::NotPresent)
         return 0;
     auto reacts = [&](BusOp op) {
-        SnoopReaction reaction = snoopReaction(state, op);
+        SnoopReaction reaction = protocol.snoop(state, op);
         return reaction.supply || reaction.snarf || reaction.next != state;
     };
     auto compute = [&] {
@@ -378,8 +361,8 @@ Cache::setLineState(Line &line, LineState next)
 {
     if (line.state == next)
         return;
-    bool was_supplier = snoopReaction(line.state, BusOp::Read).supply;
-    bool is_supplier = snoopReaction(next, BusOp::Read).supply;
+    bool was_supplier = protocol.snoop(line.state, BusOp::Read).supply;
+    bool is_supplier = protocol.snoop(next, BusOp::Read).supply;
     if (was_supplier != is_supplier) {
         supplierLines += is_supplier ? 1 : std::size_t{0} - 1;
         if (is_supplier ? supplierLines == 1 : supplierLines == 0)
@@ -428,7 +411,7 @@ Cache::cpuAccess(const MemRef &ref)
     accessCounter++;
     Line &line = victimLine(ref.addr);
     LineState state = stateFor(line, ref.addr);
-    CpuReaction reaction = cpuReaction(state, ref.op, ref.cls);
+    CpuReaction reaction = protocol.access(state, ref.op, ref.cls);
 
     if (stateTrace)
         stateCause = "cpu";
@@ -558,8 +541,9 @@ Cache::hasRequest()
 {
     if (!pending.active)
         return false;
-    // Between line mutations the re-derivation is a pure function of
-    // unchanged state, so polling it every cycle is wasted work.
+    // Between moves of the reserved line the re-derivation is a pure
+    // function of unchanged state, so polling it every cycle is wasted
+    // work.
     if (pending.stale)
         revalidatePending();
     return pending.active;
@@ -718,7 +702,7 @@ Cache::wouldSupply(Addr addr, Word &value)
     const Line *line = findLine(addr);
     if (line == nullptr)
         return false;
-    if (!snoopReaction(line->state, BusOp::Read).supply)
+    if (!protocol.snoop(line->state, BusOp::Read).supply)
         return false;
     value = lineData(*line)[static_cast<std::size_t>(addr - line->base)];
     return true;
@@ -743,7 +727,7 @@ Cache::observe(const BusTransaction &txn)
     Line &line = *found;
     LineState state = line.state;
 
-    SnoopReaction reaction = snoopReaction(state, txn.op);
+    SnoopReaction reaction = protocol.snoop(state, txn.op);
     ddc_assert(!reaction.supply,
                "supply decision must be resolved before broadcast");
 
@@ -774,8 +758,8 @@ Cache::observe(const BusTransaction &txn)
         // The pending plan is a pure function of line *state* (data is
         // read only at completion), so a snarf that merely refreshes
         // the value leaves it valid.
-        markStale();
         setLineState(line, reaction.next);
+        markStale(line);
     }
     if (reaction.snarf) {
         if (!txn.block.empty()) {
@@ -802,7 +786,7 @@ Cache::supplied(Addr addr)
     if (stateTrace)
         stateCause = "supply";
     setLineState(*line, protocol.afterSupply(line->state));
-    markStale();
+    markStale(*line);
 }
 
 void
@@ -819,8 +803,8 @@ Cache::revalidatePending()
     // erased / re-created the need for a write-back, fill, or flush.
     Line &line = pendingLine();
     LineState state = stateFor(line, pending.ref.addr);
-    CpuReaction reaction = cpuReaction(state, pending.ref.op,
-                                       pending.ref.cls);
+    CpuReaction reaction = protocol.access(state, pending.ref.op,
+                                           pending.ref.cls);
     if (!reaction.needs_bus) {
         stats.add(statBroadcastFill);
         if (stateTrace)

@@ -20,11 +20,11 @@
  *   Main       - the protocol-chosen transaction for the access.
  *
  * Preconditions of the earlier phases can be erased (or re-created)
- * by snooped transactions, so the whole plan is lazily re-validated
- * when the bus next polls hasRequest() after such a snoop; a pending
- * read whose line was refilled by a snooped broadcast completes
- * without ever using the bus — the RWB scheme's "data can be fetched
- * from any cache".
+ * by snooped transactions on the line reserved for the access, so the
+ * whole plan is lazily re-validated when the bus next polls
+ * hasRequest() after such a snoop; a pending read whose line was
+ * refilled by a snooped broadcast completes without ever using the
+ * bus — the RWB scheme's "data can be fetched from any cache".
  */
 
 #ifndef DDC_SIM_CACHE_HH
@@ -159,7 +159,7 @@ class Cache : public BusClient
     void requestKilled() override;
     PeId peId() const override { return pe; }
 
-    /** Number of LineTag enumerators (snoop memo / census tables). */
+    /** Number of LineTag enumerators (class memo / census tables). */
     static constexpr std::size_t kNumTags = 8;
 
   private:
@@ -202,12 +202,14 @@ class Cache : public BusClient
         /** Line index reserved for this access (stable across phases). */
         std::size_t way_index = 0;
         /**
-         * True when a snoop may have changed the stored reaction or
-         * phase.  The re-derivation is pure in the line array, so
-         * hasRequest() only re-runs it after a line actually mutated
-         * (observe / supplied) instead of on every poll of every
-         * cycle.  Set only through markStale(), which also tells the
-         * bus to poll again.
+         * True when a snoop moved the reserved line, so the stored
+         * reaction or phase may be out of date.  The plan is a pure
+         * function of that one line's state (its base changes only
+         * in this cache's own completions, which re-derive the plan
+         * at once), so hasRequest() re-runs the derivation only after
+         * observe / supplied moved that line: not on every poll, and
+         * not when a snoop moves any other line.  Set only through
+         * markStale(), which also tells the bus to poll again.
          */
         bool stale = false;
         /** Cycle cpuAccess() issued this access (observability). */
@@ -260,22 +262,11 @@ class Cache : public BusClient
 
     /**
      * The snooped ops a line in @p state reacts to, via a per-tag
-     * memo filled like the snoop memo; states carrying a write streak
-     * are computed directly.  NotPresent reacts to nothing.
+     * memo filled lazily like the protocol's snoop memo
+     * (Protocol::snoop); states carrying a write streak are computed
+     * directly.  NotPresent reacts to nothing.
      */
     ReactionClass classOf(LineState state) const;
-
-    /**
-     * Protocol::onSnoop via the constructor-built memo table.
-     * Protocols are stateless policy objects, so the reaction for a
-     * streak-free state is a constant per (tag, op); states carrying
-     * a write streak (RWB FirstWrite) fall back to the virtual call.
-     */
-    SnoopReaction snoopReaction(LineState state, BusOp op) const;
-
-    /** Protocol::onCpuAccess via the same kind of memo table. */
-    CpuReaction cpuReaction(LineState state, CpuOp op,
-                            DataClass cls) const;
 
     /** True when @p line holds the block containing @p addr. */
     bool holdsBlock(const Line &line, Addr addr) const;
@@ -303,11 +294,13 @@ class Cache : public BusClient
     void setArmed(bool is_armed);
 
     /**
-     * A snoop moved a line: flag the pending plan for re-derivation
-     * and, while an access is pending, have the bus poll this cache
-     * at its next free cycle (the Bus::setPollOnStale promise).
+     * A snoop moved @p line.  When it is the line reserved for a
+     * pending access, flag the plan for re-derivation and have the
+     * bus poll this cache at its next free cycle (the
+     * Bus::setPollOnStale promise); a move of any other line cannot
+     * change the plan and costs nothing.
      */
-    void markStale();
+    void markStale(const Line &line);
 
     /** Emit a tag-transition instant (stateTrace known non-null). */
     void traceStateChange(LineTag from, LineTag to, Addr base);
@@ -315,12 +308,6 @@ class Cache : public BusClient
     /** Number of CpuOp / DataClass enumerators (handle table). */
     static constexpr std::size_t kNumCpuOps = 5;
     static constexpr std::size_t kNumClasses = 3;
-    /**
-     * Snooped bus ops are the contiguous enum prefix Read, Write,
-     * Invalidate (the bus resolves Rmw / ReadLock / WriteUnlock to an
-     * effective Read or Write before broadcast).
-     */
-    static constexpr std::size_t kNumSnoopOps = 3;
 
     PeId pe;
     const Protocol &protocol;
@@ -369,15 +356,9 @@ class Cache : public BusClient
      */
     stats::CounterId refStat[kNumCpuOps][2][kNumClasses];
 
-    /** Snoop reactions for streak-free states, filled lazily. */
-    mutable SnoopReaction snoopMemo[kNumTags][kNumSnoopOps];
-    mutable bool snoopMemoValid[kNumTags][kNumSnoopOps] = {};
     /** Reaction classes for streak-free states, filled lazily. */
     mutable ReactionClass classMemo[kNumTags];
     mutable bool classMemoValid[kNumTags] = {};
-    /** CPU reactions for streak-free states, filled lazily. */
-    mutable CpuReaction cpuMemo[kNumTags][kNumCpuOps][kNumClasses];
-    mutable bool cpuMemoValid[kNumTags][kNumCpuOps][kNumClasses] = {};
 
     /** State-category trace buffer (null when not traced). */
     obs::TraceBuffer *stateTrace = nullptr;

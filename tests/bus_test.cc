@@ -903,5 +903,115 @@ TEST(BusPolling, ReadySetSpansTheWordBoundary)
     EXPECT_TRUE(bus.idle());
 }
 
+/** A cache that counts the bus's hasRequest() calls. */
+class CountingCache : public Cache
+{
+  public:
+    using Cache::Cache;
+
+    bool
+    hasRequest() override
+    {
+        calls++;
+        return Cache::hasRequest();
+    }
+
+    int calls = 0;
+};
+
+#ifdef NDEBUG
+constexpr int kCheckCalls = 0;
+#else
+/**
+ * Debug builds' polling cross-check asks each armed, unpolled
+ * opted-in client once more after every polling pass; that call is
+ * not a poll.
+ */
+constexpr int kCheckCalls = 1;
+#endif
+
+/**
+ * The stale-mark contract: only a snoop that moves the line reserved
+ * for a pending access makes the bus poll the cache.  The writer is a
+ * scripted client at index 0, so under FixedPriority it wins every
+ * cycle it requests.
+ */
+class StaleMarkTest : public ::testing::Test
+{
+  protected:
+    StaleMarkTest()
+    {
+        bus.attach(&writer);
+        cache.connectBus(bus);
+    }
+
+    /** Run one read of @p addr on the cache to completion. */
+    void
+    read(Addr addr)
+    {
+        if (cache.cpuAccess({CpuOp::Read, addr}).complete)
+            return;
+        for (int cycle = 0; !cache.hasCompletion(); cycle++) {
+            ASSERT_LT(cycle, 16) << "access never completed";
+            bus.tick();
+        }
+        cache.takeCompletion();
+    }
+
+    stats::CounterSet stats;
+    Clock clock;
+    Memory memory{stats};
+    Bus bus{memory, ArbiterKind::FixedPriority, clock, stats};
+    RbProtocol rb;
+    FakeClient writer{0};
+    CountingCache cache{1, 16, rb, clock, stats};
+};
+
+TEST_F(StaleMarkTest, WriteInvalidatingAnotherLineCausesNoPoll)
+{
+    memory.write(9, 42);
+    read(8); // line 8: R
+    ASSERT_FALSE(cache.cpuAccess({CpuOp::Read, 9}).complete);
+    writer.push({BusOp::Write, 8, 5, false, {}});
+    writer.push({BusOp::Write, 100, 6, false, {}});
+
+    bus.tick(); // the writer's write invalidates line 8, not line 9
+    EXPECT_EQ(cache.lineState(8).tag, LineTag::Invalid);
+    cache.calls = 0;
+    bus.tick(); // the writer wins again; the pending plan is untouched
+    EXPECT_EQ(cache.calls, kCheckCalls);
+    EXPECT_EQ(writer.completions.size(), 2u);
+    EXPECT_FALSE(cache.hasCompletion());
+
+    bus.tick(); // the planned read is granted and completes
+    ASSERT_TRUE(cache.hasCompletion());
+    EXPECT_EQ(cache.takeCompletion().value, 42u);
+    EXPECT_EQ(cache.lineState(9).tag, LineTag::Readable);
+    EXPECT_EQ(stats.get("bus.read"), 2u);
+    EXPECT_EQ(stats.get("cache.broadcast_fill"), 0u);
+}
+
+TEST_F(StaleMarkTest, ReadBroadcastSnarfingThePendingLinePollsOnce)
+{
+    read(8); // line 8: R
+    writer.push({BusOp::Write, 8, 5, false, {}});
+    bus.tick(); // line 8: I
+    ASSERT_EQ(cache.lineState(8).tag, LineTag::Invalid);
+    ASSERT_FALSE(cache.cpuAccess({CpuOp::Read, 8}).complete);
+    writer.push({BusOp::Read, 8, 0, false, {}});
+
+    bus.tick(); // the writer's read wins; the broadcast refills line 8
+    EXPECT_EQ(cache.lineState(8).tag, LineTag::Readable);
+    cache.calls = 0;
+    bus.tick(); // one poll finds the read satisfied
+    // The completing poll disarms the cache, so the cross-check does
+    // not ask again.
+    EXPECT_EQ(cache.calls, 1);
+    ASSERT_TRUE(cache.hasCompletion());
+    EXPECT_EQ(cache.takeCompletion().value, 5u);
+    EXPECT_EQ(stats.get("cache.broadcast_fill"), 1u);
+    EXPECT_TRUE(bus.idle());
+}
+
 } // namespace
 } // namespace ddc

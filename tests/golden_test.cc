@@ -274,5 +274,270 @@ pe.stall_cycles = 41285
 )");
 }
 
+/**
+ * The cases below were captured from the build immediately before
+ * snoops marked a pending access stale only when they moved its own
+ * line, and before the reaction memo tables moved from every cache
+ * into the machine's one Protocol.  Each pins the cycle count, the
+ * status, the bus operations and the full counter report.
+ */
+
+TEST(Golden, RwbBlocksAndWaysWithStreaksMatchesBaseline)
+{
+    // RWB with k = 3 on 4-word blocks in 2-way sets: write-allocate
+    // Fill phases for absent and Invalid blocks, snoops that move the
+    // other way of the reserved line's set, and write streaks that
+    // reach F2 before a line goes Local.  The 64-word footprint fits
+    // the cache, so nothing is evicted.
+    SystemConfig config;
+    config.num_pes = 8;
+    config.protocol = ProtocolKind::Rwb;
+    config.rwb_writes_to_local = 3;
+    config.cache_lines = 16;
+    config.block_words = 4;
+    config.ways = 2;
+    config.memory_latency = 2;
+    auto trace = makeUniformRandomTrace(8, 1000, 64, 0.3, 0.05, 3);
+    auto summary = runTrace(config, trace, true);
+
+    EXPECT_TRUE(summary.completed);
+    EXPECT_EQ(summary.status, RunStatus::Finished);
+    EXPECT_TRUE(summary.consistent);
+    EXPECT_EQ(summary.cycles, 9023u);
+    EXPECT_EQ(summary.skipped_cycles, 1271u);
+    EXPECT_EQ(summary.bus_transactions, 9010u);
+    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 9010
+bus.idle_cycles = 13
+bus.invalidate = 17
+bus.kill = 16
+bus.read = 128
+bus.rmw = 397
+bus.rmw_fail = 389
+bus.rmw_success = 8
+bus.supply_write = 16
+bus.transfer_cycles = 6150
+bus.write = 2318
+cache.broadcast_fill = 16
+cache.fill = 41
+cache.invalidated = 119
+cache.read_hit.Shared = 5181
+cache.read_miss.Shared = 103
+cache.refs = 8000
+cache.snarf = 16053
+cache.supply = 16
+cache.ts.Shared = 397
+cache.write_miss.Shared = 2319
+memory.block_read = 128
+memory.block_write = 16
+memory.read = 397
+memory.write = 2327
+pe.stall_cycles = 62764
+)");
+}
+
+TEST(Golden, RwbCmStarEvictionsWithWritebacksMatchesBaseline)
+{
+    // ddcsim --workload cmstar_a --pes 8 --refs 2000 --seed 7
+    //        --protocol RWB --lines 16 --block 4 --ways 2 --check
+    // Local data written to Local and then evicted: Writeback phases
+    // whose reserved line holds the dirty victim, next to shared
+    // blocks that other caches' snoops move.
+    SystemConfig config;
+    config.num_pes = 8;
+    config.protocol = ProtocolKind::Rwb;
+    config.cache_lines = 16;
+    config.block_words = 4;
+    config.ways = 2;
+    auto trace = makeCmStarTrace(cmStarApplicationA(), 8, 2000, 7);
+    auto summary = runTrace(config, trace, true);
+
+    EXPECT_TRUE(summary.completed);
+    EXPECT_EQ(summary.status, RunStatus::Finished);
+    EXPECT_TRUE(summary.consistent);
+    EXPECT_EQ(summary.cycles, 33616u);
+    EXPECT_EQ(summary.skipped_cycles, 11705u);
+    EXPECT_EQ(summary.bus_transactions, 33615u);
+    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 33615
+bus.idle_cycles = 1
+bus.invalidate = 278
+bus.read = 7752
+bus.transfer_cycles = 24078
+bus.write = 1507
+cache.fill = 816
+cache.read_hit.Code = 5500
+cache.read_hit.Local = 1947
+cache.read_hit.Shared = 6
+cache.read_miss.Code = 4724
+cache.read_miss.Local = 1639
+cache.read_miss.Shared = 573
+cache.refs = 16000
+cache.snarf = 11
+cache.write_hit.Local = 101
+cache.write_miss.Local = 1280
+cache.write_miss.Shared = 230
+cache.writeback = 275
+memory.block_read = 7752
+memory.block_write = 275
+memory.write = 1510
+pe.stall_cycles = 252017
+)");
+}
+
+TEST(Golden, WriteOnceMigratoryInFourWaySetsMatchesBaseline)
+{
+    // Goodman's write-once on a 24-word migratory record through
+    // 16-line, 4-way caches: LRU victims in every set while each
+    // turn's writes invalidate the previous owner's copy.
+    SystemConfig config;
+    config.num_pes = 8;
+    config.protocol = ProtocolKind::WriteOnce;
+    config.cache_lines = 16;
+    config.ways = 4;
+    auto trace = makeMigratoryTrace(8, 24, 3);
+    auto summary = runTrace(config, trace, true);
+
+    EXPECT_TRUE(summary.completed);
+    EXPECT_EQ(summary.status, RunStatus::Finished);
+    EXPECT_TRUE(summary.consistent);
+    EXPECT_EQ(summary.cycles, 1153u);
+    EXPECT_EQ(summary.skipped_cycles, 0u);
+    EXPECT_EQ(summary.bus_transactions, 1152u);
+    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 1152
+bus.idle_cycles = 1
+bus.read = 576
+bus.write = 576
+cache.invalidated = 1008
+cache.read_miss.Shared = 576
+cache.refs = 1152
+cache.write_miss.Shared = 576
+memory.read = 576
+memory.write = 576
+pe.stall_cycles = 8044
+)");
+}
+
+TEST(Golden, DirectoryClusteredRbMatchesBaseline)
+{
+    // Section 8's clustered sharing (80% cluster-local, 30% writes) on
+    // 8 clusters of 4 PEs and 2 homes: every broadcast on a cluster
+    // bus moves several L1 lines, few of them any cache's pending line.
+    hier::HierConfig config;
+    config.num_clusters = 8;
+    config.pes_per_cluster = 4;
+    config.global = hier::GlobalKind::Directory;
+    config.home_nodes = 2;
+    config.record_log = true;
+
+    hier::HierSystem system(config);
+    system.loadTrace(makeClusteredTrace(8, 4, 500, 0.8, 0.3, 5));
+    Cycle cycles = system.run();
+
+    EXPECT_TRUE(system.allDone());
+    EXPECT_FALSE(system.timedOut());
+    EXPECT_EQ(cycles, 2016u);
+    EXPECT_EQ(system.skippedCycles(), 0u);
+    EXPECT_EQ(system.globalBusTransactions(), 3262u);
+    EXPECT_EQ(system.clusterBusTransactions(), 15420u);
+    EXPECT_TRUE(checkSerialConsistency(system.log()).consistent);
+    EXPECT_EQ(system.counters().report(), R"(bus.busy_cycles = 18682
+bus.idle_cycles = 1478
+bus.kill = 2893
+bus.nack = 5434
+bus.nack.BusRead = 3467
+bus.nack.BusWrite = 1967
+bus.read = 5626
+bus.supply_write = 2893
+bus.write = 7622
+cache.broadcast_fill = 104
+cache.invalidated = 9116
+cache.read_hit.Shared = 5475
+cache.read_miss.Shared = 5764
+cache.refs = 16000
+cache.snarf = 4382
+cache.supply = 2802
+cache.write_hit.Shared = 362
+cache.write_miss.Shared = 4399
+cache.writeback = 341
+dir.msg.ack = 2013
+dir.msg.fwd = 612
+dir.msg.inval = 2013
+dir.msg.request = 3262
+dir.msg.update = 3097
+hier.absorbed.read = 4019
+hier.absorbed.write = 3686
+hier.downward_broadcast = 7771
+hier.dropped_read_completion = 2
+hier.forward.BusRead = 1653
+hier.forward.BusWrite = 1056
+hier.forward_cancelled = 12
+hier.forward_resolved_locally = 47
+hier.global_invalidation = 2013
+hier.pull = 8
+hier.supply = 612
+memory.read = 1607
+memory.write = 1655
+pe.stall_cycles = 45316
+)");
+}
+
+TEST(Golden, RwbMachinesWithDifferentKKeepTheirOwnReactions)
+{
+    // A k = 1 machine runs to completion first, then a k = 2 machine:
+    // RWB's reaction to a write on a Readable line depends on k, so a
+    // reaction table shared between Protocol instances (static, or
+    // keyed by type) would hand the second machine the first one's.
+    auto run = [](int k) {
+        SystemConfig config;
+        config.protocol = ProtocolKind::Rwb;
+        config.rwb_writes_to_local = k;
+        return runTrace(config, makeMigratoryTrace(4, 8, 6), true);
+    };
+
+    auto first = run(1);
+    EXPECT_EQ(first.status, RunStatus::Finished);
+    EXPECT_TRUE(first.consistent);
+    EXPECT_EQ(first.cycles, 331u);
+    EXPECT_EQ(first.bus_transactions, 289u);
+    EXPECT_EQ(first.counters.report(), R"(bus.busy_cycles = 289
+bus.idle_cycles = 42
+bus.invalidate = 185
+bus.kill = 72
+bus.read = 32
+bus.supply_write = 72
+bus.write = 72
+cache.broadcast_fill = 145
+cache.invalidated = 345
+cache.read_hit.Shared = 15
+cache.read_miss.Shared = 177
+cache.refs = 384
+cache.snarf = 216
+cache.supply = 72
+cache.write_hit.Shared = 7
+cache.write_miss.Shared = 185
+memory.read = 32
+memory.write = 257
+pe.stall_cycles = 911
+)");
+
+    auto second = run(2);
+    EXPECT_EQ(second.status, RunStatus::Finished);
+    EXPECT_TRUE(second.consistent);
+    EXPECT_EQ(second.cycles, 225u);
+    EXPECT_EQ(second.bus_transactions, 224u);
+    EXPECT_EQ(second.counters.report(), R"(bus.busy_cycles = 224
+bus.idle_cycles = 1
+bus.read = 32
+bus.write = 192
+cache.read_hit.Shared = 160
+cache.read_miss.Shared = 32
+cache.refs = 384
+cache.snarf = 576
+cache.write_miss.Shared = 192
+memory.read = 32
+memory.write = 192
+pe.stall_cycles = 510
+)");
+}
+
 } // namespace
 } // namespace ddc
