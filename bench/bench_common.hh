@@ -14,12 +14,18 @@
  *                output is byte-identical for every N
  *   --json PATH  write the collected results (conventionally
  *                results.json) after the reproduction
- *   --timing     include per-run wall_time_ms / sim_cycles_per_sec /
- *                skipped_cycles / skip_fraction in the JSON
- *                (host-dependent, so off by default)
+ *   --timing     add each run's "engine" object to the JSON: every
+ *                host- or knob-dependent value (wall clock, sim
+ *                rate, skipped cycles, snoop visits, ...); off by
+ *                default, and the only key a comparison strips
  *   --no-skip    disable quiescent-cycle skipping process-wide
  *                (A/B baseline; tables and JSON are byte-identical
  *                with or without it, the run is just slower)
+ *   --no-snoop-filter
+ *                disable the snoop filter process-wide (A/B
+ *                baseline, byte-identical like --no-skip)
+ * plus the observability flags (--trace-out, --trace-categories,
+ * --histograms, --sample-every, --profile); see exp/session.hh.
  */
 
 #ifndef DDC_BENCH_COMMON_HH

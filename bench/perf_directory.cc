@@ -148,21 +148,19 @@ printReproduction(exp::Session &session)
                     system.loadTrace(trace);
                     exp::RunResult result;
                     result.cycles = system.run();
-                    result.skipped_cycles = system.skippedCycles();
                     result.bus_transactions =
                         system.globalBusTransactions();
-                    result.snoop_visits = system.globalVisits();
-                    result.snoop_filter_fallbacks =
+                    exp::EngineReport &engine = result.engine;
+                    engine.skipped_cycles = system.skippedCycles();
+                    engine.snoop_visits = system.globalVisits();
+                    engine.snoop_filter_fallbacks =
                         system.snoopFilterFallbacks();
                     if (auto *fabric = system.directoryFabric()) {
-                        result.directory_blocks =
-                            fabric->directoryBlocks();
-                        result.directory_max_load_factor =
+                        engine.directory_blocks = fabric->directoryBlocks();
+                        engine.directory_max_load_factor =
                             fabric->maxLoadFactor();
-                        result.setMetric("route_phase_ms",
-                                         fabric->routePhaseMs());
-                        result.setMetric("serve_phase_ms",
-                                         fabric->servePhaseMs());
+                        engine.route_phase_ms = fabric->routePhaseMs();
+                        engine.serve_phase_ms = fabric->servePhaseMs();
                         // Hot-home skew: peak over mean per-home
                         // message count (1.0 = perfectly balanced).
                         double mean = fabric->meanHomeMessages();
@@ -206,7 +204,8 @@ printReproduction(exp::Session &session)
         const auto *best = &results[first];
         for (std::size_t r = 1; r < kReps; r++) {
             const auto &rep = results[first + r];
-            if (rep.sim_cycles_per_sec > best->sim_cycles_per_sec)
+            if (rep.engine.sim_cycles_per_sec >
+                best->engine.sim_cycles_per_sec)
                 best = &rep;
         }
         return *best;
@@ -226,10 +225,11 @@ printReproduction(exp::Session &session)
             if (first == static_cast<std::size_t>(-1))
                 continue;
             const auto &best = bestRep(first);
+            const auto &engine = best.engine;
             bool directory = mode == 1;
             double per_txn =
                 best.bus_transactions > 0
-                    ? static_cast<double>(best.snoop_visits) /
+                    ? static_cast<double>(engine.snoop_visits) /
                           static_cast<double>(best.bus_transactions)
                     : 0.0;
             table.addRow(
@@ -239,21 +239,17 @@ printReproduction(exp::Session &session)
                            : "-",
                  std::to_string(best.cycles),
                  std::to_string(best.bus_transactions),
-                 std::to_string(best.snoop_visits),
+                 std::to_string(engine.snoop_visits),
                  Table::num(per_txn, 1),
-                 Table::num(best.wall_time_ms, 2),
-                 directory
-                     ? Table::num(best.metric("route_phase_ms"), 2)
-                     : "-",
-                 directory
-                     ? Table::num(best.metric("serve_phase_ms"), 2)
-                     : "-",
-                 directory ? std::to_string(best.directory_blocks)
+                 Table::num(engine.wall_time_ms, 2),
+                 directory ? Table::num(engine.route_phase_ms, 2) : "-",
+                 directory ? Table::num(engine.serve_phase_ms, 2) : "-",
+                 directory ? std::to_string(engine.directory_blocks)
                            : "-",
                  directory
-                     ? Table::num(best.directory_max_load_factor, 2)
+                     ? Table::num(engine.directory_max_load_factor, 2)
                      : "-",
-                 perMega(best.sim_cycles_per_sec)});
+                 perMega(engine.sim_cycles_per_sec)});
         }
     }
     std::cout << table.render() << "\n";

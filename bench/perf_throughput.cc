@@ -23,9 +23,9 @@
  *
  * Unlike the reproduction benches this binary's output is host-
  * dependent by design: it forces --timing on, so its JSON rows carry
- * wall_time_ms / sim_cycles_per_sec.  Methodology (EXPERIMENTS.md):
- * measure on a Release build with --jobs 1 so points never compete
- * for cores.
+ * an "engine" object (wall_time_ms, sim_cycles_per_sec, ...).
+ * Methodology (EXPERIMENTS.md): measure on a Release build with
+ * --jobs 1 so points never compete for cores.
  */
 
 #include "bench_common.hh"
@@ -106,16 +106,17 @@ printReproduction(exp::Session &session)
     for (auto kind : kinds) {
         for (int m : kPeCounts) {
             const auto &result = trace_results[flat++];
+            const auto &engine = result.engine;
             double refs_per_sec =
-                result.wall_time_ms > 0.0
+                engine.wall_time_ms > 0.0
                     ? static_cast<double>(result.total_refs) /
-                          (result.wall_time_ms / 1000.0)
+                          (engine.wall_time_ms / 1000.0)
                     : 0.0;
             trace_table.addRow({std::string(toString(kind)),
                                 std::to_string(m),
                                 std::to_string(result.cycles),
-                                Table::num(result.wall_time_ms, 2),
-                                perMega(result.sim_cycles_per_sec),
+                                Table::num(engine.wall_time_ms, 2),
+                                perMega(engine.sim_cycles_per_sec),
                                 perMega(refs_per_sec)});
         }
     }
@@ -161,7 +162,8 @@ printReproduction(exp::Session &session)
         const auto *best = &scale_results[first];
         for (std::size_t r = 1; r < kScaleReps; r++) {
             const auto &rep = scale_results[first + r];
-            if (rep.sim_cycles_per_sec > best->sim_cycles_per_sec)
+            if (rep.engine.sim_cycles_per_sec >
+                best->engine.sim_cycles_per_sec)
                 best = &rep;
         }
         return *best;
@@ -176,16 +178,16 @@ printReproduction(exp::Session &session)
         const auto &off = bestRep(2 * kScaleReps * i + kScaleReps);
         // Both arms simulate the same cycles, so the sim-rate ratio
         // is the sim-loop time ratio, undiluted by point setup.
-        double speedup = off.sim_cycles_per_sec > 0.0
-                             ? on.sim_cycles_per_sec /
-                                   off.sim_cycles_per_sec
+        double speedup = off.engine.sim_cycles_per_sec > 0.0
+                             ? on.engine.sim_cycles_per_sec /
+                                   off.engine.sim_cycles_per_sec
                              : 0.0;
         scale_table.addRow({std::to_string(kScalePeCounts[i]),
                             std::to_string(on.cycles),
-                            std::to_string(on.snoop_visits),
-                            std::to_string(off.snoop_visits),
-                            perMega(on.sim_cycles_per_sec),
-                            perMega(off.sim_cycles_per_sec),
+                            std::to_string(on.engine.snoop_visits),
+                            std::to_string(off.engine.snoop_visits),
+                            perMega(on.engine.sim_cycles_per_sec),
+                            perMega(off.engine.sim_cycles_per_sec),
                             Table::num(speedup, 2)});
     }
     std::cout << scale_table.render() << "\n";
@@ -228,8 +230,8 @@ printReproduction(exp::Session &session)
             lock_table.addRow({std::string(sync::toString(lock)),
                                std::to_string(m),
                                std::to_string(result.cycles),
-                               Table::num(result.wall_time_ms, 2),
-                               perMega(result.sim_cycles_per_sec)});
+                               Table::num(result.engine.wall_time_ms, 2),
+                               perMega(result.engine.sim_cycles_per_sec)});
         }
     }
     std::cout << lock_table.render() << "\n";
@@ -259,7 +261,7 @@ printReproduction(exp::Session &session)
             auto lock_result = sync::runLockExperiment(config);
             exp::RunResult result;
             result.cycles = lock_result.cycles;
-            result.skipped_cycles = lock_result.skipped_cycles;
+            result.engine.skipped_cycles = lock_result.skipped_cycles;
             result.bus_transactions = lock_result.bus_transactions;
             return result;
         });
@@ -275,15 +277,16 @@ printReproduction(exp::Session &session)
             const auto &result = idle_results[flat++];
             double skip_pct =
                 result.cycles > 0
-                    ? 100.0 * static_cast<double>(result.skipped_cycles) /
+                    ? 100.0 *
+                          static_cast<double>(result.engine.skipped_cycles) /
                           static_cast<double>(result.cycles)
                     : 0.0;
             idle_table.addRow({std::string(sync::toString(lock)),
                                std::to_string(latency),
                                std::to_string(result.cycles),
                                Table::num(skip_pct, 1),
-                               Table::num(result.wall_time_ms, 2),
-                               perMega(result.sim_cycles_per_sec)});
+                               Table::num(result.engine.wall_time_ms, 2),
+                               perMega(result.engine.sim_cycles_per_sec)});
         }
     }
     std::cout << idle_table.render() << "\n";

@@ -4,22 +4,17 @@
     compare_runs.py BASE OTHER [OTHER ...]
 
 Each OTHER must equal BASE once the keys in DROP are removed at every
-nesting level: the host-dependent timings, and the fast-path accounting
-(skip counts, snoop visits, directory layout) that the A/B flags move
-on purpose.  Prints one line per agreeing pair and exits 1 at the first
-pair that differs.
+nesting level.  Every host- or knob-dependent value (timings, skip
+counts, snoop visits, directory table layout, fabric phase times)
+lives in one "engine" object per run, so that is the only key dropped.
+Prints one line per agreeing pair and exits 1 at the first pair that
+differs.
 """
 
 import json
 import sys
 
-DROP = {"wall_time_ms", "sim_time_ms", "sim_cycles_per_sec",
-        "skipped_cycles", "skip_fraction", "snoop_visits",
-        "snoop_filter_fallbacks", "directory_blocks",
-        "directory_max_load_factor", "route_phase_ms",
-        "serve_phase_ms", "home_latency_p50",
-        "home_latency_p90", "home_latency_p99",
-        "hot_home_skew"}
+DROP = {"engine"}
 
 
 def strip(doc):

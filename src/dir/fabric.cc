@@ -1,5 +1,6 @@
 #include "dir/fabric.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "base/logging.hh"
@@ -21,6 +22,7 @@ DirectoryFabric::DirectoryFabric(int home_nodes,
         homes.push_back(std::make_unique<HomeNode>(h, arbiter_kind,
                                                    arbiter_seed, stats));
     }
+    touchedHomes.resize(homes.size());
     statIdle = stats.intern("bus.idle_cycles");
 }
 
@@ -29,26 +31,27 @@ DirectoryFabric::attach(BusClient *client)
 {
     ddc_assert(client != nullptr, "null fabric client");
     clients.push_back(client);
-    armed.push_back(1);
+    int index = static_cast<int>(clients.size()) - 1;
+    armed.resize(clients.size());
+    armed.set(index);
     armedCount++;
-    armEvents++;
-    return static_cast<int>(clients.size()) - 1;
+    armedSinceRoute = true;
+    return index;
 }
 
 void
 DirectoryFabric::setRequestArmed(int client, bool is_armed)
 {
-    auto index = static_cast<std::size_t>(client);
-    ddc_assert(index < clients.size(), "bad fabric client index ",
-               client);
-    char flag = is_armed ? 1 : 0;
-    if (armed[index] == flag)
+    ddc_assert(static_cast<std::size_t>(client) < clients.size(),
+               "bad fabric client index ", client);
+    if (armed.test(client) == is_armed)
         return;
-    armed[index] = flag;
     if (is_armed) {
+        armed.set(client);
         armedCount++;
-        armEvents++;
+        armedSinceRoute = true;
     } else {
+        armed.reset(client);
         armedCount--;
     }
 }
@@ -81,49 +84,27 @@ DirectoryFabric::tick()
         routeStart = clock::now();
 
     // ---- Route phase: O(armed), not O(clients). -------------------
-    // A stale dense list only ever *over*-covers the armed set (a
-    // disarm leaves its entry behind until compacted; an arm bumps
-    // armEvents and forces a rebuild below), so walking it visits
-    // every armed client, in ascending order — exactly the snooping
-    // bus's requester collection.  Routing happens on the side-
-    // effect-free pendingAddr (hasRequest may lazily resolve
-    // forwards, so it runs first, exactly once, like on the bus).
+    // Walk the armed set in ascending order and re-read it after each
+    // poll, exactly the snooping bus's requester collection.  Routing
+    // happens on the side-effect-free pendingAddr (hasRequest may
+    // lazily resolve forwards, so it runs first, exactly once, like
+    // on the bus).
+    armedSinceRoute = false;
     std::size_t posted = 0;
-    if (armedClients() > 0 || !armedList.empty()) {
-        if (armEvents != seenArmEvents) {
-            seenArmEvents = armEvents;
-            armedList.clear();
-            for (std::size_t i = 0; i < clients.size(); i++) {
-                if (armed[i])
-                    armedList.push_back(static_cast<int>(i));
-            }
-        }
-        std::size_t kept = 0;
-        for (int c : armedList) {
-            auto index = static_cast<std::size_t>(c);
-            if (!armed[index])
-                continue; // Disarmed since the last pass; compact.
-            // Keep the entry *before* polling: hasRequest may disarm
-            // the client mid-call (local resolution), and dropping it
-            // here while its slot re-arms later the same cycle would
-            // lose it.  The stale entry costs one compaction check.
-            armedList[kept++] = c;
-            if (!clients[index]->hasRequest())
-                continue;
-            int h = homeOf(clients[index]->pendingAddr());
-            HomeNode &target = *homes[static_cast<std::size_t>(h)];
-            if (target.inboxEmpty())
-                touchedHomes.push_back(h);
-            target.post(c);
-            posted++;
-            // Stamp the first routing of this pending request; the
-            // serving home clears the mark at completion
-            // (home_service latency), so reposted retries keep it.
-            if (homeObs.requestStart != nullptr &&
-                requestStart[index] == kNever)
-                requestStart[index] = homeObs.clock->now;
-        }
-        armedList.resize(kept);
+    for (int c = armed.first(); c >= 0; c = armed.nextAfter(c)) {
+        auto index = static_cast<std::size_t>(c);
+        if (!clients[index]->hasRequest())
+            continue;
+        int h = homeOf(clients[index]->pendingAddr());
+        touchedHomes.set(h);
+        homes[static_cast<std::size_t>(h)]->post(c);
+        posted++;
+        // Stamp the first routing of this pending request; the
+        // serving home clears the mark at completion
+        // (home_service latency), so reposted retries keep it.
+        if (homeObs.requestStart != nullptr &&
+            requestStart[index] == kNever)
+            requestStart[index] = homeObs.clock->now;
     }
     lastRoutingPosted = posted;
 
@@ -140,15 +121,16 @@ DirectoryFabric::tick()
     // order (clusters must observe cross-home deliveries in the same
     // order as the dense scan); batch the rest's idle accounting
     // through the shared counter handle.
-    std::sort(touchedHomes.begin(), touchedHomes.end());
-    for (int h : touchedHomes) {
+    std::size_t served = 0;
+    for (int h = touchedHomes.first(); h >= 0;
+         h = touchedHomes.nextAfter(h)) {
         homes[static_cast<std::size_t>(h)]->tick(clients, visitCount);
         homes[static_cast<std::size_t>(h)]->clearInbox();
+        served++;
     }
-    std::size_t untouched = homes.size() - touchedHomes.size();
-    if (untouched > 0)
-        stats.add(statIdle, untouched);
     touchedHomes.clear();
+    if (served < homes.size())
+        stats.add(statIdle, homes.size() - served);
 
     if (profile) {
         profile->fabric_serve_ms +=
@@ -165,8 +147,7 @@ DirectoryFabric::skipCycles(Cycle count)
     // kNever: no armed client at all, or a quiescent routing pass
     // (nothing posted, no arm event since).
     ddc_assert(armedClients() == 0 ||
-                   (lastRoutingPosted == 0 &&
-                    armEvents == seenArmEvents),
+                   (lastRoutingPosted == 0 && !armedSinceRoute),
                "skipped across a home-node grant opportunity");
     if (count > 0)
         stats.add(statIdle, count * homes.size());

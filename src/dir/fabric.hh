@@ -14,34 +14,35 @@
  * transaction is O(sharers), and fabric memory is O(blocks held) +
  * O(clusters), never O(clusters) *per block* and never O(PEs).
  *
- * The per-cycle hot path is O(armed), not O(clients): the serial
- * phase keeps a dense ascending list of armed clients (rebuilt from
- * the per-client armed slots whenever an arm event was published,
- * lazily compacted otherwise), and only the homes that actually
- * received a request this cycle are ticked — the rest are idle-
- * accounted in one batched counter add, which is byte-identical to
- * ticking each of them because every home interns the same
- * "bus.idle_cycles" handle in the shared counter set.
+ * The per-cycle hot path is O(armed), not O(clients): routing walks
+ * one word-bitset of armed clients (the bus's ClientMask), and only
+ * the homes that actually received a request this cycle are ticked —
+ * the rest are idle-accounted in one batched counter add, which is
+ * byte-identical to ticking each of them because every home interns
+ * the same "bus.idle_cycles" handle in the shared counter set.
  *
  * Determinism and equivalence:
- *  - The armed list is ascending and touched homes are served in
+ *  - Routing walks the armed set in ascending order and re-reads it
+ *    after each poll, the bus's rule, and touched homes are served in
  *    ascending id order on the serial shard, so requester collection,
  *    arbiter streams, and cross-home delivery order are byte-
  *    identical to the dense scan.  (Homes tick in the serial shard,
  *    before the clusters: the snooping bus commits
  *    supply/kill/deliver atomically within a cycle, and the clusters
- *    observe cross-home deliveries in home order.)
+ *    observe cross-home deliveries in home order.)  A poll arms or
+ *    disarms only the polled client itself: ClusterCache::hasRequest
+ *    resolves forwards inside its own cluster and re-arms only its
+ *    own slot, so no poll can arm a higher client mid-walk.
  *  - With H = 1 the fabric reduces to the snooping global bus
  *    cycle-for-cycle: same requester collection, same arbiter
  *    stream, same memory/lock semantics, same counter family —
  *    deliveries reach only recorded sharers, which is unobservable
- *    because non-holders treat a snoop as a no-op.  The equivalence
- *    suite (tests/dir_equivalence_test.cc) pins this.
+ *    because non-holders treat a snoop as a no-op.  The invariance
+ *    matrix (tests/invariance_test.cc) pins this.
  *
- * Request arming uses the same per-client slot + count as
- * Bus::setRequestArmed; armEvents counts disarmed->armed transitions
- * (attach included) and tells the routing pass when its dense list
- * went stale.
+ * Request arming uses the same per-client mask + count as
+ * Bus::setRequestArmed; armedSinceRoute records a disarmed->armed
+ * transition (attach included) since the last routing pass began.
  *
  * Quiescence contract: after a routing pass that posted nothing, the
  * fabric reports kNever until the next arm event — a client that is
@@ -54,13 +55,13 @@
 #ifndef DDC_DIR_FABRIC_HH
 #define DDC_DIR_FABRIC_HH
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "base/types.hh"
 #include "dir/home_node.hh"
 #include "obs/recorder.hh"
+#include "sim/arbiter.hh"
 #include "sim/fabric.hh"
 
 namespace ddc {
@@ -108,9 +109,7 @@ class DirectoryFabric : public GlobalFabric, public Tickable
     {
         if (armedClients() == 0)
             return kNever;
-        if (armEvents != seenArmEvents)
-            return now;
-        return lastRoutingPosted > 0 ? now : kNever;
+        return armedSinceRoute || lastRoutingPosted > 0 ? now : kNever;
     }
 
     /** Account @p count quiescent cycles (idle at every home). */
@@ -207,25 +206,13 @@ class DirectoryFabric : public GlobalFabric, public Tickable
   private:
     std::vector<std::unique_ptr<HomeNode>> homes;
     std::vector<BusClient *> clients;
-    /** Per-client armed slots (see Bus::setRequestArmed). */
-    std::vector<char> armed;
+    /** Armed clients (see Bus::setRequestArmed). */
+    ClientMask armed;
     std::size_t armedCount = 0;
-    /**
-     * Generation counter of disarmed->armed transitions (attach
-     * included).  The routing pass rebuilds armedList when it
-     * observes a new value.
-     */
-    std::uint64_t armEvents = 0;
-    /** armEvents value the routing pass last synchronized with. */
-    std::uint64_t seenArmEvents = 0;
-    /**
-     * Dense ascending list of (possibly stale) armed clients; stale
-     * entries are compacted away during the routing walk, fresh arms
-     * trigger a full rebuild (amortized O(1) per arm event).
-     */
-    std::vector<int> armedList;
-    /** Homes with a non-empty inbox this cycle (ticked in id order). */
-    std::vector<int> touchedHomes;
+    /** A client armed (or attached) since the last routing pass began. */
+    bool armedSinceRoute = false;
+    /** Homes with a non-empty inbox this cycle (served in id order). */
+    ClientMask touchedHomes;
     /** Requests posted by the most recent routing pass. */
     std::size_t lastRoutingPosted = 0;
     /** True when the home count is a power of two (mask routing). */

@@ -105,9 +105,6 @@ class HomeNode
         inbox.set(client);
     }
 
-    /** Whether nothing routed here this cycle (touched-home test). */
-    bool inboxEmpty() const { return inbox.empty(); }
-
     /** Drop the (per-cycle) inbox; the fabric refills it each tick. */
     void clearInbox() { inbox.clear(); }
 

@@ -38,6 +38,51 @@ RunResult::hasMetric(const std::string &name) const
 }
 
 Json
+EngineReport::toJson(Cycle cycles) const
+{
+    Json json = Json::object();
+    json["wall_time_ms"] = Json(wall_time_ms);
+    json["sim_time_ms"] = Json(sim_time_ms);
+    json["sim_cycles_per_sec"] = Json(sim_cycles_per_sec);
+    json["skipped_cycles"] =
+        Json(static_cast<std::uint64_t>(skipped_cycles));
+    json["skip_fraction"] =
+        Json(cycles > 0 ? static_cast<double>(skipped_cycles) /
+                              static_cast<double>(cycles)
+                        : 0.0);
+    json["snoop_visits"] = Json(snoop_visits);
+    json["snoop_filter_fallbacks"] = Json(snoop_filter_fallbacks);
+    json["directory_blocks"] = Json(directory_blocks);
+    json["directory_max_load_factor"] = Json(directory_max_load_factor);
+    json["route_phase_ms"] = Json(route_phase_ms);
+    json["serve_phase_ms"] = Json(serve_phase_ms);
+    return json;
+}
+
+EngineReport
+EngineReport::fromJson(const Json &json)
+{
+    auto count = [&json](const char *key) {
+        return static_cast<std::uint64_t>(json.find(key)->asInt());
+    };
+    auto real = [&json](const char *key) {
+        return json.find(key)->asDouble();
+    };
+    EngineReport engine;
+    engine.wall_time_ms = real("wall_time_ms");
+    engine.sim_time_ms = real("sim_time_ms");
+    engine.sim_cycles_per_sec = real("sim_cycles_per_sec");
+    engine.skipped_cycles = static_cast<Cycle>(count("skipped_cycles"));
+    engine.snoop_visits = count("snoop_visits");
+    engine.snoop_filter_fallbacks = count("snoop_filter_fallbacks");
+    engine.directory_blocks = count("directory_blocks");
+    engine.directory_max_load_factor = real("directory_max_load_factor");
+    engine.route_phase_ms = real("route_phase_ms");
+    engine.serve_phase_ms = real("serve_phase_ms");
+    return engine;
+}
+
+Json
 RunResult::toJson(bool include_timing) const
 {
     Json json = Json::object();
@@ -53,22 +98,8 @@ RunResult::toJson(bool include_timing) const
     json["total_refs"] = Json(total_refs);
     json["bus_transactions"] = Json(bus_transactions);
     json["consistent"] = Json(consistent);
-    if (include_timing) {
-        json["wall_time_ms"] = Json(wall_time_ms);
-        json["sim_time_ms"] = Json(sim_time_ms);
-        json["sim_cycles_per_sec"] = Json(sim_cycles_per_sec);
-        json["skipped_cycles"] =
-            Json(static_cast<std::uint64_t>(skipped_cycles));
-        json["skip_fraction"] =
-            Json(cycles > 0 ? static_cast<double>(skipped_cycles) /
-                                  static_cast<double>(cycles)
-                            : 0.0);
-        json["snoop_visits"] = Json(snoop_visits);
-        json["snoop_filter_fallbacks"] = Json(snoop_filter_fallbacks);
-        json["directory_blocks"] = Json(directory_blocks);
-        json["directory_max_load_factor"] =
-            Json(directory_max_load_factor);
-    }
+    if (include_timing)
+        json["engine"] = engine.toJson(cycles);
 
     Json metrics_json = Json::object();
     for (const auto &[name, value] : metrics)
@@ -171,26 +202,8 @@ RunResult::fromJson(const Json &json)
     result.bus_transactions = static_cast<std::uint64_t>(
         json.find("bus_transactions")->asInt());
     result.consistent = json.find("consistent")->asBool();
-    if (const Json *wall = json.find("wall_time_ms"))
-        result.wall_time_ms = wall->asDouble();
-    if (const Json *sim = json.find("sim_time_ms"))
-        result.sim_time_ms = sim->asDouble();
-    if (const Json *rate = json.find("sim_cycles_per_sec"))
-        result.sim_cycles_per_sec = rate->asDouble();
-    if (const Json *skipped = json.find("skipped_cycles"))
-        result.skipped_cycles = static_cast<Cycle>(skipped->asInt());
-    if (const Json *visits = json.find("snoop_visits"))
-        result.snoop_visits = static_cast<std::uint64_t>(visits->asInt());
-    if (const Json *fallbacks = json.find("snoop_filter_fallbacks")) {
-        result.snoop_filter_fallbacks =
-            static_cast<std::uint64_t>(fallbacks->asInt());
-    }
-    if (const Json *blocks = json.find("directory_blocks")) {
-        result.directory_blocks =
-            static_cast<std::uint64_t>(blocks->asInt());
-    }
-    if (const Json *load = json.find("directory_max_load_factor"))
-        result.directory_max_load_factor = load->asDouble();
+    if (const Json *engine = json.find("engine"))
+        result.engine = EngineReport::fromJson(*engine);
     for (const auto &[name, value] : json.find("metrics")->items())
         result.metrics.emplace_back(name, value.asDouble());
     for (const auto &[name, value] : json.find("counters")->items())

@@ -31,6 +31,53 @@ namespace exp {
 /** Ordered (name, value) labels identifying one grid point. */
 using ParamList = std::vector<std::pair<std::string, std::string>>;
 
+/**
+ * How the engine ran one point, as opposed to what the simulated
+ * machine did.  The rule: a value that depends on the host, or on a
+ * knob that must not change results (quiescent skip, the snoop
+ * filter, the global interconnect flavour, tracing, profiling), goes
+ * here and nowhere else.  RunResult::toJson(true) (--timing) emits it
+ * as one "engine" object; every other RunResult field is
+ * deterministic and knob-invariant, so the default JSON stays
+ * byte-identical across hosts, job counts and knob settings, and a
+ * comparison strips exactly one key.
+ */
+struct EngineReport
+{
+    /** Host wall-clock time of the whole point (set by the runner). */
+    double wall_time_ms = 0.0;
+    /**
+     * Of wall_time_ms, the simulation loop alone (System::run): no
+     * trace materialization, machine construction or trace loading.
+     * 0 for custom points, which have no trace-run breakdown.
+     */
+    double sim_time_ms = 0.0;
+    /** Simulated cycles per second of sim_time_ms (else wall_time_ms). */
+    double sim_cycles_per_sec = 0.0;
+    /** Cycles the quiescent-skip engine fast-forwarded. */
+    Cycle skipped_cycles = 0;
+    /** Bus broadcast visits + supplier polls (Bus::snoopVisits). */
+    std::uint64_t snoop_visits = 0;
+    /** Buses that degraded to full snooping (Bus::snoopFilterFallbacks). */
+    std::uint64_t snoop_filter_fallbacks = 0;
+    /** Blocks with directory state at the end; 0 on snooping runs. */
+    std::uint64_t directory_blocks = 0;
+    /** Highest directory/home-memory flat-map load factor reached. */
+    double directory_max_load_factor = 0.0;
+    /** Directory fabric route / serve wall ms (--profile; else 0). */
+    double route_phase_ms = 0.0;
+    double serve_phase_ms = 0.0;
+
+    /**
+     * Serialize every field, plus skip_fraction (skipped_cycles over
+     * @p cycles, the run's simulated cycles).
+     */
+    Json toJson(Cycle cycles) const;
+
+    /** Rebuild a report from Json emitted by toJson(). */
+    static EngineReport fromJson(const Json &json);
+};
+
 /** Everything one experiment point produced. */
 struct RunResult
 {
@@ -45,68 +92,8 @@ struct RunResult
     std::uint64_t bus_transactions = 0;
     /** Serial-consistency verdict (true unless checking failed). */
     bool consistent = true;
-    /**
-     * Host wall-clock time this point took to execute (measured by
-     * the runner).  Machine-dependent by nature, so it is serialized
-     * only when toJson(true) is requested (--timing): the default
-     * JSON stays byte-identical across hosts, runs, and job counts.
-     */
-    double wall_time_ms = 0.0;
-    /**
-     * Of wall_time_ms, the milliseconds spent inside the simulation
-     * loop proper (System::run) — excluding trace materialization,
-     * machine construction, and trace loading.  0 for custom points,
-     * which have no trace-run breakdown.  Serialized only with
-     * toJson(true), like wall_time_ms.
-     */
-    double sim_time_ms = 0.0;
-    /**
-     * Simulated cycles per second of simulation-loop time
-     * (sim_time_ms when available, else wall_time_ms), so engine
-     * throughput comparisons are not diluted by per-point setup.
-     */
-    double sim_cycles_per_sec = 0.0;
-    /**
-     * Of cycles, how many the run loop fast-forwarded across
-     * quiescent intervals (next-event time advance).  Deterministic,
-     * but serialized only with toJson(true) alongside the timing
-     * fields: it describes how the engine spent its host time, and
-     * gating it keeps the default JSON byte-identical to runs with
-     * skipping disabled (whose skipped count is 0 by construction).
-     */
-    Cycle skipped_cycles = 0;
-    /**
-     * Bus broadcast visits + supplier polls the run performed (see
-     * Bus::snoopVisits).  Deterministic, but a function of the snoop
-     * filter setting, so — like skipped_cycles — it is serialized
-     * only with toJson(true): the default JSON stays byte-identical
-     * filter-on vs filter-off.
-     */
-    std::uint64_t snoop_visits = 0;
-    /**
-     * Times any bus of the run degraded from sharer-indexed to full
-     * snooping (see Bus::snoopFilterFallbacks).  0 on a healthy
-     * filtered run; serialized only with toJson(true), like
-     * snoop_visits, so the default JSON stays byte-identical
-     * filter-on vs filter-off.
-     */
-    std::uint64_t snoop_filter_fallbacks = 0;
-    /**
-     * Blocks with directory state at the end of a directory-mode run
-     * (DirectoryFabric::directoryBlocks); 0 on snooping runs.
-     * Deterministic, but — like snoop_visits — a function of the
-     * interconnect flavour, so it is serialized only with
-     * toJson(true): the default JSON stays byte-identical snoop vs
-     * directory at matched configurations.
-     */
-    std::uint64_t directory_blocks = 0;
-    /**
-     * Highest load factor any directory/home-memory flat map reached
-     * during a directory-mode run (DirectoryFabric::maxLoadFactor);
-     * 0 on snooping runs.  Table-health diagnostic; timing-gated like
-     * directory_blocks.
-     */
-    double directory_max_load_factor = 0.0;
+    /** Host- and knob-dependent values; serialized only with timing. */
+    EngineReport engine;
     /** Ordered derived metrics (bus_per_ref, miss_ratio, ...). */
     std::vector<std::pair<std::string, double>> metrics;
     /** Full merged counter set of the run. */
@@ -137,8 +124,7 @@ struct RunResult
 
     /**
      * Serialize to a JSON object (everything except `rendered`).
-     * @param include_timing Also emit wall_time_ms /
-     *        sim_cycles_per_sec (non-deterministic host measurements).
+     * @param include_timing Also emit the "engine" object.
      */
     Json toJson(bool include_timing = false) const;
 

@@ -20,10 +20,10 @@ executeTraceRun(const TraceRun &run)
     RunResult result;
     result.status = summary.status;
     result.cycles = summary.cycles;
-    result.skipped_cycles = summary.skipped_cycles;
-    result.snoop_visits = summary.snoop_visits;
-    result.snoop_filter_fallbacks = summary.snoop_filter_fallbacks;
-    result.sim_time_ms = summary.sim_time_ms;
+    result.engine.skipped_cycles = summary.skipped_cycles;
+    result.engine.snoop_visits = summary.snoop_visits;
+    result.engine.snoop_filter_fallbacks = summary.snoop_filter_fallbacks;
+    result.engine.sim_time_ms = summary.sim_time_ms;
     result.total_refs = summary.total_refs;
     result.bus_transactions = summary.bus_transactions;
     result.consistent = summary.consistent;
@@ -58,14 +58,15 @@ runExperiment(const Experiment &experiment, const RunnerOptions &options)
             point.make ? executeTraceRun(point.make()) : point.custom();
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
-        result.wall_time_ms = elapsed.count();
+        EngineReport &engine = result.engine;
+        engine.wall_time_ms = elapsed.count();
         // Rate the simulation loop itself when the point reports a
         // breakdown; point setup (trace materialization, machine
         // construction) would otherwise dilute throughput ratios.
-        double denom_ms = result.sim_time_ms > 0.0 ? result.sim_time_ms
+        double denom_ms = engine.sim_time_ms > 0.0 ? engine.sim_time_ms
                                                    : elapsed.count();
         if (denom_ms > 0.0) {
-            result.sim_cycles_per_sec =
+            engine.sim_cycles_per_sec =
                 static_cast<double>(result.cycles) / (denom_ms / 1000.0);
         }
         result.index = i;

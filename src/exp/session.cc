@@ -1,5 +1,7 @@
 #include "exp/session.hh"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -30,6 +32,22 @@ struct FlagSpec
 
 constexpr const char *kOk = "";
 
+/**
+ * @p value parsed whole as a decimal integer in [1, @p max], or 0
+ * when it is anything else ("3x", "", "-2", out of range).
+ */
+long
+positiveInteger(const char *value, long max)
+{
+    char *end = nullptr;
+    errno = 0;
+    long parsed = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || errno == ERANGE || parsed < 1 ||
+        parsed > max)
+        return 0;
+    return parsed;
+}
+
 const FlagSpec kFlags[] = {
     {"--timing", false,
      [](SessionOptions &options, const char *) -> std::string {
@@ -50,7 +68,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--jobs", true,
      [](SessionOptions &options, const char *value) -> std::string {
-         options.jobs = std::atoi(value);
+         options.jobs = static_cast<int>(positiveInteger(value, INT_MAX));
          if (options.jobs < 1) {
              return "needs a positive integer, got " +
                     std::string(value);
@@ -83,7 +101,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--sample-every", true,
      [](SessionOptions &options, const char *value) -> std::string {
-         long interval = std::atol(value);
+         long interval = positiveInteger(value, LONG_MAX);
          if (interval < 1) {
              return "needs a positive cycle count, got " +
                     std::string(value);
@@ -160,7 +178,7 @@ Json
 Session::toJson() const
 {
     Json json = Json::object();
-    json["schema"] = Json(std::int64_t{6});
+    json["schema"] = Json(std::int64_t{7});
     Json experiments = Json::array();
     for (const auto &entry : collected) {
         Json experiment = Json::object();

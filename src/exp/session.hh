@@ -7,7 +7,7 @@
  * every result in submission order, and emits the collected set as
  * JSON (--json PATH, conventionally results.json) alongside whatever
  * ASCII tables the caller prints.  The JSON bytes are independent of
- * the job count unless --timing opts into per-run wall-clock fields.
+ * the job count unless --timing opts into per-run "engine" objects.
  */
 
 #ifndef DDC_EXP_SESSION_HH
@@ -33,10 +33,10 @@ struct SessionOptions
     /** Where to write the collected results ("" = don't). */
     std::string json_path;
     /**
-     * Emit wall_time_ms / sim_cycles_per_sec / skipped_cycles /
-     * skip_fraction per run in the JSON.  Off by default: timing is a
-     * host measurement, so enabling it gives up the
-     * byte-identical-across-job-counts guarantee.
+     * Emit each run's "engine" object (EngineReport: wall clock, sim
+     * rate, skip, snoop-visit and directory-table accounting) in the
+     * JSON.  Off by default: it holds host measurements, so enabling
+     * it gives up the byte-identical-across-job-counts guarantee.
      */
     bool timing = false;
     /**
@@ -80,9 +80,8 @@ struct SessionOptions
     /**
      * Directory-fabric phase profiling (host wall-clock split between
      * the fabric's route and serve phases).  A host measurement like
-     * --timing: the profile feeds the timing-gated JSON fields and
-     * bench columns only, so the deterministic JSON stays
-     * byte-identical.
+     * --timing: the profile feeds only "engine" objects and bench
+     * columns, so the deterministic JSON stays byte-identical.
      */
     bool profile = false;
 };

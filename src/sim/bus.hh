@@ -357,8 +357,8 @@ class Bus : public GlobalFabric, public Tickable
      * when the filter was actually active — a bus built with the
      * filter off never "degrades".  Like snoopVisits, deliberately not
      * a CounterSet statistic, so counter reports stay byte-identical
-     * filter-on vs filter-off; surfaced per run as
-     * RunResult::snoop_filter_fallbacks under --timing.
+     * filter-on vs filter-off; surfaced per run in the engine section
+     * (EngineReport::snoop_filter_fallbacks, under --timing).
      */
     std::uint64_t snoopFilterFallbacks() const { return fallbackCount; }
 

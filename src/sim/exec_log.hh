@@ -37,6 +37,8 @@ struct LogEntry
     Word stored = 0;
     /** TestAndSet only: whether the set happened. */
     bool ts_success = false;
+
+    bool operator==(const LogEntry &other) const = default;
 };
 
 /** Append-only log of committed accesses in serial order. */

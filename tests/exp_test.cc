@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "exp/experiment.hh"
 #include "exp/json.hh"
@@ -247,31 +249,104 @@ TEST(JsonTest, TimingFieldsAreOptIn)
 {
     exp::RunResult result;
     result.cycles = 5000;
-    result.wall_time_ms = 2.5;
-    result.sim_time_ms = 2.0;
-    result.sim_cycles_per_sec = 2e6;
+    result.engine.wall_time_ms = 2.5;
+    result.engine.sim_time_ms = 2.0;
+    result.engine.sim_cycles_per_sec = 2e6;
 
     // Default serialization stays byte-stable across hosts: no
-    // timing fields.
+    // engine object, and no timing key at any level.
     auto plain = result.toJson();
-    EXPECT_EQ(plain.find("wall_time_ms"), nullptr);
-    EXPECT_EQ(plain.find("sim_time_ms"), nullptr);
-    EXPECT_EQ(plain.find("sim_cycles_per_sec"), nullptr);
+    EXPECT_EQ(plain.find("engine"), nullptr);
+    EXPECT_EQ(plain.dump().find("wall_time_ms"), std::string::npos);
+    EXPECT_EQ(plain.dump().find("sim_time_ms"), std::string::npos);
+    EXPECT_EQ(plain.dump().find("sim_cycles_per_sec"), std::string::npos);
 
     auto timed = result.toJson(true);
-    ASSERT_NE(timed.find("wall_time_ms"), nullptr);
-    EXPECT_EQ(timed.find("wall_time_ms")->asDouble(), 2.5);
-    EXPECT_EQ(timed.find("sim_time_ms")->asDouble(), 2.0);
-    EXPECT_EQ(timed.find("sim_cycles_per_sec")->asDouble(), 2e6);
+    const exp::Json *engine = timed.find("engine");
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->find("wall_time_ms")->asDouble(), 2.5);
+    EXPECT_EQ(engine->find("sim_time_ms")->asDouble(), 2.0);
+    EXPECT_EQ(engine->find("sim_cycles_per_sec")->asDouble(), 2e6);
 
     // Round trip through parse preserves the timing fields.
     exp::Json parsed;
     ASSERT_TRUE(exp::Json::parse(timed.dump(), parsed));
     auto rebuilt = exp::RunResult::fromJson(parsed);
-    EXPECT_EQ(rebuilt.wall_time_ms, 2.5);
-    EXPECT_EQ(rebuilt.sim_time_ms, 2.0);
-    EXPECT_EQ(rebuilt.sim_cycles_per_sec, 2e6);
+    EXPECT_EQ(rebuilt.engine.wall_time_ms, 2.5);
+    EXPECT_EQ(rebuilt.engine.sim_time_ms, 2.0);
+    EXPECT_EQ(rebuilt.engine.sim_cycles_per_sec, 2e6);
     EXPECT_EQ(rebuilt.toJson(true).dump(), timed.dump());
+}
+
+TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
+{
+    exp::RunResult result;
+    result.cycles = 400;
+    result.total_refs = 90;
+    result.bus_transactions = 30;
+    result.setMetric("miss_ratio", 0.25);
+    result.counters.add("bus.busy_cycles", 200);
+    exp::EngineReport &engine = result.engine;
+    engine.wall_time_ms = 3.5;
+    engine.sim_time_ms = 3.0;
+    engine.sim_cycles_per_sec = 1.5e5;
+    engine.skipped_cycles = 100;
+    engine.snoop_visits = 77;
+    engine.snoop_filter_fallbacks = 2;
+    engine.directory_blocks = 12;
+    engine.directory_max_load_factor = 0.5;
+    engine.route_phase_ms = 0.25;
+    engine.serve_phase_ms = 0.75;
+
+    const char *engine_keys[] = {
+        "wall_time_ms",       "sim_time_ms",
+        "sim_cycles_per_sec", "skipped_cycles",
+        "skip_fraction",      "snoop_visits",
+        "snoop_filter_fallbacks", "directory_blocks",
+        "directory_max_load_factor", "route_phase_ms",
+        "serve_phase_ms"};
+
+    // The deterministic section names no host or knob value.
+    auto plain = result.toJson(false);
+    std::string plain_text = plain.dump();
+    EXPECT_EQ(plain.find("engine"), nullptr);
+    for (const char *key : engine_keys)
+        EXPECT_EQ(plain_text.find(key), std::string::npos) << key;
+
+    // --timing adds exactly one member, "engine", holding them all,
+    // and leaves every other member as it was.
+    auto timed = result.toJson(true);
+    ASSERT_EQ(timed.size(), plain.size() + 1);
+    exp::Json rest = exp::Json::object();
+    for (const auto &[key, value] : timed.items()) {
+        if (key != "engine")
+            rest[key] = value;
+    }
+    EXPECT_EQ(rest.dump(), plain_text);
+    const exp::Json *section = timed.find("engine");
+    ASSERT_NE(section, nullptr);
+    EXPECT_EQ(section->size(), std::size(engine_keys));
+    for (const char *key : engine_keys)
+        EXPECT_NE(section->find(key), nullptr) << key;
+    EXPECT_EQ(section->find("skip_fraction")->asDouble(), 0.25);
+    EXPECT_EQ(section->find("snoop_filter_fallbacks")->asInt(), 2);
+
+    // fromJson reads the object back, field for field.
+    exp::Json parsed;
+    ASSERT_TRUE(exp::Json::parse(timed.dump(), parsed));
+    auto rebuilt = exp::RunResult::fromJson(parsed);
+    EXPECT_EQ(rebuilt.engine.wall_time_ms, 3.5);
+    EXPECT_EQ(rebuilt.engine.sim_time_ms, 3.0);
+    EXPECT_EQ(rebuilt.engine.sim_cycles_per_sec, 1.5e5);
+    EXPECT_EQ(rebuilt.engine.skipped_cycles, 100u);
+    EXPECT_EQ(rebuilt.engine.snoop_visits, 77u);
+    EXPECT_EQ(rebuilt.engine.snoop_filter_fallbacks, 2u);
+    EXPECT_EQ(rebuilt.engine.directory_blocks, 12u);
+    EXPECT_EQ(rebuilt.engine.directory_max_load_factor, 0.5);
+    EXPECT_EQ(rebuilt.engine.route_phase_ms, 0.25);
+    EXPECT_EQ(rebuilt.engine.serve_phase_ms, 0.75);
+    EXPECT_EQ(rebuilt.toJson(true).dump(), timed.dump());
+    EXPECT_EQ(rebuilt.toJson(false).dump(), plain_text);
 }
 
 TEST(RunnerTest, MeasuresWallClockPerPoint)
@@ -280,14 +355,15 @@ TEST(RunnerTest, MeasuresWallClockPerPoint)
     exp::RunnerOptions options;
     auto results = exp::runExperiment(spec, options);
     for (const auto &result : results) {
-        EXPECT_GT(result.wall_time_ms, 0.0);
-        EXPECT_GT(result.sim_time_ms, 0.0);
+        const exp::EngineReport &engine = result.engine;
+        EXPECT_GT(engine.wall_time_ms, 0.0);
+        EXPECT_GT(engine.sim_time_ms, 0.0);
         // The sim loop is a slice of the whole point.
-        EXPECT_LE(result.sim_time_ms, result.wall_time_ms);
-        EXPECT_GT(result.sim_cycles_per_sec, 0.0);
+        EXPECT_LE(engine.sim_time_ms, engine.wall_time_ms);
+        EXPECT_GT(engine.sim_cycles_per_sec, 0.0);
         // rate * sim seconds == cycles (up to rounding).
-        EXPECT_NEAR(result.sim_cycles_per_sec *
-                        (result.sim_time_ms / 1000.0),
+        EXPECT_NEAR(engine.sim_cycles_per_sec *
+                        (engine.sim_time_ms / 1000.0),
                     static_cast<double>(result.cycles),
                     1.0);
     }
@@ -337,11 +413,31 @@ TEST(SessionTest, TimingOptionEmitsWallClockFields)
     exp::Session session(options);
     session.run(makeSweep());
     auto json = session.toJson();
+    EXPECT_EQ(json.find("schema")->asInt(), 7);
     const auto &run =
         json.find("experiments")->at(0).find("runs")->at(0);
-    ASSERT_NE(run.find("wall_time_ms"), nullptr);
-    EXPECT_GT(run.find("wall_time_ms")->asDouble(), 0.0);
-    ASSERT_NE(run.find("sim_cycles_per_sec"), nullptr);
+    EXPECT_EQ(run.find("wall_time_ms"), nullptr);
+    const exp::Json *engine = run.find("engine");
+    ASSERT_NE(engine, nullptr);
+    ASSERT_NE(engine->find("wall_time_ms"), nullptr);
+    EXPECT_GT(engine->find("wall_time_ms")->asDouble(), 0.0);
+    ASSERT_NE(engine->find("sim_cycles_per_sec"), nullptr);
+}
+
+TEST(SessionTest, ParseArgsRejectsTrailingGarbage)
+{
+    // A count is parsed whole: "3x" is an error, not 3.
+    for (const char *flag : {"--jobs", "--sample-every"}) {
+        const char *raw[] = {"prog", flag, "3x", nullptr};
+        int argc = 3;
+        char *argv[4];
+        for (int i = 0; i < argc; i++)
+            argv[i] = const_cast<char *>(raw[i]);
+        argv[argc] = nullptr;
+        EXPECT_EXIT(exp::parseSessionArgs(argc, argv),
+                    ::testing::ExitedWithCode(1),
+                    std::string(flag) + " needs a positive .*, got 3x");
+    }
 }
 
 TEST(SessionTest, CollectsMultipleExperiments)

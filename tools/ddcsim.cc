@@ -15,11 +15,15 @@
  * the bench binaries.  Run with --help for the full option list.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -79,16 +83,21 @@ usage(std::ostream &os)
         "  --stats          dump all counters\n"
         "  --jobs N         experiment-engine worker threads (flat runs)\n"
         "  --json PATH      write structured results as JSON\n"
-        "  --timing         include wall_time_ms / sim_time_ms /\n"
-        "                   sim_cycles_per_sec / skipped_cycles /\n"
-        "                   skip_fraction / snoop_visits in the JSON\n"
-        "                   (host-dependent values)\n"
+        "  --timing         add each run's \"engine\" object to the\n"
+        "                   JSON: wall clock, sim rate, skipped\n"
+        "                   cycles, snoop visits, filter fallbacks,\n"
+        "                   directory table size (host- or knob-\n"
+        "                   dependent values; flat runs)\n"
+        "  --profile        time the directory fabric's route and\n"
+        "                   serve phases; hierarchical --json gains\n"
+        "                   them as an \"engine\" object\n"
         "  --no-skip        disable quiescent-cycle skipping (A/B\n"
         "                   baseline; results are byte-identical, the\n"
         "                   run is just slower)\n"
         "  --no-snoop-filter  disable the sharer-indexed snoop filter\n"
         "                   (A/B baseline; results are byte-identical,\n"
-        "                   only snoop_visits moves)\n"
+        "                   only the engine object's snoop_visits\n"
+        "                   moves)\n"
         "\n"
         "observability options:\n"
         "  --trace-out FILE  write a Chrome trace-event JSON of the run\n"
@@ -129,21 +138,32 @@ parseArgs(int argc, char **argv, Options &options)
         }
         return argv[++i];
     };
-    // The value of a count flag, or 0 (after an error message) when
-    // it is missing or not a positive integer.
-    auto need_count = [&](int &i) -> long {
+    // The value of a numeric flag, parsed whole as a decimal integer
+    // in [lo, hi]; nullopt (after an error message saying it needs
+    // @p what) when it is missing or anything else.
+    auto need_integer =
+        [&](int &i, std::uint64_t lo, std::uint64_t hi,
+            const char *what) -> std::optional<std::uint64_t> {
         const char *flag = argv[i];
         const char *value = need_value(i);
         if (value == nullptr)
-            return 0;
+            return std::nullopt;
         char *end = nullptr;
-        long count = std::strtol(value, &end, 10);
-        if (end == value || *end != '\0' || count < 1) {
-            std::cerr << "ddcsim: " << flag
-                      << " needs a positive count, got " << value << "\n";
-            return 0;
+        errno = 0;
+        unsigned long long parsed = std::strtoull(value, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+            *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
+            std::cerr << "ddcsim: " << flag << " needs " << what
+                      << ", got " << value << "\n";
+            return std::nullopt;
         }
-        return count;
+        return parsed;
+    };
+    // The value of a count flag, or 0 (after an error message) when
+    // it is missing or not a positive integer.
+    auto need_count = [&](int &i) -> long {
+        return static_cast<long>(
+            need_integer(i, 1, INT_MAX, "a positive count").value_or(0));
     };
 
     for (int i = 1; i < argc; i++) {
@@ -181,10 +201,12 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             options.config.ways = static_cast<std::size_t>(count);
         } else if (arg == "--latency") {
-            if (!(value = need_value(i)))
+            auto latency =
+                need_integer(i, 0, UINT64_MAX, "a cycle count >= 0");
+            if (!latency)
                 return false;
             options.config.memory_latency =
-                static_cast<std::size_t>(std::atoll(value));
+                static_cast<std::size_t>(*latency);
         } else if (arg == "--buses") {
             long count = need_count(i);
             if (count == 0)
@@ -214,9 +236,10 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             options.homes = static_cast<int>(count);
         } else if (arg == "--rwb-k") {
-            if (!(value = need_value(i)))
+            auto k = need_integer(i, 1, 255, "an integer in [1, 255]");
+            if (!k)
                 return false;
-            options.config.rwb_writes_to_local = std::atoi(value);
+            options.config.rwb_writes_to_local = static_cast<int>(*k);
         } else if (arg == "--arbiter") {
             if (!(value = need_value(i)))
                 return false;
@@ -240,13 +263,15 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             options.workload = value;
         } else if (arg == "--refs") {
-            if (!(value = need_value(i)))
+            auto refs = need_integer(i, 1, UINT64_MAX, "a positive count");
+            if (!refs)
                 return false;
-            options.refs = static_cast<std::size_t>(std::atoll(value));
+            options.refs = static_cast<std::size_t>(*refs);
         } else if (arg == "--seed") {
-            if (!(value = need_value(i)))
+            auto seed = need_integer(i, 0, UINT64_MAX, "an unsigned integer");
+            if (!seed)
                 return false;
-            options.seed = static_cast<std::uint64_t>(std::atoll(value));
+            options.seed = *seed;
         } else if (arg == "--save-trace") {
             if (!(value = need_value(i)))
                 return false;
@@ -361,7 +386,7 @@ describeResult(const exp::RunResult &result)
 
 /**
  * Structured results for a hierarchical run.  Every field is
- * deterministic unless --profile adds the host phase split.
+ * deterministic; --profile adds the host phase split as "engine".
  */
 bool
 writeHierJson(const std::string &path, const hier::HierConfig &config,
@@ -398,12 +423,14 @@ writeHierJson(const std::string &path, const hier::HierConfig &config,
             json["histograms"] = exp::histogramsJson(*metrics);
         if (auto *sampler = observability->sampler())
             json["samples"] = exp::samplesJson(sampler->series());
-        // Host-dependent by design; rides the --profile flag only, so
-        // the default JSON stays host-invariant.
+        // Host-dependent by design, so it rides the --profile flag
+        // only, inside "engine" like every other host value.
         const auto *profile = observability->profile();
         if (profile && system.directoryFabric()) {
-            json["route_phase_ms"] = exp::Json(profile->fabric_route_ms);
-            json["serve_phase_ms"] = exp::Json(profile->fabric_serve_ms);
+            exp::Json engine = exp::Json::object();
+            engine["route_phase_ms"] = exp::Json(profile->fabric_route_ms);
+            engine["serve_phase_ms"] = exp::Json(profile->fabric_serve_ms);
+            json["engine"] = std::move(engine);
         }
     }
     std::ofstream out(path);
