@@ -17,11 +17,8 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
-#include "hier/hier_system.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
-#include "verify/consistency.hh"
 
 namespace {
 
@@ -29,51 +26,31 @@ using namespace ddc;
 
 const double kLocalities[] = {0.0, 0.5, 0.9, 0.99};
 
-exp::RunResult
-runFlat(const Trace &trace)
+/** The flat single-bus machine on @p trace. */
+exp::TraceRun
+flatRun(const Trace &trace)
 {
-    SystemConfig config;
-    config.num_pes = trace.numPes();
-    config.cache_lines = 256;
-    config.protocol = ProtocolKind::Rb;
-    System system(config);
-    system.loadTrace(trace);
-    system.run();
-
-    exp::RunResult result;
-    result.status = system.runStatus();
-    result.cycles = system.now();
-    result.total_refs = trace.totalRefs();
-    result.bus_transactions = system.totalBusTransactions();
-    result.setMetric("bottleneck_bus_ops",
-                     static_cast<double>(system.totalBusTransactions()));
-    return result;
+    exp::TraceRun run;
+    run.config.num_pes = trace.numPes();
+    run.config.cache_lines = 256;
+    run.config.protocol = ProtocolKind::Rb;
+    run.trace = trace;
+    return run;
 }
 
-exp::RunResult
-runHier(const Trace &trace, int clusters, int pes_per_cluster,
+/** The hierarchical machine on @p trace. */
+exp::TraceRun
+hierRun(const Trace &trace, int clusters, int pes_per_cluster,
         ProtocolKind protocol = ProtocolKind::Rb)
 {
-    hier::HierConfig config;
+    exp::TraceRun run;
+    hier::HierConfig &config = run.hier.emplace();
     config.num_clusters = clusters;
     config.pes_per_cluster = pes_per_cluster;
     config.cache_lines = 256;
     config.protocol = protocol;
-    hier::HierSystem system(config);
-    system.loadTrace(trace);
-    system.run();
-
-    exp::RunResult result;
-    result.status = system.runStatus();
-    result.cycles = system.now();
-    result.total_refs = trace.totalRefs();
-    result.bus_transactions = system.globalBusTransactions();
-    result.setMetric("bottleneck_bus_ops",
-                     static_cast<double>(system.globalBusTransactions()));
-    result.setMetric("cluster_bus_ops",
-                     static_cast<double>(
-                         system.clusterBusTransactions()));
-    return result;
+    run.trace = trace;
+    return run;
 }
 
 void
@@ -103,12 +80,12 @@ printReproduction(exp::Session &session)
         auto indices = grid.indicesAt(flat);
         double locality = kLocalities[indices[0]];
         bool hierarchical = indices[1] == 1;
-        sweep_spec.addCustom(grid.paramsAt(flat), [=]() {
+        sweep_spec.addRun(grid.paramsAt(flat), [=]() {
             auto trace = makeClusteredTrace(clusters, pes_per_cluster,
                                             refs, locality, 0.3, 77);
-            return hierarchical ? runHier(trace, clusters,
+            return hierarchical ? hierRun(trace, clusters,
                                           pes_per_cluster)
-                                : runFlat(trace);
+                                : flatRun(trace);
         });
     }
     const auto &sweep = session.run(sweep_spec);
@@ -145,10 +122,10 @@ printReproduction(exp::Session &session)
     const ProtocolKind l1_kinds[] = {ProtocolKind::Rb, ProtocolKind::Rwb};
     for (std::size_t flat = 0; flat < l1_grid.size(); flat++) {
         auto protocol = l1_kinds[flat];
-        l1_spec.addCustom(l1_grid.paramsAt(flat), [=]() {
+        l1_spec.addRun(l1_grid.paramsAt(flat), [=]() {
             auto trace = makeClusteredTrace(clusters, pes_per_cluster,
                                             refs, 0.9, 0.3, 77);
-            return runHier(trace, clusters, pes_per_cluster, protocol);
+            return hierRun(trace, clusters, pes_per_cluster, protocol);
         });
     }
     const auto &l1_results = session.run(l1_spec);
@@ -181,8 +158,9 @@ BM_HierVsFlat(benchmark::State &state)
 {
     bool hierarchical = state.range(0) == 1;
     auto trace = makeClusteredTrace(8, 4, 1000, 0.9, 0.3, 77);
+    auto run = hierarchical ? hierRun(trace, 8, 4) : flatRun(trace);
     for (auto _ : state) {
-        auto point = hierarchical ? runHier(trace, 8, 4) : runFlat(trace);
+        auto point = exp::executeTraceRun(run);
         benchmark::DoNotOptimize(point.cycles);
     }
     state.SetLabel(hierarchical ? "hierarchical" : "flat");
@@ -198,8 +176,10 @@ BM_HierSimulatedCycles(benchmark::State &state)
     double flat_cycles = 0.0;
     double hier_cycles = 0.0;
     for (auto _ : state) {
-        flat_cycles = static_cast<double>(runFlat(trace).cycles);
-        hier_cycles = static_cast<double>(runHier(trace, 8, 4).cycles);
+        flat_cycles = static_cast<double>(
+            exp::executeTraceRun(flatRun(trace)).cycles);
+        hier_cycles = static_cast<double>(
+            exp::executeTraceRun(hierRun(trace, 8, 4)).cycles);
     }
     state.counters["flat_cycles"] = flat_cycles;
     state.counters["hier_cycles"] = hier_cycles;

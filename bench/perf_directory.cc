@@ -133,65 +133,18 @@ printReproduction(exp::Session &session)
                     {"global", directory ? "directory" : "snoop"},
                     {"rep", std::to_string(rep)},
                 };
-                int clusters = point.clusters;
-                spec.addCustom(params, [clusters, directory, &trace]() {
-                    hier::HierConfig config;
-                    config.num_clusters = clusters;
-                    config.pes_per_cluster = kPesPerCluster;
-                    config.cache_lines = 256;
-                    config.protocol = ProtocolKind::Rb;
-                    if (directory) {
-                        config.global = hier::GlobalKind::Directory;
-                        config.home_nodes = homesFor(clusters);
-                    }
-                    hier::HierSystem system(config);
-                    system.loadTrace(trace);
-                    exp::RunResult result;
-                    result.cycles = system.run();
-                    result.bus_transactions =
-                        system.globalBusTransactions();
-                    exp::EngineReport &engine = result.engine;
-                    engine.skipped_cycles = system.skippedCycles();
-                    engine.snoop_visits = system.globalVisits();
-                    engine.snoop_filter_fallbacks =
-                        system.snoopFilterFallbacks();
-                    if (auto *fabric = system.directoryFabric()) {
-                        engine.directory_blocks = fabric->directoryBlocks();
-                        engine.directory_max_load_factor =
-                            fabric->maxLoadFactor();
-                        engine.route_phase_ms = fabric->routePhaseMs();
-                        engine.serve_phase_ms = fabric->servePhaseMs();
-                        // Hot-home skew: peak over mean per-home
-                        // message count (1.0 = perfectly balanced).
-                        double mean = fabric->meanHomeMessages();
-                        if (mean > 0.0) {
-                            result.setMetric(
-                                "hot_home_skew",
-                                static_cast<double>(
-                                    fabric->maxHomeMessages()) /
-                                    mean);
-                        }
-                        // Home service-latency percentiles need the
-                        // histograms (--histograms).
-                        if (auto *observability = system.observability()) {
-                            if (auto *metrics = observability->metrics()) {
-                                const auto &hs = metrics->home_service;
-                                if (hs.count() > 0) {
-                                    result.setMetric(
-                                        "home_latency_p50",
-                                        hs.percentile(0.50));
-                                    result.setMetric(
-                                        "home_latency_p90",
-                                        hs.percentile(0.90));
-                                    result.setMetric(
-                                        "home_latency_p99",
-                                        hs.percentile(0.99));
-                                }
-                            }
-                        }
-                    }
-                    return result;
-                });
+                exp::TraceRun run;
+                hier::HierConfig &config = run.hier.emplace();
+                config.num_clusters = point.clusters;
+                config.pes_per_cluster = kPesPerCluster;
+                config.cache_lines = 256;
+                config.protocol = ProtocolKind::Rb;
+                if (directory) {
+                    config.global = hier::GlobalKind::Directory;
+                    config.home_nodes = homesFor(point.clusters);
+                }
+                run.trace = trace;
+                spec.addRun(params, [run]() { return run; });
                 next++;
             }
         }
@@ -229,7 +182,7 @@ printReproduction(exp::Session &session)
             bool directory = mode == 1;
             double per_txn =
                 best.bus_transactions > 0
-                    ? static_cast<double>(engine.snoop_visits) /
+                    ? static_cast<double>(engine.global_visits) /
                           static_cast<double>(best.bus_transactions)
                     : 0.0;
             table.addRow(
@@ -239,7 +192,7 @@ printReproduction(exp::Session &session)
                            : "-",
                  std::to_string(best.cycles),
                  std::to_string(best.bus_transactions),
-                 std::to_string(engine.snoop_visits),
+                 std::to_string(engine.global_visits),
                  Table::num(per_txn, 1),
                  Table::num(engine.wall_time_ms, 2),
                  directory ? Table::num(engine.route_phase_ms, 2) : "-",

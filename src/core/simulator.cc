@@ -1,6 +1,5 @@
 #include "core/simulator.hh"
 
-#include <chrono>
 #include <sstream>
 
 #include "verify/consistency.hh"
@@ -20,31 +19,13 @@ runTrace(SystemConfig config, const Trace &trace, bool check_consistency,
     system.loadTrace(trace);
 
     RunSummary summary;
-    auto start = std::chrono::steady_clock::now();
     summary.cycles = system.run(max_cycles);
-    std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start;
-    summary.sim_time_ms = elapsed.count();
     summary.skipped_cycles = system.skippedCycles();
     summary.status = system.runStatus();
     summary.completed = system.allDone();
     summary.total_refs = trace.totalRefs();
     summary.bus_transactions = system.totalBusTransactions();
-    summary.snoop_visits = system.snoopVisits();
-    summary.snoop_filter_fallbacks = system.snoopFilterFallbacks();
     summary.counters = system.counters();
-    for (int b = 0; b < system.numBuses(); b++) {
-        summary.per_bus_busy_cycles.push_back(
-            system.busCounters(b).get("bus.busy_cycles"));
-    }
-    if (auto *observability = system.observability()) {
-        if (auto *metrics = observability->metrics()) {
-            summary.has_histograms = true;
-            summary.histograms = *metrics;
-        }
-        if (auto *sampler = observability->sampler())
-            summary.samples = sampler->series();
-    }
 
     if (summary.total_refs > 0) {
         summary.bus_per_ref =

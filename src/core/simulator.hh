@@ -33,26 +33,6 @@ struct RunSummary
     Cycle skipped_cycles = 0;
     std::uint64_t total_refs = 0;
     std::uint64_t bus_transactions = 0;
-    /**
-     * Broadcast visits + supplier polls across all buses (see
-     * Bus::snoopVisits); shrinks with the snoop filter on while every
-     * other field stays byte-identical.
-     */
-    std::uint64_t snoop_visits = 0;
-    /**
-     * Times any bus silently degraded from sharer-indexed to full
-     * snooping (see Bus::snoopFilterFallbacks); 0 on a healthy
-     * filtered run, and the run stays correct either way — this
-     * surfaces the perf cliff that used to be invisible.
-     */
-    std::uint64_t snoop_filter_fallbacks = 0;
-    /**
-     * Host wall-clock milliseconds spent inside the simulation loop
-     * proper (System::run), excluding machine construction and trace
-     * loading.  The denominator for honest cycles-per-second
-     * throughput comparisons; machine-dependent by nature.
-     */
-    double sim_time_ms = 0.0;
     /** Bus transactions per memory reference. */
     double bus_per_ref = 0.0;
     /** Fraction of references needing the bus at issue time. */
@@ -61,14 +41,6 @@ struct RunSummary
     bool consistent = true;
     /** Full merged counter set. */
     stats::CounterSet counters;
-    /** Per-bus bus.busy_cycles, indexed by bus (size = num_buses). */
-    std::vector<std::uint64_t> per_bus_busy_cycles;
-    /** True when latency histograms were collected (--histograms). */
-    bool has_histograms = false;
-    /** The collected latency distributions (valid iff has_histograms). */
-    obs::RunMetrics histograms;
-    /** Counter time series (empty unless --sample-every). */
-    obs::SampleSeries samples;
 };
 
 /**

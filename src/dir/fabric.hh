@@ -24,12 +24,12 @@
  * Determinism and equivalence:
  *  - Routing walks the armed set in ascending order and re-reads it
  *    after each poll, the bus's rule, and touched homes are served in
- *    ascending id order on the serial shard, so requester collection,
+ *    ascending id order on the global shard, so requester collection,
  *    arbiter streams, and cross-home delivery order are byte-
- *    identical to the dense scan.  (Homes tick in the serial shard,
- *    before the clusters: the snooping bus commits
- *    supply/kill/deliver atomically within a cycle, and the clusters
- *    observe cross-home deliveries in home order.)  A poll arms or
+ *    identical to the dense scan.  (Homes tick in the global shard,
+ *    created (so ticked) first, before the clusters: the snooping bus
+ *    commits supply/kill/deliver atomically within a cycle, and the
+ *    clusters observe cross-home deliveries in home order.)  A poll arms or
  *    disarms only the polled client itself: ClusterCache::hasRequest
  *    resolves forwards inside its own cluster and re-arms only its
  *    own slot, so no poll can arm a higher client mid-walk.

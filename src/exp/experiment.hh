@@ -3,9 +3,9 @@
  * Experiment specification: a named set of sweep points.
  *
  * An Experiment is what a bench or the CLI hands to the runner: each
- * point is either a trace run (SystemConfig + workload, executed and
- * scraped by the engine) or a custom callable producing a RunResult
- * directly (scenario figures, lock experiments, hierarchy runs).
+ * point is either a trace run (a flat or hierarchical machine +
+ * workload, executed and scraped by the engine) or a custom callable
+ * producing a RunResult directly (scenario figures, lock experiments).
  * ParamGrid expands named parameter axes into the flat, deterministic
  * point order every consumer indexes by.
  *
@@ -18,10 +18,12 @@
 #define DDC_EXP_EXPERIMENT_HH
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/result.hh"
+#include "hier/hier_system.hh"
 #include "sim/system.hh"
 #include "trace/trace.hh"
 
@@ -65,7 +67,10 @@ class ParamGrid
 /** One simulator run: machine configuration + workload + limits. */
 struct TraceRun
 {
+    /** The flat machine (unused when hier is set). */
     SystemConfig config;
+    /** When set, run the hierarchical machine it configures instead. */
+    std::optional<hier::HierConfig> hier;
     Trace trace;
     /** Record and replay the log through the consistency checker. */
     bool check_consistency = false;

@@ -51,6 +51,7 @@ EngineReport::toJson(Cycle cycles) const
                               static_cast<double>(cycles)
                         : 0.0);
     json["snoop_visits"] = Json(snoop_visits);
+    json["global_visits"] = Json(global_visits);
     json["snoop_filter_fallbacks"] = Json(snoop_filter_fallbacks);
     json["directory_blocks"] = Json(directory_blocks);
     json["directory_max_load_factor"] = Json(directory_max_load_factor);
@@ -74,6 +75,7 @@ EngineReport::fromJson(const Json &json)
     engine.sim_cycles_per_sec = real("sim_cycles_per_sec");
     engine.skipped_cycles = static_cast<Cycle>(count("skipped_cycles"));
     engine.snoop_visits = count("snoop_visits");
+    engine.global_visits = count("global_visits");
     engine.snoop_filter_fallbacks = count("snoop_filter_fallbacks");
     engine.directory_blocks = count("directory_blocks");
     engine.directory_max_load_factor = real("directory_max_load_factor");

@@ -56,8 +56,16 @@ struct EngineReport
     double sim_cycles_per_sec = 0.0;
     /** Cycles the quiescent-skip engine fast-forwarded. */
     Cycle skipped_cycles = 0;
-    /** Bus broadcast visits + supplier polls (Bus::snoopVisits). */
+    /**
+     * Bus broadcast visits + supplier polls (Bus::snoopVisits) on
+     * every level; a directory global level counts its messages.
+     */
     std::uint64_t snoop_visits = 0;
+    /**
+     * Of snoop_visits, the hierarchical machine's global level alone
+     * (HierSystem::globalVisits); 0 on the flat machine.
+     */
+    std::uint64_t global_visits = 0;
     /** Buses that degraded to full snooping (Bus::snoopFilterFallbacks). */
     std::uint64_t snoop_filter_fallbacks = 0;
     /** Blocks with directory state at the end; 0 on snooping runs. */

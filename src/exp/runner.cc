@@ -6,40 +6,111 @@
 #include <thread>
 
 #include "base/logging.hh"
-#include "core/simulator.hh"
+#include "verify/consistency.hh"
 
 namespace ddc {
 namespace exp {
 
+namespace {
+
+/**
+ * Load @p run's trace on @p machine, run it and scrape what both
+ * machines report alike.  The caller adds bus_transactions and the
+ * standard metrics (see setBusTransactions) and its own extras.
+ */
+RunResult
+runAndScrape(Multiprocessor &machine, const TraceRun &run)
+{
+    machine.loadTrace(run.trace);
+    RunResult result;
+    auto start = std::chrono::steady_clock::now();
+    result.cycles = machine.run(run.max_cycles);
+    std::chrono::duration<double, std::milli> elapsed =
+        std::chrono::steady_clock::now() - start;
+    result.engine.sim_time_ms = elapsed.count();
+    result.status = machine.runStatus();
+    result.total_refs = run.trace.totalRefs();
+    if (run.check_consistency)
+        result.consistent = checkSerialConsistency(machine.log()).consistent;
+    result.counters = machine.counters();
+    result.engine.skipped_cycles = machine.skippedCycles();
+    result.engine.snoop_visits = machine.snoopVisits();
+    result.engine.snoop_filter_fallbacks = machine.snoopFilterFallbacks();
+    if (auto *observability = machine.observability()) {
+        if (auto *metrics = observability->metrics())
+            result.histograms = histogramsJson(*metrics);
+        auto *sampler = observability->sampler();
+        if (sampler && !sampler->series().empty())
+            result.samples = samplesJson(sampler->series());
+    }
+    return result;
+}
+
+/**
+ * Set @p result's bus_transactions (the traffic that serializes the
+ * whole machine) and the two metrics every trace run carries.
+ */
+void
+setBusTransactions(RunResult &result, const Multiprocessor &machine,
+                   std::uint64_t bus_transactions)
+{
+    result.bus_transactions = bus_transactions;
+    double refs = static_cast<double>(result.total_refs);
+    result.setMetric("bus_per_ref",
+                     refs > 0 ? static_cast<double>(bus_transactions) / refs
+                              : 0.0);
+    result.setMetric("miss_ratio",
+                     refs > 0 ? static_cast<double>(machine.missRefs()) /
+                                    refs
+                              : 0.0);
+}
+
+} // namespace
+
 RunResult
 executeTraceRun(const TraceRun &run)
 {
-    auto summary = runTrace(run.config, run.trace, run.check_consistency,
-                            run.max_cycles);
+    if (run.hier) {
+        hier::HierConfig config = *run.hier;
+        if (run.check_consistency)
+            config.record_log = true;
+        hier::HierSystem machine(config);
+        RunResult result = runAndScrape(machine, run);
+        setBusTransactions(result, machine, machine.globalBusTransactions());
+        result.setMetric("cluster_bus_ops",
+                         static_cast<double>(
+                             machine.clusterBusTransactions()));
+        result.engine.global_visits = machine.globalVisits();
+        if (const auto *fabric = machine.directoryFabric()) {
+            // Hot-home skew: peak over mean per-home message count
+            // (1.0 = perfectly balanced).
+            double mean = fabric->meanHomeMessages();
+            if (mean > 0.0) {
+                result.setMetric("hot_home_skew",
+                                 static_cast<double>(
+                                     fabric->maxHomeMessages()) /
+                                     mean);
+            }
+            result.engine.directory_blocks = fabric->directoryBlocks();
+            result.engine.directory_max_load_factor =
+                fabric->maxLoadFactor();
+            result.engine.route_phase_ms = fabric->routePhaseMs();
+            result.engine.serve_phase_ms = fabric->servePhaseMs();
+        }
+        return result;
+    }
 
-    RunResult result;
-    result.status = summary.status;
-    result.cycles = summary.cycles;
-    result.engine.skipped_cycles = summary.skipped_cycles;
-    result.engine.snoop_visits = summary.snoop_visits;
-    result.engine.snoop_filter_fallbacks = summary.snoop_filter_fallbacks;
-    result.engine.sim_time_ms = summary.sim_time_ms;
-    result.total_refs = summary.total_refs;
-    result.bus_transactions = summary.bus_transactions;
-    result.consistent = summary.consistent;
-    result.counters = summary.counters;
-    if (summary.has_histograms)
-        result.histograms = histogramsJson(summary.histograms);
-    if (!summary.samples.empty())
-        result.samples = samplesJson(summary.samples);
-    result.setMetric("bus_per_ref", summary.bus_per_ref);
-    result.setMetric("miss_ratio", summary.miss_ratio);
-    if (summary.per_bus_busy_cycles.size() > 1) {
-        for (std::size_t b = 0; b < summary.per_bus_busy_cycles.size();
-             b++) {
-            result.counters.add("bus" + std::to_string(b) +
-                                    ".busy_cycles",
-                                summary.per_bus_busy_cycles[b]);
+    SystemConfig config = run.config;
+    if (run.check_consistency)
+        config.record_log = true;
+    config.num_pes = std::max(config.num_pes, run.trace.numPes());
+    System machine(config);
+    RunResult result = runAndScrape(machine, run);
+    setBusTransactions(result, machine, machine.totalBusTransactions());
+    if (machine.numBuses() > 1) {
+        for (int b = 0; b < machine.numBuses(); b++) {
+            result.counters.add("bus" + std::to_string(b) + ".busy_cycles",
+                                machine.busCounters(b).get("bus.busy_cycles"));
         }
     }
     return result;

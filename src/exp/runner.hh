@@ -31,9 +31,14 @@ struct RunnerOptions
 /**
  * Execute one trace run and scrape it into a RunResult.
  *
- * Thread-safe: builds a private System.  Sets the standard derived
- * metrics (bus_per_ref, miss_ratio) and, on multi-bus machines,
- * per-bus "busK.busy_cycles" counters.
+ * Thread-safe: builds a private machine, the flat System or (when
+ * run.hier is set) the HierSystem.  Sets the standard derived metrics
+ * (bus_per_ref, miss_ratio) over bus_transactions: every flat bus, or
+ * the hierarchical global level.  Multi-bus flat machines add per-bus
+ * "busK.busy_cycles" counters.  Hierarchical runs add the
+ * cluster_bus_ops metric, engine.global_visits and, on the directory
+ * fabric, the hot_home_skew metric and the engine's directory table
+ * size and route/serve times.
  */
 RunResult executeTraceRun(const TraceRun &run);
 

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "core/rb.hh"
-#include "sim/trace_agent.hh"
 
 namespace ddc {
 namespace hier {
@@ -20,7 +19,11 @@ toString(GlobalKind kind)
 }
 
 HierSystem::HierSystem(const HierConfig &config)
-    : config(config), kernel(clock, KernelConfig{config.skip_quiescent})
+    : Multiprocessor("HierSystem",
+                     config.num_clusters * config.pes_per_cluster,
+                     config.protocol, config.rwb_writes_to_local,
+                     config.skip_quiescent, config.histograms, 0),
+      config(config)
 {
     ddc_assert(config.num_clusters >= 1, "need at least one cluster");
     ddc_assert(config.pes_per_cluster >= 1,
@@ -29,18 +32,19 @@ HierSystem::HierSystem(const HierConfig &config)
     ddc_assert(config.protocol == ProtocolKind::Rb ||
                    config.protocol == ProtocolKind::Rwb,
                "the hierarchical machine supports the RB and RWB schemes");
-    protocol = makeProtocol(config.protocol, config.rwb_writes_to_local);
 
-    globalShard = &kernel.makeSerialShard(0);
+    // The global shard is created (so ticked) first: every
+    // cross-cluster action commits before any cluster runs.
+    Shard &global_shard = kernel.makeShard(0);
     if (config.global == GlobalKind::Directory) {
         // Home nodes replace the global bus + monolithic memory;
-        // they run in the serial shard because the snooping bus
+        // they run in the global shard because the snooping bus
         // commits supply/kill/deliver atomically within a cycle and
         // the clusters rely on observing them in home order.
         fabric = std::make_unique<dir::DirectoryFabric>(
             config.home_nodes, config.arbiter, config.arbiter_seed,
             globalStats);
-        globalShard->addComponent(fabric.get());
+        global_shard.addComponent(fabric.get());
     } else {
         ddc_assert(config.home_nodes == 1,
                    "home_nodes > 1 needs GlobalKind::Directory");
@@ -49,7 +53,7 @@ HierSystem::HierSystem(const HierConfig &config)
                                           globalStats,
                                           config.arbiter_seed, 1, 0,
                                           config.snoop_filter);
-        globalShard->addComponent(globalBus.get());
+        global_shard.addComponent(globalBus.get());
     }
 
     ExecutionLog *log = config.record_log ? &execLog : nullptr;
@@ -63,7 +67,6 @@ HierSystem::HierSystem(const HierConfig &config)
             clusterCaches.back()->connectGlobal(*globalBus);
         Shard &shard = kernel.makeShard(
             static_cast<std::size_t>(config.pes_per_cluster));
-        clusterShards.push_back(&shard);
         clusterBuses.push_back(std::make_unique<Bus>(
             *clusterCaches.back(), config.arbiter, clock,
             *clusterStats.back(),
@@ -75,17 +78,17 @@ HierSystem::HierSystem(const HierConfig &config)
         for (int p = 0; p < config.pes_per_cluster; p++) {
             PeId pe = c * config.pes_per_cluster + p;
             l1s.push_back(std::make_unique<Cache>(
-                pe, config.cache_lines, *protocol, clock, cacheStats,
+                pe, config.cache_lines, *proto, clock, cacheStats,
                 log));
             l1s.back()->connectBus(*clusterBuses.back());
             l1s.back()->setWakeSlot(&shard, static_cast<std::size_t>(p));
             clusterCaches.back()->addChild(l1s.back().get());
+            seat(pe, {l1s.back().get()}, shard,
+                 static_cast<std::size_t>(p));
         }
     }
-    agents.resize(static_cast<std::size_t>(numPes()));
 
     // Bus track 0 is the global bus; cluster c's bus is track 1 + c.
-    recorder = obs::makeRecorder(config.histograms, 0);
     obs::CounterSampler *sampler = nullptr;
     if (recorder) {
         if (globalBus)
@@ -99,11 +102,9 @@ HierSystem::HierSystem(const HierConfig &config)
                 recorder.get(), 1 + c);
         for (auto &l1 : l1s)
             l1->setObserver(recorder.get());
-        kernel.setQuiesceSink(recorder->trace(obs::Category::Quiesce));
         if (fabric)
             fabric->setProfile(recorder->profile());
         sampler = recorder->sampler();
-        kernel.setSampler(sampler);
     }
     if (sampler) {
         auto global_busy = globalStats.intern("bus.busy_cycles");
@@ -144,86 +145,6 @@ HierSystem::HierSystem(const HierConfig &config)
     }
 }
 
-void
-HierSystem::loadTrace(const Trace &trace)
-{
-    ddc_assert(trace.numPes() <= numPes(),
-               "trace has more PE streams than the machine has PEs");
-    for (PeId pe = 0; pe < numPes(); pe++) {
-        SharedStream stream =
-            pe < trace.numPes() ? trace.share(pe) : nullptr;
-        int cluster = clusterOf(pe);
-        agents[static_cast<std::size_t>(pe)] = std::make_unique<TraceAgent>(
-            CacheSet({l1s[static_cast<std::size_t>(pe)].get()}),
-            std::move(stream), cacheStats);
-        clusterShards[static_cast<std::size_t>(cluster)]->setAgent(
-            static_cast<std::size_t>(pe % config.pes_per_cluster),
-            agents[static_cast<std::size_t>(pe)].get());
-    }
-    for (Shard *shard : clusterShards)
-        shard->rebuild();
-}
-
-void
-HierSystem::setProgram(PeId pe, Program program)
-{
-    ddc_assert(pe >= 0 && pe < numPes(), "PE id out of range");
-    int cluster = clusterOf(pe);
-    agents[static_cast<std::size_t>(pe)] = std::make_unique<Processor>(
-        pe, CacheSet({l1s[static_cast<std::size_t>(pe)].get()}),
-        std::move(program), cacheStats);
-    Shard *shard = clusterShards[static_cast<std::size_t>(cluster)];
-    shard->setAgent(static_cast<std::size_t>(pe % config.pes_per_cluster),
-                    agents[static_cast<std::size_t>(pe)].get());
-    shard->rebuild();
-}
-
-Processor &
-HierSystem::processor(PeId pe)
-{
-    ddc_assert(pe >= 0 && pe < numPes(), "PE id out of range");
-    auto *processor =
-        dynamic_cast<Processor *>(agents[static_cast<std::size_t>(pe)]
-                                      .get());
-    if (processor == nullptr)
-        ddc_fatal("PE ", pe, " is not running a program");
-    return *processor;
-}
-
-void
-HierSystem::tick()
-{
-    // Global commits first: a cluster's forwarded completion lands
-    // before the cluster bus (and the PEs) run this cycle.  The
-    // kernel preserves that order — serial (global) shard, then the
-    // cluster shards.
-    kernel.tickOnce();
-}
-
-Cycle
-HierSystem::run(Cycle max_cycles)
-{
-    // Next-event time advance and tick ordering live in the kernel;
-    // see Kernel::run.  The hierarchy's buses run at the
-    // unified (zero extra latency) cycle, so skips engage only when
-    // every level is simultaneously blocked — but the engine is wired
-    // identically so the on/off equivalence guarantee covers this
-    // machine too.
-    Cycle start = clock.now;
-    run_status = kernel.run(max_cycles);
-    if (run_status == RunStatus::TimedOut) {
-        ddc_warn("HierSystem::run hit its cycle budget (", max_cycles,
-                 " cycles) with agents still busy; reporting timed_out");
-    }
-    return clock.now - start;
-}
-
-bool
-HierSystem::allDone() const
-{
-    return kernel.allDone();
-}
-
 const Cache &
 HierSystem::l1(PeId pe) const
 {
@@ -252,7 +173,7 @@ HierSystem::coherentValue(Addr addr) const
     // A dirty L1 holds the latest value; else an owning cluster cache;
     // else global memory.
     for (PeId pe = 0; pe < numPes(); pe++) {
-        if (protocol->needsWriteback(l1(pe).lineState(addr)))
+        if (proto->needsWriteback(l1(pe).lineState(addr)))
             return l1(pe).lineValue(addr);
     }
     for (const auto &cluster : clusterCaches) {
@@ -285,7 +206,7 @@ HierSystem::clusterCache(int cluster) const
 stats::CounterSet
 HierSystem::counters() const
 {
-    kernel.flushStalls();
+    flushStalls();
     stats::CounterSet merged;
     merged.merge(globalStats);
     merged.merge(cacheStats);

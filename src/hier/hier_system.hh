@@ -17,18 +17,10 @@
 #include "core/factory.hh"
 #include "dir/fabric.hh"
 #include "hier/cluster_cache.hh"
-#include "sim/agent.hh"
 #include "sim/bus.hh"
-#include "sim/clock.hh"
-#include "sim/exec_log.hh"
-#include "sim/isa.hh"
-#include "sim/kernel.hh"
 #include "sim/memory.hh"
-#include "sim/processor.hh"
-#include "sim/shard.hh"
-#include "sim/system.hh"
+#include "sim/multiprocessor.hh"
 #include "stats/counter.hh"
-#include "trace/trace.hh"
 
 namespace ddc {
 namespace hier {
@@ -100,14 +92,10 @@ struct HierConfig
 };
 
 /** A complete hierarchical shared-bus multiprocessor (RB recursive). */
-class HierSystem
+class HierSystem final : public Multiprocessor
 {
   public:
     explicit HierSystem(const HierConfig &config);
-
-    /** Total number of PEs. */
-    int numPes() const { return config.num_clusters *
-                                config.pes_per_cluster; }
 
     int numClusters() const { return config.num_clusters; }
 
@@ -115,45 +103,11 @@ class HierSystem
     int clusterOf(PeId pe) const { return pe / config.pes_per_cluster; }
 
     /**
-     * Replace every agent with trace replay of @p trace.  The agents
-     * share the trace's streams (no copy); @p trace may be changed or
-     * destroyed afterwards without affecting the loaded run.
-     */
-    void loadTrace(const Trace &trace);
-
-    /** Install @p program on PE @p pe (creates a Processor agent). */
-    void setProgram(PeId pe, Program program);
-
-    /** The Processor on @p pe. */
-    Processor &processor(PeId pe);
-
-    /** Advance one cycle: global bus, cluster buses, then PEs. */
-    void tick();
-
-    /**
-     * Run until every agent is done (or @p max_cycles elapse); a hit
-     * budget logs a warning and is reported by timedOut().
-     */
-    Cycle run(Cycle max_cycles = System::kDefaultMaxCycles);
-
-    /** Outcome of the most recent run() (Finished before any run). */
-    RunStatus runStatus() const { return run_status; }
-
-    /** True when the most recent run() hit its cycle budget. */
-    bool timedOut() const { return run_status == RunStatus::TimedOut; }
-
-    /** Cycles run() fast-forwarded instead of ticking. */
-    Cycle skippedCycles() const { return kernel.skippedCycles(); }
-
-    /**
      * Host threads run() uses: always 1, the kernel ticks every
      * shard on the calling thread.  Kept only because the layer
      * benchmark (bench/perf) reports it.
      */
     int workerLanes() const { return 1; }
-
-    bool allDone() const;
-    Cycle now() const { return clock.now; }
 
     /** Global memory's value of @p addr (routed to its home bank). */
     Word memoryValue(Addr addr) const;
@@ -173,11 +127,8 @@ class HierSystem
     /** Cluster @p cluster's cache. */
     const ClusterCache &clusterCache(int cluster) const;
 
-    /** The serial execution log (empty unless record_log). */
-    const ExecutionLog &log() const { return execLog; }
-
     /** Merged counters from all components. */
-    stats::CounterSet counters() const;
+    stats::CounterSet counters() const override;
 
     /** Global-bus (and global-memory) counters only. */
     const stats::CounterSet &globalCounters() const { return globalStats; }
@@ -197,7 +148,7 @@ class HierSystem
      * point-to-point message count instead (the apples-to-apples
      * "clients touched per transaction" comparison).
      */
-    std::uint64_t snoopVisits() const;
+    std::uint64_t snoopVisits() const override;
 
     /**
      * The global-level term of snoopVisits() alone: snoop broadcasts
@@ -214,7 +165,7 @@ class HierSystem
      * global bus degrades the moment a 65th cluster attaches; the
      * directory fabric never does.
      */
-    std::uint64_t snoopFilterFallbacks() const;
+    std::uint64_t snoopFilterFallbacks() const override;
 
     /** The directory fabric (null in GlobalKind::Snoop mode). */
     const dir::DirectoryFabric *directoryFabric() const
@@ -225,29 +176,12 @@ class HierSystem
     /** Mutable fabric access (bench phase-timing enablement). */
     dir::DirectoryFabric *directoryFabric() { return fabric.get(); }
 
-    /** This machine's observability state (null when all off). */
-    obs::Recorder *observability() const { return recorder.get(); }
-
   private:
     const Cache &l1(PeId pe) const;
 
     HierConfig config;
-    Clock clock;
-    /**
-     * The shared run-loop driver.  The global interconnect is the
-     * serial shard (ticked first each cycle — all cross-cluster
-     * traffic commits there); each cluster is one further shard,
-     * ticked in cluster order.
-     */
-    Kernel kernel;
-    RunStatus run_status = RunStatus::Finished;
-    ExecutionLog execLog;
-    std::unique_ptr<Protocol> protocol;
-
     stats::CounterSet globalStats;
     std::vector<std::unique_ptr<stats::CounterSet>> clusterStats;
-    /** Every L1's cache.* and every PE's pe.* counters. */
-    stats::CounterSet cacheStats;
 
     /** Global memory + snooping bus (GlobalKind::Snoop mode only). */
     std::unique_ptr<Memory> memory;
@@ -258,14 +192,6 @@ class HierSystem
     std::vector<std::unique_ptr<Bus>> clusterBuses;
     /** l1s[pe]. */
     std::vector<std::unique_ptr<Cache>> l1s;
-    std::vector<std::unique_ptr<Agent>> agents;
-    /** The serial (global-bus) shard, owned by the kernel. */
-    Shard *globalShard = nullptr;
-    /** clusterShards[cluster], owned by the kernel. */
-    std::vector<Shard *> clusterShards;
-
-    /** Observability state (null when everything is off). */
-    std::unique_ptr<obs::Recorder> recorder;
 };
 
 /** Outcome of a hierarchical invariant check. */

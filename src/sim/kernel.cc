@@ -43,14 +43,6 @@ Kernel::Kernel(Clock &clock, const KernelConfig &config)
 {}
 
 Shard &
-Kernel::makeSerialShard(std::size_t agent_slots)
-{
-    ddc_assert(!serial, "a kernel has at most one serial shard");
-    serial = std::make_unique<Shard>(agent_slots);
-    return *serial;
-}
-
-Shard &
 Kernel::makeShard(std::size_t agent_slots)
 {
     shards.push_back(std::make_unique<Shard>(agent_slots));
@@ -60,8 +52,6 @@ Kernel::makeShard(std::size_t agent_slots)
 void
 Kernel::tickOnce()
 {
-    if (serial)
-        serial->tick();
     for (auto &shard : shards)
         shard->tick();
     clock.now++;
@@ -70,8 +60,6 @@ Kernel::tickOnce()
 bool
 Kernel::allDone() const
 {
-    if (serial && !serial->done())
-        return false;
     for (const auto &shard : shards) {
         if (!shard->done())
             return false;
@@ -83,11 +71,6 @@ Cycle
 Kernel::earliestNextEvent() const
 {
     Cycle earliest = kNever;
-    if (serial) {
-        earliest = serial->nextEventCycle(clock.now);
-        if (earliest <= clock.now)
-            return clock.now;
-    }
     for (const auto &shard : shards) {
         Cycle next = shard->nextEventCycle(clock.now);
         if (next <= clock.now)
@@ -110,8 +93,6 @@ Kernel::skipQuiescent(Cycle count)
         event.tid = 0;
         quiesce->push(event);
     }
-    if (serial)
-        serial->skipCycles(count);
     for (auto &shard : shards)
         shard->skipCycles(count);
     clock.now += count;
@@ -121,8 +102,6 @@ Kernel::skipQuiescent(Cycle count)
 void
 Kernel::flushStalls() const
 {
-    if (serial)
-        serial->flushStalls();
     for (const auto &shard : shards)
         shard->flushStalls();
 }

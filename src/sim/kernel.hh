@@ -4,14 +4,13 @@
  *
  * The kernel owns tick ordering, quiescent-cycle skipping (next-event
  * time advance via each shard's nextEventCycle), stall-skip flushing,
- * and budget/timeout accounting; System and HierSystem are
- * configuration + component wiring over it.  A machine registers an
- * optional *serial* shard (ticked first each cycle — the hierarchical
- * machine's global interconnect, where every cross-cluster action
- * commits) and any number of further shards (the clusters), then
- * calls run().  Each cycle ticks the serial shard and then every other
- * shard in creation order, on the calling thread; see DESIGN.md,
- * "The kernel".
+ * and budget/timeout accounting.  The Multiprocessor base owns one,
+ * and System and HierSystem wire their components into its shards.
+ * Each cycle ticks every shard in creation order, on the calling
+ * thread.  The hierarchical machine creates its global shard first
+ * (so ticks it first: every cross-cluster action commits before any
+ * cluster runs), then one shard per cluster; see DESIGN.md, "The
+ * kernel".
  */
 
 #ifndef DDC_SIM_KERNEL_HH
@@ -70,9 +69,6 @@ class Kernel
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
 
-    /** Create the serial shard (at most one): ticked first each cycle. */
-    Shard &makeSerialShard(std::size_t agent_slots);
-
     /** Create the next shard, ticked after those created before it. */
     Shard &makeShard(std::size_t agent_slots);
 
@@ -89,7 +85,7 @@ class Kernel
      */
     RunStatus run(Cycle max_cycles);
 
-    /** Advance exactly one cycle: serial shard, shards in order, clock. */
+    /** Advance exactly one cycle: shards in creation order, clock. */
     void tickOnce();
 
     /** True when every shard's agents have finished. */
@@ -113,7 +109,6 @@ class Kernel
 
     Clock &clock;
     KernelConfig config;
-    std::unique_ptr<Shard> serial;
     std::vector<std::unique_ptr<Shard>> shards;
     Cycle skipped = 0;
 

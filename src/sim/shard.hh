@@ -6,8 +6,9 @@
  * A shard is the kernel's grouping of per-cycle work (see DESIGN.md,
  * "The kernel").  On the flat machine the whole system is one shard;
  * on the hierarchical machine the global interconnect forms the
- * serial shard and each cluster (cluster bus + its L1 caches + its
- * PEs) is one further shard, ticked in cluster order.
+ * global shard, created (so ticked) first, and each cluster (cluster
+ * bus + its L1 caches + its PEs) is one further shard, ticked in
+ * cluster order.
  *
  * The shard owns the stall-skip machinery: an agent whose tick
  * reported stalledOnCompletion() leaves the runnable list and costs

@@ -1,27 +1,25 @@
 #include "sim/system.hh"
 
-#include <algorithm>
 #include <array>
 #include <string>
 
 #include "base/logging.hh"
-#include "sim/trace_agent.hh"
 
 namespace ddc {
 
 System::System(const SystemConfig &config)
-    : config(config),
-      kernel(clock, KernelConfig{config.skip_quiescent})
+    : Multiprocessor("System", config.num_pes, config.protocol,
+                     config.rwb_writes_to_local, config.skip_quiescent,
+                     config.histograms, config.sample_every),
+      config(config)
 {
     ddc_assert(config.num_pes >= 1, "need at least one PE");
     ddc_assert(config.num_buses >= 1, "need at least one bus");
     ddc_assert(config.cache_lines >= 1, "need at least one cache line");
     ddc_assert(config.block_words >= 1, "need at least one word per block");
 
-    proto = makeProtocol(config.protocol, config.rwb_writes_to_local);
-
-    auto num_pes = static_cast<std::size_t>(config.num_pes);
-    shard = &kernel.makeShard(num_pes);
+    // The flat machine is one shard: every PE's banks span every bus.
+    Shard &shard = kernel.makeShard(static_cast<std::size_t>(config.num_pes));
 
     for (int b = 0; b < config.num_buses; b++) {
         busStats.push_back(std::make_unique<stats::CounterSet>());
@@ -32,35 +30,24 @@ System::System(const SystemConfig &config)
             config.arbiter_seed + static_cast<std::uint64_t>(b),
             config.block_words, config.memory_latency,
             config.snoop_filter));
-        shard->addComponent(buses.back().get());
+        shard.addComponent(buses.back().get());
     }
 
     ExecutionLog *log = config.record_log ? &execLog : nullptr;
     for (PeId pe = 0; pe < config.num_pes; pe++) {
+        std::vector<Cache *> banks;
         for (int b = 0; b < config.num_buses; b++) {
             caches.push_back(std::make_unique<Cache>(
                 pe, config.cache_lines, *proto, clock,
                 cacheStats, log, config.block_words, config.ways));
             caches.back()->connectBus(*buses[static_cast<std::size_t>(b)]);
-            caches.back()->setWakeSlot(shard,
+            caches.back()->setWakeSlot(&shard,
                                        static_cast<std::size_t>(pe));
+            banks.push_back(caches.back().get());
         }
-    }
-    agents.resize(num_pes);
-
-    static constexpr std::string_view kMissPrefixes[] = {
-        "cache.read_miss.", "cache.write_miss.", "cache.ts.",
-        "cache.readlock.", "cache.writeunlock."};
-    static constexpr std::string_view kClasses[] = {"Code", "Local",
-                                                    "Shared"};
-    for (auto prefix : kMissPrefixes) {
-        for (auto cls : kClasses) {
-            missStats.push_back(cacheStats.intern(std::string(prefix) +
-                                                  std::string(cls)));
-        }
+        seat(pe, std::move(banks), shard, static_cast<std::size_t>(pe));
     }
 
-    recorder = obs::makeRecorder(config.histograms, config.sample_every);
     obs::CounterSampler *sampler = nullptr;
     if (recorder) {
         for (int b = 0; b < config.num_buses; b++)
@@ -68,9 +55,7 @@ System::System(const SystemConfig &config)
                 recorder.get(), b);
         for (auto &cache : caches)
             cache->setObserver(recorder.get());
-        kernel.setQuiesceSink(recorder->trace(obs::Category::Quiesce));
         sampler = recorder->sampler();
-        kernel.setSampler(sampler);
     }
     if (sampler) {
         for (int b = 0; b < config.num_buses; b++) {
@@ -111,80 +96,6 @@ System::System(const SystemConfig &config)
                 });
         }
     }
-}
-
-CacheSet
-System::cacheSetFor(PeId pe)
-{
-    std::vector<Cache *> banks;
-    for (int b = 0; b < config.num_buses; b++) {
-        banks.push_back(
-            caches[static_cast<std::size_t>(pe * config.num_buses + b)]
-                .get());
-    }
-    return CacheSet(std::move(banks));
-}
-
-void
-System::loadTrace(const Trace &trace)
-{
-    ddc_assert(trace.numPes() <= config.num_pes,
-               "trace has more PE streams than the system has PEs");
-    for (PeId pe = 0; pe < config.num_pes; pe++) {
-        SharedStream stream =
-            pe < trace.numPes() ? trace.share(pe) : nullptr;
-        agents[static_cast<std::size_t>(pe)] = std::make_unique<TraceAgent>(
-            cacheSetFor(pe), std::move(stream), cacheStats);
-        shard->setAgent(static_cast<std::size_t>(pe),
-                        agents[static_cast<std::size_t>(pe)].get());
-    }
-    shard->rebuild();
-}
-
-void
-System::setProgram(PeId pe, Program program)
-{
-    ddc_assert(pe >= 0 && pe < config.num_pes, "PE id out of range");
-    agents[static_cast<std::size_t>(pe)] = std::make_unique<Processor>(
-        pe, cacheSetFor(pe), std::move(program), cacheStats);
-    shard->setAgent(static_cast<std::size_t>(pe),
-                    agents[static_cast<std::size_t>(pe)].get());
-    shard->rebuild();
-}
-
-Processor &
-System::processor(PeId pe)
-{
-    ddc_assert(pe >= 0 && pe < config.num_pes, "PE id out of range");
-    auto *agent = agents[static_cast<std::size_t>(pe)].get();
-    auto *processor = dynamic_cast<Processor *>(agent);
-    if (processor == nullptr)
-        ddc_fatal("PE ", pe, " is not running a program");
-    return *processor;
-}
-
-void
-System::tick()
-{
-    kernel.tickOnce();
-}
-
-Cycle
-System::run(Cycle max_cycles)
-{
-    Cycle start = clock.now;
-    run_status = kernel.run(max_cycles);
-    if (run_status == RunStatus::TimedOut) {
-        ddc_warn("System::run hit its cycle budget (", max_cycles,
-                 " cycles) with agents still busy; reporting timed_out");
-    }
-    return clock.now - start;
-}
-
-bool
-System::allDone() const
-{
-    return kernel.allDone();
 }
 
 const Cache &
@@ -282,15 +193,6 @@ System::snoopFilterFallbacks() const
     std::uint64_t total = 0;
     for (const auto &bus : buses)
         total += bus->snoopFilterFallbacks();
-    return total;
-}
-
-std::uint64_t
-System::missRefs() const
-{
-    std::uint64_t total = 0;
-    for (auto id : missStats)
-        total += cacheStats.get(id);
     return total;
 }
 

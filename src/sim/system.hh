@@ -1,7 +1,8 @@
 /**
  * @file
  * Full-machine wiring: N PEs, N (x buses) private caches, arbitrated
- * shared bus(es), interleaved memory banks, and a shared clock.
+ * shared bus(es) and interleaved memory banks, over the Multiprocessor
+ * core (clock, kernel, agents).
  *
  * With num_buses == 1 this is the paper's baseline machine; with
  * num_buses == k it is the Figure 7-1 multiple-shared-bus extension
@@ -18,19 +19,12 @@
 
 #include "base/types.hh"
 #include "core/factory.hh"
-#include "sim/agent.hh"
 #include "sim/arbiter.hh"
 #include "sim/bus.hh"
 #include "sim/cache.hh"
-#include "sim/clock.hh"
-#include "sim/exec_log.hh"
-#include "sim/isa.hh"
-#include "sim/kernel.hh"
 #include "sim/memory.hh"
-#include "sim/processor.hh"
-#include "sim/shard.hh"
+#include "sim/multiprocessor.hh"
 #include "stats/counter.hh"
-#include "trace/trace.hh"
 
 namespace ddc {
 
@@ -98,64 +92,13 @@ struct SystemConfig
 // the many existing includers.
 
 /** A complete simulated shared-bus multiprocessor. */
-class System
+class System final : public Multiprocessor
 {
   public:
-    /** Default cycle budget for run(). */
-    static constexpr Cycle kDefaultMaxCycles = 100'000'000;
-
     explicit System(const SystemConfig &config);
 
-    /**
-     * Replace every agent with trace replay of @p trace.  The agents
-     * share the trace's streams (no copy); @p trace may be changed or
-     * destroyed afterwards without affecting the loaded run.
-     */
-    void loadTrace(const Trace &trace);
-
-    /** Install @p program on PE @p pe (creates a Processor agent). */
-    void setProgram(PeId pe, Program program);
-
-    /** The Processor on @p pe (fatal unless setProgram was used). */
-    Processor &processor(PeId pe);
-
-    /**
-     * Advance one cycle: bus phase, then PE phase (drives the shared
-     * kernel's tickOnce).
-     */
-    void tick();
-
-    /**
-     * Run until every agent is done (or @p max_cycles elapse).
-     *
-     * Hitting the budget is never silent: it logs a warning and is
-     * reported by runStatus() / timedOut().
-     * @return Number of cycles executed.
-     */
-    Cycle run(Cycle max_cycles = kDefaultMaxCycles);
-
-    /** Outcome of the most recent run() (Finished before any run). */
-    RunStatus runStatus() const { return run_status; }
-
-    /** True when the most recent run() hit its cycle budget. */
-    bool timedOut() const { return run_status == RunStatus::TimedOut; }
-
-    /**
-     * Cycles run() fast-forwarded instead of ticking (0 with skipping
-     * disabled); included in the cycle counts run() returns.
-     */
-    Cycle skippedCycles() const { return kernel.skippedCycles(); }
-
-    /** True when every agent has finished. */
-    bool allDone() const;
-
-    /** Current cycle. */
-    Cycle now() const { return clock.now; }
-
-    int numPes() const { return config.num_pes; }
     int numBuses() const { return config.num_buses; }
     const SystemConfig &configuration() const { return config; }
-    const Protocol &protocol() const { return *proto; }
 
     /** Coherence state PE @p pe's cache holds for @p addr. */
     LineState lineState(PeId pe, Addr addr) const;
@@ -178,90 +121,27 @@ class System
      */
     void pokeMemory(Addr addr, Word value);
 
-    /** The serial execution log (empty unless record_log). */
-    const ExecutionLog &log() const { return execLog; }
-
     /** Merged counters from caches, buses, memory, and PEs. */
-    stats::CounterSet counters() const;
+    stats::CounterSet counters() const override;
 
     /** Counters of bus @p bus only (bus.* and memory.* of its bank). */
     const stats::CounterSet &busCounters(int bus) const;
 
-    /** Shared cache/PE counter set. */
-    const stats::CounterSet &
-    cacheCounters() const
-    {
-        flushStalls();
-        return cacheStats;
-    }
-
     /** Total bus transactions across all buses. */
     std::uint64_t totalBusTransactions() const;
 
-    /**
-     * Broadcast visits plus supplier polls across all buses (see
-     * Bus::snoopVisits); an A/B pair of runs with the snoop filter
-     * on and off quantifies the avoided virtual calls.
-     */
-    std::uint64_t snoopVisits() const;
-
-    /**
-     * Times any bus degraded from sharer-indexed to full snooping
-     * (see Bus::snoopFilterFallbacks); 0 on a healthy filtered run.
-     */
-    std::uint64_t snoopFilterFallbacks() const;
-
-    /**
-     * References that needed the bus at issue time (the miss_ratio
-     * numerator): the sum of every cache.read_miss.* /
-     * cache.write_miss.* / cache.ts.* / cache.readlock.* /
-     * cache.writeunlock.* counter, read through handles cached at
-     * construction instead of five prefix scans.
-     */
-    std::uint64_t missRefs() const;
-
-    /**
-     * This System's observability state (null when every obs feature
-     * is off — the common case).  The trace file, when this System
-     * claimed one, is written when the System is destroyed.
-     */
-    obs::Recorder *observability() const { return recorder.get(); }
+    std::uint64_t snoopVisits() const override;
+    std::uint64_t snoopFilterFallbacks() const override;
 
   private:
     const Cache &cacheBank(PeId pe, Addr addr) const;
-    CacheSet cacheSetFor(PeId pe);
-
-    /** Flush accrued stall cycles before any counter read. */
-    void flushStalls() const { kernel.flushStalls(); }
 
     SystemConfig config;
-    Clock clock;
-    /**
-     * The shared run-loop driver.  The flat machine is one shard —
-     * every PE's CacheSet spans every bus — so the kernel holds a
-     * single shard; the loop, skip, and stall machinery is the same
-     * code the hierarchical machine runs.
-     */
-    Kernel kernel;
-    /** The machine's single shard (owned by the kernel). */
-    Shard *shard = nullptr;
-    RunStatus run_status = RunStatus::Finished;
-    ExecutionLog execLog;
-    std::unique_ptr<Protocol> proto;
-
-    stats::CounterSet cacheStats;
     std::vector<std::unique_ptr<stats::CounterSet>> busStats;
     std::vector<std::unique_ptr<Memory>> memories;
     std::vector<std::unique_ptr<Bus>> buses;
     /** caches[pe * num_buses + bus]. */
     std::vector<std::unique_ptr<Cache>> caches;
-    std::vector<std::unique_ptr<Agent>> agents;
-
-    /** Handles of the miss-class cache counters (see missRefs()). */
-    std::vector<stats::CounterId> missStats;
-
-    /** Observability state (null when everything is off). */
-    std::unique_ptr<obs::Recorder> recorder;
 };
 
 } // namespace ddc

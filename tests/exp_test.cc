@@ -16,6 +16,7 @@
 #include "exp/json.hh"
 #include "exp/runner.hh"
 #include "exp/session.hh"
+#include "hier/hier_system.hh"
 #include "trace/synthetic.hh"
 
 namespace {
@@ -203,6 +204,54 @@ TEST(RunnerTest, TimeoutStatusPropagates)
     EXPECT_EQ(json.find("status")->asString(), "timed_out");
 }
 
+TEST(RunnerTest, HierarchicalRunMatchesTheMachineRunByHand)
+{
+    // 4 clusters x 2 PEs on the snooping global bus, and on a
+    // two-home directory.
+    auto trace = makeUniformRandomTrace(8, 600, 64, 0.3, 0.05, 5);
+    for (int homes : {0, 2}) {
+        SCOPED_TRACE(homes == 0 ? "snoop" : "directory");
+        hier::HierConfig config;
+        config.num_clusters = 4;
+        config.pes_per_cluster = 2;
+        config.cache_lines = 64;
+        if (homes > 0) {
+            config.global = hier::GlobalKind::Directory;
+            config.home_nodes = homes;
+        }
+        hier::HierSystem machine(config);
+        machine.loadTrace(trace);
+        Cycle cycles = machine.run();
+
+        exp::TraceRun run;
+        run.hier = config;
+        run.trace = trace;
+        exp::RunResult result = exp::executeTraceRun(run);
+        EXPECT_EQ(result.cycles, cycles);
+        EXPECT_EQ(result.status, machine.runStatus());
+        EXPECT_EQ(result.counters.report(), machine.counters().report());
+        EXPECT_EQ(result.bus_transactions, machine.globalBusTransactions());
+        EXPECT_GT(result.bus_transactions, 0u);
+        EXPECT_EQ(result.metric("cluster_bus_ops"),
+                  static_cast<double>(machine.clusterBusTransactions()));
+        EXPECT_EQ(result.total_refs, trace.totalRefs());
+        EXPECT_EQ(result.hasMetric("hot_home_skew"), homes > 0);
+
+        const char *engine_keys[] = {"directory_blocks", "global_visits"};
+        EXPECT_EQ(result.toJson(false).find("engine"), nullptr);
+        std::string plain = result.toJson(false).dump();
+        for (const char *key : engine_keys)
+            EXPECT_EQ(plain.find(key), std::string::npos) << key;
+        if (homes > 0) {
+            auto timed = result.toJson(true);
+            const exp::Json *engine = timed.find("engine");
+            ASSERT_NE(engine, nullptr);
+            for (const char *key : engine_keys)
+                EXPECT_GT(engine->find(key)->asInt(), 0) << key;
+        }
+    }
+}
+
 TEST(JsonTest, RoundTripsValues)
 {
     exp::Json object = exp::Json::object();
@@ -292,6 +341,7 @@ TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
     engine.sim_cycles_per_sec = 1.5e5;
     engine.skipped_cycles = 100;
     engine.snoop_visits = 77;
+    engine.global_visits = 33;
     engine.snoop_filter_fallbacks = 2;
     engine.directory_blocks = 12;
     engine.directory_max_load_factor = 0.5;
@@ -302,7 +352,8 @@ TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
         "wall_time_ms",       "sim_time_ms",
         "sim_cycles_per_sec", "skipped_cycles",
         "skip_fraction",      "snoop_visits",
-        "snoop_filter_fallbacks", "directory_blocks",
+        "global_visits",      "snoop_filter_fallbacks",
+        "directory_blocks",
         "directory_max_load_factor", "route_phase_ms",
         "serve_phase_ms"};
 
@@ -340,6 +391,7 @@ TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
     EXPECT_EQ(rebuilt.engine.sim_cycles_per_sec, 1.5e5);
     EXPECT_EQ(rebuilt.engine.skipped_cycles, 100u);
     EXPECT_EQ(rebuilt.engine.snoop_visits, 77u);
+    EXPECT_EQ(rebuilt.engine.global_visits, 33u);
     EXPECT_EQ(rebuilt.engine.snoop_filter_fallbacks, 2u);
     EXPECT_EQ(rebuilt.engine.directory_blocks, 12u);
     EXPECT_EQ(rebuilt.engine.directory_max_load_factor, 0.5);

@@ -19,12 +19,12 @@
  * combination of the knobs that apply to it (8, or 16 on hierarchical
  * snooping rows), and each run's fingerprint must equal the
  * all-defaults run's: cycles and status, the counter report, the full
- * execution log and, for flat rows, the RunResult JSON that a second
- * run through exp::executeTraceRun produces, with its "engine" object
- * removed.
+ * execution log and the RunResult JSON that a second run through
+ * exp::executeTraceRun produces, with its "engine" object removed.
  * Two differences are allowed, each only across its own knob: the
- * directory's dir.* counter lines, and the "histograms"/"samples"
- * fields observation adds.  Each run is also compared, without
+ * directory's dir.* counters (report lines and JSON keys) and its
+ * hot_home_skew metric, and the "histograms"/"samples" fields
+ * observation adds.  Each run is also compared, without
  * either allowance, to the run with the same observed and directory
  * setting and default skip and filter.  Skipped cycles are compared
  * between runs that share the skip and interconnect setting, so
@@ -587,7 +587,7 @@ struct Fingerprint
     RunStatus status = RunStatus::Finished;
     std::string counters;
     std::vector<LogEntry> log;
-    /** Flat rows: executeTraceRun's toJson(true) minus "engine". */
+    /** executeTraceRun's toJson(true) minus "engine". */
     exp::Json json;
 };
 
@@ -628,6 +628,33 @@ withoutDirCounters(const std::string &report)
     return out;
 }
 
+/**
+ * RunResult JSON without what the directory may add: the
+ * hot_home_skew metric and the dir.* counters.
+ */
+exp::Json
+withoutDirKeys(const exp::Json &json)
+{
+    if (json.kind() != exp::Json::Kind::Object)
+        return json;
+    exp::Json kept = exp::Json::object();
+    for (const auto &[key, value] : json.items()) {
+        if (key == "metrics") {
+            kept[key] = without(value, {"hot_home_skew"});
+        } else if (key == "counters") {
+            exp::Json counters = exp::Json::object();
+            for (const auto &[name, count] : value.items()) {
+                if (name.rfind("dir.", 0) != 0)
+                    counters[name] = count;
+            }
+            kept[key] = std::move(counters);
+        } else {
+            kept[key] = value;
+        }
+    }
+    return kept;
+}
+
 void
 expectObserversAttached(obs::Recorder *recorder)
 {
@@ -638,22 +665,15 @@ expectObserversAttached(obs::Recorder *recorder)
     EXPECT_TRUE(sink != nullptr && sink->size() > 0) << "empty trace";
 }
 
-/**
- * Run one machine (System or HierSystem) of @p row under @p knobs,
- * tracing @p categories when observed.
- */
-template <typename Machine, typename Config>
-Outcome
-observeMachine(Config config, const Row &row, unsigned knobs,
-               std::uint32_t categories)
+/** A flat or hierarchical machine configuration with @p knobs applied. */
+template <typename Config>
+Config
+withKnobs(Config config, unsigned knobs)
 {
-    config.record_log = true;
     config.skip_quiescent = !(knobs & kNoSkip);
     config.snoop_filter = !(knobs & kNoFilter);
     config.histograms = (knobs & kObserved) != 0;
-    constexpr bool hierarchical =
-        std::is_same_v<Machine, hier::HierSystem>;
-    if constexpr (hierarchical) {
+    if constexpr (std::is_same_v<Config, hier::HierConfig>) {
         if (knobs & kDirectory) {
             config.global = hier::GlobalKind::Directory;
             config.home_nodes = 1;
@@ -661,7 +681,15 @@ observeMachine(Config config, const Row &row, unsigned knobs,
     } else {
         config.sample_every = (knobs & kObserved) ? kSampleEvery : 0;
     }
-    ObservedScope observed(knobs & kObserved, categories, hierarchical);
+    return config;
+}
+
+/** Run @p row's machine, built from @p config, with its log recorded. */
+template <typename Machine, typename Config>
+Outcome
+observeMachine(Config config, const Row &row, unsigned knobs)
+{
+    config.record_log = true;
     Machine system(config);
     system.loadTrace(row.trace);
     Outcome run;
@@ -674,7 +702,7 @@ observeMachine(Config config, const Row &row, unsigned knobs,
     run.fallbacks = system.snoopFilterFallbacks();
     if (knobs & kObserved)
         expectObserversAttached(system.observability());
-    if constexpr (hierarchical) {
+    if constexpr (std::is_same_v<Machine, hier::HierSystem>) {
         run.global_ops = system.globalBusTransactions();
         const auto *fabric = system.directoryFabric();
         if (config.global == hier::GlobalKind::Directory) {
@@ -691,7 +719,7 @@ observeMachine(Config config, const Row &row, unsigned knobs,
 }
 
 /**
- * The RunResult JSON of @p row's flat machine under @p knobs, through
+ * The RunResult JSON of @p row's machine under @p knobs, through
  * exp::executeTraceRun: toJson(true) without "engine", which must be
  * toJson(false) exactly.  Observed means histogrammed and sampled
  * here; the trace rides the machine run, whose counters and log the
@@ -701,11 +729,10 @@ exp::Json
 observeJson(const Row &row, unsigned knobs)
 {
     exp::TraceRun run;
-    run.config = row.flat;
-    run.config.skip_quiescent = !(knobs & kNoSkip);
-    run.config.snoop_filter = !(knobs & kNoFilter);
-    run.config.histograms = (knobs & kObserved) != 0;
-    run.config.sample_every = (knobs & kObserved) ? kSampleEvery : 0;
+    if (row.kind == Kind::Flat)
+        run.config = withKnobs(row.flat, knobs);
+    else
+        run.hier = withKnobs(row.hier, knobs);
     run.trace = row.trace;
     run.max_cycles = row.max_cycles;
     exp::RunResult result = exp::executeTraceRun(run);
@@ -718,15 +745,24 @@ observeJson(const Row &row, unsigned knobs)
     return json;
 }
 
+/**
+ * Run @p row under @p knobs, on its machine and through the engine,
+ * tracing @p categories on the machine run when observed.
+ */
 Outcome
 observe(const Row &row, unsigned knobs,
         std::uint32_t categories = obs::kAllCategories)
 {
-    if (row.kind != Kind::Flat) {
-        return observeMachine<hier::HierSystem>(row.hier, row, knobs,
-                                                categories);
-    }
-    Outcome run = observeMachine<System>(row.flat, row, knobs, categories);
+    // The machine run claims the trace; HierConfig has no sampling
+    // field, so hierarchical rows sample through the process-wide
+    // interval for both runs.
+    bool hierarchical = row.kind != Kind::Flat;
+    ObservedScope observed(knobs & kObserved, categories, hierarchical);
+    Outcome run =
+        hierarchical
+            ? observeMachine<hier::HierSystem>(withKnobs(row.hier, knobs),
+                                               row, knobs)
+            : observeMachine<System>(withKnobs(row.flat, knobs), row, knobs);
     run.fingerprint.json = observeJson(row, knobs);
     return run;
 }
@@ -760,8 +796,9 @@ expectSameLog(const std::vector<LogEntry> &expected,
 
 /**
  * Expect @p actual to equal @p expected; @p allowed names the knobs
- * whose permitted difference (dir.* counters, observation's JSON
- * fields) the comparison spans.
+ * whose permitted difference (the directory's dir.* counters and
+ * hot_home_skew metric, observation's JSON fields) the comparison
+ * spans.
  */
 void
 expectSame(const Fingerprint &expected, const Fingerprint &actual,
@@ -769,19 +806,21 @@ expectSame(const Fingerprint &expected, const Fingerprint &actual,
 {
     EXPECT_EQ(actual.cycles, expected.cycles);
     EXPECT_EQ(actual.status, expected.status);
+    exp::Json expected_json = expected.json, actual_json = actual.json;
     if (allowed & kDirectory) {
         EXPECT_EQ(withoutDirCounters(actual.counters),
                   withoutDirCounters(expected.counters));
+        expected_json = withoutDirKeys(expected_json);
+        actual_json = withoutDirKeys(actual_json);
     } else {
         EXPECT_EQ(actual.counters, expected.counters);
     }
     expectSameLog(expected.log, actual.log);
     if (allowed & kObserved) {
-        EXPECT_EQ(without(actual.json, {"histograms", "samples"}).dump(),
-                  without(expected.json, {"histograms", "samples"}).dump());
-    } else {
-        EXPECT_EQ(actual.json.dump(), expected.json.dump());
+        expected_json = without(expected_json, {"histograms", "samples"});
+        actual_json = without(actual_json, {"histograms", "samples"});
     }
+    EXPECT_EQ(actual_json.dump(), expected_json.dump());
 }
 
 /**

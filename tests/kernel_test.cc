@@ -363,8 +363,10 @@ TEST(Kernel, WakeDuringTheAgentPassPanics)
     EXPECT_DEATH(kernel.tickOnce(), "during its shard's agent pass");
 }
 
-TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
+TEST(Kernel, TickOrderFollowsShardCreation)
 {
+    // The hierarchical machine relies on this: its global shard,
+    // created first, commits before any cluster shard ticks.
     Clock clock;
     Kernel kernel(clock, KernelConfig{});
     std::vector<int> order;
@@ -392,16 +394,16 @@ TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
         int remaining;
     };
 
-    Shard &serial = kernel.makeSerialShard(1);
     Shard &first = kernel.makeShard(1);
     Shard &second = kernel.makeShard(1);
+    Shard &third = kernel.makeShard(1);
     TaggedAgent a(order, 0, 2), b(order, 1, 2), c(order, 2, 2);
-    serial.setAgent(0, &a);
-    first.setAgent(0, &b);
-    second.setAgent(0, &c);
-    serial.rebuild();
+    first.setAgent(0, &a);
+    second.setAgent(0, &b);
+    third.setAgent(0, &c);
     first.rebuild();
     second.rebuild();
+    third.rebuild();
 
     EXPECT_EQ(kernel.run(100), RunStatus::Finished);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));

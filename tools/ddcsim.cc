@@ -10,9 +10,10 @@
  *   ddcsim --workload cmstar_a --save-trace refs.ddct
  *   ddcsim --workload cmstar_a --json results.json
  *
- * Flat-machine runs go through the experiment engine (src/exp), so
- * the engine flags --jobs N and --json PATH work here exactly as in
- * the bench binaries.  Run with --help for the full option list.
+ * Every run, flat or hierarchical, goes through the experiment engine
+ * (src/exp), so the engine flags --jobs N, --json PATH and --timing
+ * work here exactly as in the bench binaries.  Run with --help for
+ * the full option list.
  */
 
 #include <cctype>
@@ -28,10 +29,8 @@
 #include <string>
 
 #include "base/types.hh"
-#include "core/simulator.hh"
 #include "exp/session.hh"
 #include "hier/hier_system.hh"
-#include "verify/consistency.hh"
 #include "trace/synthetic.hh"
 
 namespace {
@@ -81,16 +80,17 @@ usage(std::ostream &os)
         "output options:\n"
         "  --check          verify serial consistency (records the log)\n"
         "  --stats          dump all counters\n"
-        "  --jobs N         experiment-engine worker threads (flat runs)\n"
+        "  --jobs N         experiment-engine worker threads\n"
         "  --json PATH      write structured results as JSON\n"
         "  --timing         add each run's \"engine\" object to the\n"
         "                   JSON: wall clock, sim rate, skipped\n"
         "                   cycles, snoop visits, filter fallbacks,\n"
         "                   directory table size (host- or knob-\n"
-        "                   dependent values; flat runs)\n"
+        "                   dependent values)\n"
         "  --profile        time the directory fabric's route and\n"
-        "                   serve phases; hierarchical --json gains\n"
-        "                   them as an \"engine\" object\n"
+        "                   serve phases into the \"engine\" object's\n"
+        "                   route_phase_ms / serve_phase_ms (with\n"
+        "                   --timing)\n"
         "  --no-skip        disable quiescent-cycle skipping (A/B\n"
         "                   baseline; results are byte-identical, the\n"
         "                   run is just slower)\n"
@@ -384,63 +384,6 @@ describeResult(const exp::RunResult &result)
     return os.str();
 }
 
-/**
- * Structured results for a hierarchical run.  Every field is
- * deterministic; --profile adds the host phase split as "engine".
- */
-bool
-writeHierJson(const std::string &path, const hier::HierConfig &config,
-              const hier::HierSystem &system)
-{
-    exp::Json json = exp::Json::object();
-    json["machine"] = exp::Json(std::string("hierarchical"));
-    json["protocol"] =
-        exp::Json(std::string(toString(config.protocol)));
-    json["clusters"] =
-        exp::Json(static_cast<std::uint64_t>(config.num_clusters));
-    json["pes_per_cluster"] = exp::Json(
-        static_cast<std::uint64_t>(config.pes_per_cluster));
-    json["global"] = exp::Json(std::string(toString(config.global)));
-    json["status"] = exp::Json(std::string(
-        system.allDone() ? "finished" : "timed_out"));
-    json["cycles"] =
-        exp::Json(static_cast<std::uint64_t>(system.now()));
-    json["global_bus_ops"] =
-        exp::Json(system.globalBusTransactions());
-    json["cluster_bus_ops"] =
-        exp::Json(system.clusterBusTransactions());
-    if (const auto *fabric = system.directoryFabric()) {
-        json["home_nodes"] =
-            exp::Json(static_cast<std::uint64_t>(config.home_nodes));
-        double mean = fabric->meanHomeMessages();
-        if (mean > 0.0) {
-            json["hot_home_skew"] = exp::Json(
-                static_cast<double>(fabric->maxHomeMessages()) / mean);
-        }
-    }
-    if (auto *observability = system.observability()) {
-        if (const auto *metrics = observability->metrics())
-            json["histograms"] = exp::histogramsJson(*metrics);
-        if (auto *sampler = observability->sampler())
-            json["samples"] = exp::samplesJson(sampler->series());
-        // Host-dependent by design, so it rides the --profile flag
-        // only, inside "engine" like every other host value.
-        const auto *profile = observability->profile();
-        if (profile && system.directoryFabric()) {
-            exp::Json engine = exp::Json::object();
-            engine["route_phase_ms"] = exp::Json(profile->fabric_route_ms);
-            engine["serve_phase_ms"] = exp::Json(profile->fabric_serve_ms);
-            json["engine"] = std::move(engine);
-        }
-    }
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    json.dump(out);
-    out << "\n";
-    return out.good();
-}
-
 } // namespace
 
 int
@@ -479,81 +422,62 @@ main(int argc, char **argv)
         return 0;
     }
 
+    exp::Session session(session_options);
+    exp::Experiment spec("ddcsim", "one CLI-configured trace run");
+    const SystemConfig &machine = options.config;
+    exp::TraceRun run;
+    run.config = machine;
+    run.trace = trace;
+    run.check_consistency = options.check;
+    exp::ParamList params{
+        {"protocol", std::string(toString(machine.protocol))}};
     if (options.clusters > 0) {
-        hier::HierConfig config;
+        hier::HierConfig &config = run.hier.emplace();
         config.num_clusters = options.clusters;
-        config.pes_per_cluster = options.config.num_pes;
-        config.cache_lines = options.config.cache_lines;
-        config.protocol = options.config.protocol;
-        config.rwb_writes_to_local = options.config.rwb_writes_to_local;
-        config.arbiter = options.config.arbiter;
-        config.record_log = options.check;
+        config.pes_per_cluster = machine.num_pes;
+        config.cache_lines = machine.cache_lines;
+        config.protocol = machine.protocol;
+        config.rwb_writes_to_local = machine.rwb_writes_to_local;
+        config.arbiter = machine.arbiter;
         config.histograms = session_options.histograms;
         config.global = options.global;
         config.home_nodes = options.homes;
-
-        hier::HierSystem system(config);
-        system.loadTrace(trace);
-        system.run();
-        bool consistent = true;
-        if (options.check)
-            consistent = checkSerialConsistency(system.log()).consistent;
-
-        std::cout << "hierarchical " << toString(config.protocol)
-                  << ", " << options.clusters
-                  << " clusters x " << config.pes_per_cluster << " PEs, "
-                  << config.cache_lines << " L1 lines, global "
-                  << toString(config.global);
-        if (config.global == hier::GlobalKind::Directory)
-            std::cout << " (" << config.home_nodes << " homes)";
-        std::cout << "\n"
-                  << (system.allDone() ? "completed" : "TIMED OUT")
-                  << " in " << system.now() << " cycles; "
-                  << system.globalBusTransactions()
-                  << " global bus ops; " << system.clusterBusTransactions()
-                  << " cluster bus ops\n";
-        if (options.check) {
-            std::cout << "serial consistency: "
-                      << (consistent ? "OK" : "VIOLATED") << "\n";
-        }
-        if (options.dump_stats)
-            std::cout << system.counters().report();
-        if (!session_options.json_path.empty() &&
-            !writeHierJson(session_options.json_path, config, system)) {
-            std::cerr << "ddcsim: cannot write "
-                      << session_options.json_path << "\n";
-            return 1;
-        }
-        return (!system.allDone() || !consistent) ? 1 : 0;
+        params.emplace_back("clusters", std::to_string(options.clusters));
+        params.emplace_back("pes_per_cluster",
+                            std::to_string(machine.num_pes));
+        params.emplace_back("global", std::string(toString(options.global)));
+        if (options.global == hier::GlobalKind::Directory)
+            params.emplace_back("home_nodes", std::to_string(options.homes));
+    } else {
+        params.emplace_back("pes", std::to_string(machine.num_pes));
     }
-
-    exp::Session session(session_options);
-    exp::Experiment spec("ddcsim", "one CLI-configured trace run");
-    {
-        SystemConfig config = options.config;
-        bool check = options.check;
-        exp::ParamList params{
-            {"protocol", std::string(toString(config.protocol))},
-            {"pes", std::to_string(config.num_pes)},
-        };
-        if (!options.workload.empty())
-            params.emplace_back("workload", options.workload);
-        spec.addRun(params, [config, trace, check]() {
-            exp::TraceRun run;
-            run.config = config;
-            run.trace = trace;
-            run.check_consistency = check;
-            return run;
-        });
-    }
+    if (!options.workload.empty())
+        params.emplace_back("workload", options.workload);
+    spec.addRun(params, [run]() { return run; });
     const auto &result = session.run(spec)[0];
 
-    std::cout << "protocol " << toString(options.config.protocol) << ", "
-              << options.config.num_pes << " PEs, "
-              << options.config.cache_lines << " lines x "
-              << options.config.block_words << " words, "
-              << options.config.num_buses << " bus(es)\n"
-              << describeResult(result) << "\n";
+    if (run.hier) {
+        std::cout << "hierarchical " << toString(machine.protocol) << ", "
+                  << options.clusters << " clusters x " << machine.num_pes
+                  << " PEs, " << machine.cache_lines << " L1 lines, global "
+                  << toString(options.global);
+        if (options.global == hier::GlobalKind::Directory)
+            std::cout << " (" << options.homes << " homes)";
+        std::cout << "\n"
+                  << (result.status == RunStatus::Finished ? "completed"
+                                                           : "TIMED OUT")
+                  << " in " << result.cycles << " cycles; "
+                  << result.bus_transactions << " global bus ops; "
+                  << static_cast<std::uint64_t>(
+                         result.metric("cluster_bus_ops"))
+                  << " cluster bus ops\n";
+    } else {
+        std::cout << "protocol " << toString(machine.protocol) << ", "
+                  << machine.num_pes << " PEs, " << machine.cache_lines
+                  << " lines x " << machine.block_words << " words, "
+                  << machine.num_buses << " bus(es)\n"
+                  << describeResult(result) << "\n";
+    }
     if (options.check) {
         std::cout << "serial consistency: "
                   << (result.consistent ? "OK" : "VIOLATED") << "\n";
