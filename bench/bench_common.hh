@@ -18,14 +18,18 @@
  *                host- or knob-dependent value (wall clock, sim
  *                rate, skipped cycles, snoop visits, ...); off by
  *                default, and the only key a comparison strips
- *   --no-skip    disable quiescent-cycle skipping process-wide
- *                (A/B baseline; tables and JSON are byte-identical
- *                with or without it, the run is just slower)
+ *   --no-skip    disable quiescent-cycle skipping (A/B baseline;
+ *                tables and JSON are byte-identical with or without
+ *                it, the run is just slower)
  *   --no-snoop-filter
- *                disable the snoop filter process-wide (A/B
- *                baseline, byte-identical like --no-skip)
+ *                disable the snoop filter (A/B baseline,
+ *                byte-identical like --no-skip)
  * plus the observability flags (--trace-out, --trace-categories,
  * --histograms, --sample-every, --profile); see exp/session.hh.
+ * --no-skip, --no-snoop-filter, --histograms and --sample-every set
+ * the engine defaults (EngineKnobs) that every machine built
+ * afterwards starts from, custom points' machines included; a
+ * config's engine field set in code wins.
  */
 
 #ifndef DDC_BENCH_COMMON_HH

@@ -251,7 +251,6 @@ main(int argc, char **argv)
     // The route/serve phase-split columns come from the fabric's
     // profile; force it on like --timing -- this bench's output is
     // host-dependent on purpose.
-    options.profile = true;
     ddc::obs::setPhaseProfilingEnabled(true);
     ddc::exp::Session session(options);
     printReproduction(session);

@@ -150,7 +150,9 @@ printReproduction(exp::Session &session)
         run.config.num_pes = kScalePeCounts[indices[0]];
         run.config.cache_lines = 1024;
         run.config.protocol = ProtocolKind::Rwb;
-        run.config.snoop_filter = indices[1] == 0;
+        // Only ever off: --no-snoop-filter turns the "on" arm off too.
+        if (indices[1] != 0)
+            run.config.engine.snoop_filter = false;
         run.trace = scale_traces[indices[0]];
         return run;
     });

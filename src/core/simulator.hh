@@ -27,7 +27,7 @@ struct RunSummary
     Cycle cycles = 0;
     /**
      * Of cycles, how many the run loop fast-forwarded across
-     * quiescent intervals instead of ticking (see SystemConfig::
+     * quiescent intervals instead of ticking (see EngineKnobs::
      * skip_quiescent; 0 with skipping disabled).
      */
     Cycle skipped_cycles = 0;

@@ -68,20 +68,24 @@ setBusTransactions(RunResult &result, const Multiprocessor &machine,
 } // namespace
 
 RunResult
-executeTraceRun(const TraceRun &run)
+executeTraceRun(const TraceRun &run,
+                std::unique_ptr<Multiprocessor> *out_machine)
 {
+    RunResult result;
+    std::unique_ptr<Multiprocessor> built;
     if (run.hier) {
         hier::HierConfig config = *run.hier;
         if (run.check_consistency)
             config.record_log = true;
-        hier::HierSystem machine(config);
-        RunResult result = runAndScrape(machine, run);
-        setBusTransactions(result, machine, machine.globalBusTransactions());
+        auto machine = std::make_unique<hier::HierSystem>(config);
+        result = runAndScrape(*machine, run);
+        setBusTransactions(result, *machine,
+                           machine->globalBusTransactions());
         result.setMetric("cluster_bus_ops",
                          static_cast<double>(
-                             machine.clusterBusTransactions()));
-        result.engine.global_visits = machine.globalVisits();
-        if (const auto *fabric = machine.directoryFabric()) {
+                             machine->clusterBusTransactions()));
+        result.engine.global_visits = machine->globalVisits();
+        if (const auto *fabric = machine->directoryFabric()) {
             // Hot-home skew: peak over mean per-home message count
             // (1.0 = perfectly balanced).
             double mean = fabric->meanHomeMessages();
@@ -97,22 +101,27 @@ executeTraceRun(const TraceRun &run)
             result.engine.route_phase_ms = fabric->routePhaseMs();
             result.engine.serve_phase_ms = fabric->servePhaseMs();
         }
-        return result;
-    }
-
-    SystemConfig config = run.config;
-    if (run.check_consistency)
-        config.record_log = true;
-    config.num_pes = std::max(config.num_pes, run.trace.numPes());
-    System machine(config);
-    RunResult result = runAndScrape(machine, run);
-    setBusTransactions(result, machine, machine.totalBusTransactions());
-    if (machine.numBuses() > 1) {
-        for (int b = 0; b < machine.numBuses(); b++) {
-            result.counters.add("bus" + std::to_string(b) + ".busy_cycles",
-                                machine.busCounters(b).get("bus.busy_cycles"));
+        built = std::move(machine);
+    } else {
+        SystemConfig config = run.config;
+        if (run.check_consistency)
+            config.record_log = true;
+        config.num_pes = std::max(config.num_pes, run.trace.numPes());
+        auto machine = std::make_unique<System>(config);
+        result = runAndScrape(*machine, run);
+        setBusTransactions(result, *machine,
+                           machine->totalBusTransactions());
+        if (machine->numBuses() > 1) {
+            for (int b = 0; b < machine->numBuses(); b++) {
+                result.counters.add(
+                    "bus" + std::to_string(b) + ".busy_cycles",
+                    machine->busCounters(b).get("bus.busy_cycles"));
+            }
         }
+        built = std::move(machine);
     }
+    if (out_machine != nullptr)
+        *out_machine = std::move(built);
     return result;
 }
 

@@ -13,6 +13,7 @@
 #ifndef DDC_EXP_RUNNER_HH
 #define DDC_EXP_RUNNER_HH
 
+#include <memory>
 #include <vector>
 
 #include "exp/experiment.hh"
@@ -38,9 +39,13 @@ struct RunnerOptions
  * "busK.busy_cycles" counters.  Hierarchical runs add the
  * cluster_bus_ops metric, engine.global_visits and, on the directory
  * fabric, the hot_home_skew metric and the engine's directory table
- * size and route/serve times.
+ * size and route/serve times.  @p out_machine optionally receives the
+ * finished machine for further inspection (its log, trace sink or
+ * fabric).
  */
-RunResult executeTraceRun(const TraceRun &run);
+RunResult executeTraceRun(const TraceRun &run,
+                          std::unique_ptr<Multiprocessor> *out_machine =
+                              nullptr);
 
 /**
  * Run every point of @p experiment.

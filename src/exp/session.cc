@@ -9,25 +9,33 @@
 #include "base/logging.hh"
 #include "obs/recorder.hh"
 #include "obs/trace.hh"
-#include "sim/system.hh"
+#include "sim/kernel.hh"
 
 namespace ddc {
 namespace exp {
 
 namespace {
 
+/** What the engine flags set: the options and the engine defaults. */
+struct Parsed
+{
+    SessionOptions options;
+    EngineKnobs engine;
+};
+
 /**
  * One engine flag: its spelling, whether it consumes a value, and how
- * it lands on SessionOptions (and any process-wide switch).  Adding a
- * flag is one entry here plus its SessionOptions field; the parse
- * loop, value handling, and error reporting are shared.
+ * it lands on SessionOptions or on the engine defaults every machine
+ * config starts from.  Adding a flag is one entry here plus the field
+ * it sets; the parse loop, value handling, and error reporting are
+ * shared.
  */
 struct FlagSpec
 {
     const char *name;
     bool takes_value;
     /** Applies the flag; returns "" on success, else an error. */
-    std::string (*apply)(SessionOptions &options, const char *value);
+    std::string (*apply)(Parsed &parsed, const char *value);
 };
 
 constexpr const char *kOk = "";
@@ -50,69 +58,65 @@ positiveInteger(const char *value, long max)
 
 const FlagSpec kFlags[] = {
     {"--timing", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.timing = true;
+     [](Parsed &parsed, const char *) -> std::string {
+         parsed.options.timing = true;
          return kOk;
      }},
     {"--no-skip", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.no_skip = true;
-         setQuiescentSkipEnabled(false);
+     [](Parsed &parsed, const char *) -> std::string {
+         parsed.engine.skip_quiescent = false;
          return kOk;
      }},
     {"--no-snoop-filter", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.no_snoop_filter = true;
-         setSnoopFilterEnabled(false);
+     [](Parsed &parsed, const char *) -> std::string {
+         parsed.engine.snoop_filter = false;
          return kOk;
      }},
     {"--jobs", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         options.jobs = static_cast<int>(positiveInteger(value, INT_MAX));
-         if (options.jobs < 1) {
+     [](Parsed &parsed, const char *value) -> std::string {
+         int jobs = static_cast<int>(positiveInteger(value, INT_MAX));
+         if (jobs < 1) {
              return "needs a positive integer, got " +
                     std::string(value);
          }
+         parsed.options.jobs = jobs;
          return kOk;
      }},
     {"--json", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         options.json_path = value;
+     [](Parsed &parsed, const char *value) -> std::string {
+         parsed.options.json_path = value;
          return kOk;
      }},
     {"--trace-out", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         options.trace_out = value;
+     [](Parsed &parsed, const char *value) -> std::string {
+         parsed.options.trace_out = value;
          return kOk;
      }},
     {"--trace-categories", true,
-     [](SessionOptions &options, const char *value) -> std::string {
+     [](Parsed &parsed, const char *value) -> std::string {
          std::string error;
          if (obs::parseCategories(value, &error) == 0)
              return "unknown category '" + error + "'";
-         options.trace_categories = value;
+         parsed.options.trace_categories = value;
          return kOk;
      }},
     {"--histograms", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.histograms = true;
-         obs::setHistogramsEnabled(true);
+     [](Parsed &parsed, const char *) -> std::string {
+         parsed.engine.histograms = true;
          return kOk;
      }},
     {"--sample-every", true,
-     [](SessionOptions &options, const char *value) -> std::string {
+     [](Parsed &parsed, const char *value) -> std::string {
          long interval = positiveInteger(value, LONG_MAX);
          if (interval < 1) {
              return "needs a positive cycle count, got " +
                     std::string(value);
          }
-         options.sample_every = static_cast<Cycle>(interval);
-         obs::setSampleInterval(options.sample_every);
+         parsed.engine.sample_every = static_cast<Cycle>(interval);
          return kOk;
      }},
     {"--profile", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.profile = true;
+     [](Parsed &, const char *) -> std::string {
          obs::setPhaseProfilingEnabled(true);
          return kOk;
      }},
@@ -123,7 +127,7 @@ const FlagSpec kFlags[] = {
 SessionOptions
 parseSessionArgs(int &argc, char **argv)
 {
-    SessionOptions options;
+    Parsed parsed{{}, engineDefaults()};
     int out = 1;
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -146,7 +150,7 @@ parseSessionArgs(int &argc, char **argv)
             }
             value = argv[++i];
         }
-        std::string error = spec->apply(options, value);
+        std::string error = spec->apply(parsed, value);
         if (!error.empty()) {
             std::cerr << argv[0] << ": " << arg << " " << error << "\n";
             std::exit(1);
@@ -154,6 +158,8 @@ parseSessionArgs(int &argc, char **argv)
     }
     argc = out;
     argv[argc] = nullptr;
+    setEngineDefaults(parsed.engine);
+    const SessionOptions &options = parsed.options;
     if (!options.trace_out.empty()) {
         obs::setTraceOutput(options.trace_out,
                             obs::parseCategories(

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "base/types.hh"
 #include "exp/experiment.hh"
 #include "exp/json.hh"
 #include "exp/runner.hh"
@@ -40,22 +39,6 @@ struct SessionOptions
      */
     bool timing = false;
     /**
-     * Disable quiescent-cycle skipping for every System the process
-     * builds (A/B baseline; results are byte-identical either way,
-     * only slower).  parseSessionArgs applies it process-wide via
-     * setQuiescentSkipEnabled() so custom experiment points that
-     * construct their own Systems are covered too.
-     */
-    bool no_skip = false;
-    /**
-     * Disable sharer-indexed snoop filtering for every Bus the
-     * process builds (A/B baseline; results are byte-identical either
-     * way, only slower).  parseSessionArgs applies it process-wide
-     * via setSnoopFilterEnabled() so custom experiment points that
-     * construct their own Systems are covered too.
-     */
-    bool no_snoop_filter = false;
-    /**
      * Chrome-trace output file ("" = tracing off).  The first System
      * the process constructs claims it (obs::setTraceOutput), so a
      * traced session should run a single point (--jobs 1) to keep the
@@ -64,26 +47,6 @@ struct SessionOptions
     std::string trace_out;
     /** Comma-separated trace categories ("all", "bus,state,lock", ...). */
     std::string trace_categories = "all";
-    /**
-     * Collect latency histograms (miss service, bus wait, lock
-     * acquisition, ...) in every System the process builds and emit
-     * them per run in the JSON.  Cycle-based and deterministic: the
-     * JSON stays byte-identical across job counts, it just grows the
-     * new "histograms" objects.
-     */
-    bool histograms = false;
-    /**
-     * Sample counters every N cycles into a per-run time series
-     * (0 = off).  Deterministic, like histograms.
-     */
-    Cycle sample_every = 0;
-    /**
-     * Directory-fabric phase profiling (host wall-clock split between
-     * the fabric's route and serve phases).  A host measurement like
-     * --timing: the profile feeds only "engine" objects and bench
-     * columns, so the deterministic JSON stays byte-identical.
-     */
-    bool profile = false;
 };
 
 /**
@@ -94,11 +57,17 @@ struct SessionOptions
  *
  * Unrecognized arguments are left in place (benches forward them to
  * google-benchmark).  Exits with an error message on malformed
- * values.  Process-wide switches (skip/snoop-filter disables, the
- * observability configuration) take effect before this returns, so
- * custom experiment points that construct their own Systems are
- * covered too.  The flag table lives in session.cc; adding a flag is
- * one table entry plus its SessionOptions field.
+ * values.  `--no-skip`, `--no-snoop-filter`, `--histograms` and
+ * `--sample-every N` set the engine defaults (engineDefaults()) that
+ * every machine config built afterwards starts from, so custom
+ * experiment points that construct their own machines are covered
+ * too; an EngineKnobs field a config sets in code wins.  `--no-skip`
+ * and `--no-snoop-filter` are A/B baselines and `--histograms` and
+ * `--sample-every` only add JSON fields: deterministic results stay
+ * byte-identical under all four.  The trace claim (`--trace-out`)
+ * and `--profile` stay process-wide.  The flag table lives in
+ * session.cc; adding a flag is one table entry plus the field it
+ * sets.
  */
 SessionOptions parseSessionArgs(int &argc, char **argv);
 

@@ -22,7 +22,7 @@ HierSystem::HierSystem(const HierConfig &config)
     : Multiprocessor("HierSystem",
                      config.num_clusters * config.pes_per_cluster,
                      config.protocol, config.rwb_writes_to_local,
-                     config.skip_quiescent, config.histograms, 0),
+                     config.engine),
       config(config)
 {
     ddc_assert(config.num_clusters >= 1, "need at least one cluster");
@@ -52,7 +52,7 @@ HierSystem::HierSystem(const HierConfig &config)
         globalBus = std::make_unique<Bus>(*memory, config.arbiter, clock,
                                           globalStats,
                                           config.arbiter_seed, 1, 0,
-                                          config.snoop_filter);
+                                          config.engine.snoop_filter);
         global_shard.addComponent(globalBus.get());
     }
 
@@ -71,7 +71,7 @@ HierSystem::HierSystem(const HierConfig &config)
             *clusterCaches.back(), config.arbiter, clock,
             *clusterStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(c) + 1,
-            1, 0, config.snoop_filter));
+            1, 0, config.engine.snoop_filter));
         clusterCaches.back()->connectCluster(*clusterBuses.back());
         shard.addComponent(clusterBuses.back().get());
 
@@ -124,8 +124,7 @@ HierSystem::HierSystem(const HierConfig &config)
             dir::DirectoryFabric *fab = fabric.get();
             // Sampling doubles as the dir_occupancy histogram feed:
             // every row's block count is one occupancy observation.
-            obs::RunMetrics *dir_metrics =
-                config.histograms ? recorder->liveMetrics() : nullptr;
+            obs::RunMetrics *dir_metrics = recorder->liveMetrics();
             sampler->addColumn(
                 "dir.blocks", [fab, dir_metrics](Cycle) {
                     auto blocks = static_cast<std::uint64_t>(

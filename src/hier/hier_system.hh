@@ -60,25 +60,13 @@ struct HierConfig
     std::uint64_t arbiter_seed = 1;
     bool record_log = false;
     /**
-     * Fast-forward run() across quiescent cycles; same contract as
-     * SystemConfig::skip_quiescent (byte-identical either way, ANDed
-     * with setQuiescentSkipEnabled()).
+     * Fast paths and observers, as SystemConfig::engine (starts from
+     * engineDefaults(); a field set in code wins).  snoop_filter
+     * applies to every bus; cluster caches register as always-snoop
+     * on the global bus, so global broadcasts reach every cluster
+     * regardless.
      */
-    bool skip_quiescent = true;
-    /**
-     * Sharer-indexed snooping on the cluster buses; same contract as
-     * SystemConfig::snoop_filter (byte-identical either way, ANDed
-     * with setSnoopFilterEnabled()).  Cluster caches register as
-     * always-snoop on the global bus, so global broadcasts reach
-     * every cluster regardless.
-     */
-    bool snoop_filter = true;
-    /**
-     * Collect latency histograms; same contract as
-     * SystemConfig::histograms (ORed with the process --histograms
-     * flag, purely observational).
-     */
-    bool histograms = false;
+    EngineKnobs engine = engineDefaults();
     /**
      * Global interconnect: the snooping bus (default, the paper's
      * logically single broadcast medium) or the directory fabric

@@ -19,8 +19,6 @@ std::string tracePath;
 std::uint32_t traceMask = kAllCategories;
 bool traceClaimed = false;
 
-std::atomic<bool> histogramsFlag{false};
-std::atomic<Cycle> sampleEveryFlag{0};
 std::atomic<bool> profilingFlag{false};
 
 } // namespace
@@ -32,30 +30,6 @@ setTraceOutput(std::string path, std::uint32_t categories)
     tracePath = std::move(path);
     traceMask = categories;
     traceClaimed = false;
-}
-
-void
-setHistogramsEnabled(bool enabled)
-{
-    histogramsFlag.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-histogramsEnabled()
-{
-    return histogramsFlag.load(std::memory_order_relaxed);
-}
-
-void
-setSampleInterval(Cycle every)
-{
-    sampleEveryFlag.store(every, std::memory_order_relaxed);
-}
-
-Cycle
-sampleInterval()
-{
-    return sampleEveryFlag.load(std::memory_order_relaxed);
 }
 
 void
@@ -207,7 +181,7 @@ Recorder::replayLocks(RunMetrics *into,
 }
 
 std::unique_ptr<Recorder>
-makeRecorder(bool config_histograms, Cycle config_sample_every)
+makeRecorder(bool histograms, Cycle sample_every)
 {
     std::unique_ptr<TraceSink> sink;
     {
@@ -218,9 +192,6 @@ makeRecorder(bool config_histograms, Cycle config_sample_every)
         }
     }
 
-    bool histograms = config_histograms || histogramsEnabled();
-    Cycle sample_every = config_sample_every > 0 ? config_sample_every
-                                                 : sampleInterval();
     bool profiling = phaseProfilingEnabled();
 
     if (!sink && !histograms && sample_every == 0 && !profiling)

@@ -2,9 +2,10 @@
  * @file
  * Per-System observability recorder plus the process-wide opt-in
  * configuration the session flags set (--trace-out,
- * --trace-categories, --histograms, --sample-every, --profile).
+ * --trace-categories, --profile).
  *
- * A System asks makeRecorder() for a Recorder at construction; the
+ * A System asks makeRecorder() for a Recorder at construction, with
+ * the histogram and sampling knobs of its config (EngineKnobs); the
  * result is null when nothing is enabled, and components then cache
  * null buffer/metrics pointers — the zero-overhead-when-off contract.
  * The trace output file is claimed by the first System that asks for
@@ -35,14 +36,6 @@ namespace obs {
  */
 void setTraceOutput(std::string path,
                     std::uint32_t categories = kAllCategories);
-
-/** Process-wide --histograms flag (ORed with SystemConfig's). */
-void setHistogramsEnabled(bool enabled);
-bool histogramsEnabled();
-
-/** Process-wide --sample-every interval; 0 disables sampling. */
-void setSampleInterval(Cycle every);
-Cycle sampleInterval();
 
 /** Process-wide --profile flag (host wall-clock phase splits). */
 void setPhaseProfilingEnabled(bool enabled);
@@ -205,12 +198,13 @@ class Recorder
 };
 
 /**
- * Build the Recorder for a System given its per-config histogram
- * flag and sampling interval (0 = use the process-wide interval).
+ * Build the Recorder for a System given its config's histogram flag
+ * and sampling interval (0 = off), plus the process-wide trace claim
+ * and --profile flag.
  * @return null when no observability feature is enabled.
  */
-std::unique_ptr<Recorder> makeRecorder(bool config_histograms,
-                                       Cycle config_sample_every);
+std::unique_ptr<Recorder> makeRecorder(bool histograms,
+                                       Cycle sample_every);
 
 } // namespace obs
 } // namespace ddc

@@ -1,6 +1,5 @@
 #include "sim/bus.hh"
 
-#include <atomic>
 #include <bit>
 
 #include "base/logging.hh"
@@ -48,11 +47,6 @@ opIndex(BusOp op)
     return static_cast<std::size_t>(op);
 }
 
-// Atomic for the same reason as quiescentSkip in system.cc: parallel
-// sweep workers may read it while the main thread parses flags;
-// flipped only before any Bus is built in practice.
-std::atomic<bool> snoopFilter{true};
-
 constexpr std::uint64_t
 clientBit(int client)
 {
@@ -68,18 +62,6 @@ BusClient::pendingAddr() const
               "is only implemented by global-fabric clients)");
 }
 
-void
-setSnoopFilterEnabled(bool enabled)
-{
-    snoopFilter.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-snoopFilterEnabled()
-{
-    return snoopFilter.load(std::memory_order_relaxed);
-}
-
 Bus::Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
          stats::CounterSet &stats, std::uint64_t seed,
          std::size_t block_words, std::size_t memory_latency,
@@ -87,7 +69,7 @@ Bus::Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
     : memory(memory), arbiter(makeArbiter(arbiter_kind, seed)),
       clock(clock), stats(stats), blockSize(block_words),
       memoryLatency(memory_latency),
-      filterOn(snoop_filter && snoopFilterEnabled())
+      filterOn(snoop_filter)
 {
     ddc_assert(block_words >= 1, "block size must be at least one word");
     if ((blockSize & (blockSize - 1)) == 0) {

@@ -199,16 +199,6 @@ class BusClient
 };
 
 /**
- * Process-wide snoop-filter switch, default on.  The --no-snoop-filter
- * flag clears it so every Bus built afterwards — including ones buried
- * inside custom experiment points — broadcasts to every client and
- * polls every potential supplier, without threading a flag through
- * each construction site.  Mirrors setQuiescentSkipEnabled().
- */
-void setSnoopFilterEnabled(bool enabled);
-bool snoopFilterEnabled();
-
-/**
  * Counter names of an issued / NACKed BusOp ("bus.read",
  * "bus.nack.BusRead", ...).  Shared with the directory fabric's home
  * nodes, which emit the same statistics family so directory-mode
@@ -238,8 +228,8 @@ class Bus : public GlobalFabric, public Tickable
      * @param snoop_filter Resolve broadcasts and supplier scans
      *        through the sharer index (see setSnoopIndexed) instead
      *        of visiting every client.  Results are byte-identical
-     *        either way; off is the A/B baseline.  ANDed with the
-     *        process-wide setSnoopFilterEnabled() switch.
+     *        either way; off is the A/B baseline (the machine
+     *        passes its EngineKnobs::snoop_filter).
      */
     Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
         stats::CounterSet &stats, std::uint64_t seed = 0,

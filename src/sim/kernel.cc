@@ -1,7 +1,6 @@
 #include "sim/kernel.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "base/logging.hh"
 
@@ -19,27 +18,24 @@ toString(RunStatus status)
 
 namespace {
 
-// Atomic so parallel sweeps (exp runner worker threads) may read it
-// while the main thread parses flags; flipped only before any machine
-// runs in practice.
-std::atomic<bool> quiescentSkip{true};
+constinit EngineKnobs defaults{};
 
 } // namespace
 
+const EngineKnobs &
+engineDefaults()
+{
+    return defaults;
+}
+
 void
-setQuiescentSkipEnabled(bool enabled)
+setEngineDefaults(const EngineKnobs &knobs)
 {
-    quiescentSkip.store(enabled, std::memory_order_relaxed);
+    defaults = knobs;
 }
 
-bool
-quiescentSkipEnabled()
-{
-    return quiescentSkip.load(std::memory_order_relaxed);
-}
-
-Kernel::Kernel(Clock &clock, const KernelConfig &config)
-    : clock(clock), config(config)
+Kernel::Kernel(Clock &clock, bool skip_quiescent)
+    : clock(clock), skipping(skip_quiescent)
 {}
 
 Shard &
@@ -117,7 +113,6 @@ Kernel::run(Cycle max_cycles)
     // bulk-accounted exactly as a tick would have, so counters, the
     // execution log, and arbiter RNG streams are byte-identical with
     // skipping on or off.
-    bool skipping = config.skip_quiescent && quiescentSkipEnabled();
     while (!allDone() && clock.now < end) {
         if (sampler && sampler->due(clock.now))
             sampler->sample(clock.now);

@@ -40,31 +40,61 @@ enum class RunStatus
 std::string_view toString(RunStatus status);
 
 /**
- * Process-wide quiescent-skip switch, default on.  The --no-skip flag
- * clears it so every machine built afterwards — including ones buried
- * inside custom experiment points — runs cycle by cycle, without
- * threading a flag through each construction site.
+ * The engine knobs a machine is built with: its fast paths and
+ * observers.  None changes what a run does: counters, the execution
+ * log and cycles are identical under any setting, and the JSON
+ * differs only by the fields observation adds (DESIGN.md; pinned by
+ * tests/invariance_test.cc).  Each machine config holds one
+ * (SystemConfig::engine, hier::HierConfig::engine), and the machine
+ * reads only that.
  */
-void setQuiescentSkipEnabled(bool enabled);
-bool quiescentSkipEnabled();
-
-/** Kernel tuning knobs (resolved by the owning machine's config). */
-struct KernelConfig
+struct EngineKnobs
 {
     /**
      * Fast-forward run() across quiescent cycles (next-event time
-     * advance).  Results are byte-identical either way; off is the
-     * A/B-debugging baseline.  ANDed with the process-wide
-     * setQuiescentSkipEnabled() switch (the --no-skip flag).
+     * advance); off is the cycle-by-cycle A/B baseline.
      */
     bool skip_quiescent = true;
+    /**
+     * Resolve bus broadcasts and supplier scans through each bus's
+     * sharer index (O(holders) per transaction) instead of visiting
+     * every attached client (O(PEs)); off is the A/B baseline.
+     */
+    bool snoop_filter = true;
+    /**
+     * Collect latency histograms (miss service, bus wait, retries,
+     * lock acquisition, inter-write distance, directory service).
+     */
+    bool histograms = false;
+    /** Snapshot counters every N cycles into a time series (0 = off). */
+    Cycle sample_every = 0;
+
+    friend bool operator==(const EngineKnobs &,
+                           const EngineKnobs &) = default;
 };
+
+/**
+ * The knobs every machine config starts from: a config's `engine`
+ * member is initialized with a copy, so a field set in code wins.
+ * parseSessionArgs sets them from --no-skip, --no-snoop-filter,
+ * --histograms and --sample-every before any machine is built, which
+ * covers machines built anywhere afterwards (custom experiment
+ * points, runLockExperiment, google-benchmark loops).  Set them only
+ * while no machine is being built: flag parsing, or a test between
+ * runs.
+ */
+const EngineKnobs &engineDefaults();
+void setEngineDefaults(const EngineKnobs &knobs);
 
 /** The shared run-loop driver (see file comment). */
 class Kernel
 {
   public:
-    Kernel(Clock &clock, const KernelConfig &config);
+    /**
+     * @param skip_quiescent Fast-forward run() across quiescent
+     *        cycles (EngineKnobs::skip_quiescent).
+     */
+    Kernel(Clock &clock, bool skip_quiescent);
 
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
@@ -108,7 +138,7 @@ class Kernel
     void skipQuiescent(Cycle count);
 
     Clock &clock;
-    KernelConfig config;
+    bool skipping;
     std::vector<std::unique_ptr<Shard>> shards;
     Cycle skipped = 0;
 

@@ -12,11 +12,10 @@ namespace ddc {
 Multiprocessor::Multiprocessor(const char *name, int num_pes,
                                ProtocolKind protocol,
                                int rwb_writes_to_local,
-                               bool skip_quiescent, bool histograms,
-                               Cycle sample_every)
-    : kernel(clock, KernelConfig{skip_quiescent}),
+                               const EngineKnobs &engine)
+    : kernel(clock, engine.skip_quiescent),
       proto(makeProtocol(protocol, rwb_writes_to_local)),
-      recorder(obs::makeRecorder(histograms, sample_every)),
+      recorder(obs::makeRecorder(engine.histograms, engine.sample_every)),
       name(name),
       seats(static_cast<std::size_t>(std::max(num_pes, 0))),
       agents(seats.size())

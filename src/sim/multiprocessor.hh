@@ -137,12 +137,12 @@ class Multiprocessor
   protected:
     /**
      * @param name The machine's name in the budget warning.
-     * @param histograms, sample_every The machine's observability
-     *        request (see obs::makeRecorder).
+     * @param engine The machine config's knobs: the kernel's skip and
+     *        the recorder's histograms and sampling (the derived
+     *        machine passes snoop_filter to its buses).
      */
     Multiprocessor(const char *name, int num_pes, ProtocolKind protocol,
-                   int rwb_writes_to_local, bool skip_quiescent,
-                   bool histograms, Cycle sample_every);
+                   int rwb_writes_to_local, const EngineKnobs &engine);
 
     /**
      * PE @p pe issues to @p banks (one per bus, in bus order) and its

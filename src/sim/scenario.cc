@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "base/logging.hh"
+#include "sim/kernel.hh"
 
 namespace ddc {
 
@@ -11,7 +12,8 @@ Scenario::Scenario(ProtocolKind kind, int num_caches,
                    std::size_t block_words)
     : protocol(makeProtocol(kind, rwb_writes_to_local)),
       memory(stats),
-      bus(memory, ArbiterKind::RoundRobin, clock, stats, 0, block_words)
+      bus(memory, ArbiterKind::RoundRobin, clock, stats, 0, block_words, 0,
+          engineDefaults().snoop_filter)
 {
     ddc_assert(num_caches >= 1, "need at least one cache");
     for (PeId pe = 0; pe < num_caches; pe++) {

@@ -9,8 +9,7 @@ namespace ddc {
 
 System::System(const SystemConfig &config)
     : Multiprocessor("System", config.num_pes, config.protocol,
-                     config.rwb_writes_to_local, config.skip_quiescent,
-                     config.histograms, config.sample_every),
+                     config.rwb_writes_to_local, config.engine),
       config(config)
 {
     ddc_assert(config.num_pes >= 1, "need at least one PE");
@@ -29,7 +28,7 @@ System::System(const SystemConfig &config)
             *busStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(b),
             config.block_words, config.memory_latency,
-            config.snoop_filter));
+            config.engine.snoop_filter));
         shard.addComponent(buses.back().get());
     }
 

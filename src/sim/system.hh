@@ -54,42 +54,15 @@ struct SystemConfig
     /** Record the serial execution log for consistency checking. */
     bool record_log = false;
     /**
-     * Fast-forward run() across quiescent cycles (next-event time
-     * advance).  Results are byte-identical either way; off is the
-     * A/B-debugging baseline.  ANDed with the process-wide
-     * setQuiescentSkipEnabled() switch (the --no-skip flag).
+     * Fast paths and observers; results are byte-identical under any
+     * setting.  Starts from engineDefaults() (the engine flags), and
+     * a field set in code wins.
      */
-    bool skip_quiescent = true;
-    /**
-     * Resolve bus broadcasts and supplier scans through each bus's
-     * sharer index (O(holders) per transaction) instead of visiting
-     * every attached cache (O(PEs)).  Results are byte-identical
-     * either way; off is the A/B baseline.  ANDed with the
-     * process-wide setSnoopFilterEnabled() switch (the
-     * --no-snoop-filter flag).
-     */
-    bool snoop_filter = true;
-    /**
-     * Collect latency histograms (miss service, bus wait, retries,
-     * lock acquisition, inter-write distance) for this System.  ORed
-     * with the process-wide --histograms flag, so a bench can enable
-     * them per-point without racing parallel workers on the process
-     * switch.  All inputs are cycle counts: the recorded
-     * distributions never perturb (and are never perturbed by)
-     * simulation results.
-     */
-    bool histograms = false;
-    /**
-     * Snapshot selected counters every N cycles into a per-run time
-     * series (0 = fall back to the process-wide --sample-every
-     * interval, itself 0 = off).
-     */
-    Cycle sample_every = 0;
+    EngineKnobs engine = engineDefaults();
 };
 
-// The process-wide quiescent-skip switch and RunStatus live with the
-// kernel (sim/kernel.hh) and are re-exported through this header for
-// the many existing includers.
+// EngineKnobs and RunStatus live with the kernel (sim/kernel.hh) and
+// are re-exported through this header for the many existing includers.
 
 /** A complete simulated shared-bus multiprocessor. */
 class System final : public Multiprocessor

@@ -27,7 +27,8 @@ runLockExperiment(const LockExperimentConfig &config,
     system_config.protocol = config.protocol;
     system_config.memory_latency = config.memory_latency;
     system_config.record_log = config.record_log;
-    system_config.histograms = config.histograms;
+    if (config.histograms)
+        system_config.engine.histograms = true;
 
     auto system = std::make_unique<System>(system_config);
     for (PeId pe = 0; pe < config.num_pes; pe++) {

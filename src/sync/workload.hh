@@ -38,7 +38,9 @@ struct LockExperimentConfig
     /**
      * Collect latency histograms for this run (lock acquisition,
      * handoff, miss service, ...); surfaced in
-     * LockExperimentResult::metrics.
+     * LockExperimentResult::metrics.  Only ever turns them on: the
+     * System's engine knobs otherwise come from engineDefaults()
+     * (--histograms).
      */
     bool histograms = false;
 };

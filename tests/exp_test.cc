@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "exp/runner.hh"
 #include "exp/session.hh"
 #include "hier/hier_system.hh"
+#include "sync/workload.hh"
 #include "trace/synthetic.hh"
 
 namespace {
@@ -456,6 +458,57 @@ TEST(SessionTest, ParseArgsAcceptsTimingFlag)
     EXPECT_EQ(options.jobs, 2);
     ASSERT_EQ(argc, 1);
     EXPECT_EQ(argv[1], nullptr);
+}
+
+TEST(SessionTest, EngineFlagsSetTheDefaultsEveryMachineStartsFrom)
+{
+    // Restores the defaults however the case ends, so no later case
+    // inherits the flags.
+    struct Restore
+    {
+        EngineKnobs saved = engineDefaults();
+        ~Restore() { setEngineDefaults(saved); }
+    } restore;
+    const char *raw[] = {"prog", "--no-skip", "--no-snoop-filter",
+                         "--histograms", "--sample-every", "32", nullptr};
+    int argc = 6;
+    char *argv[7];
+    for (int i = 0; i <= argc; i++)
+        argv[i] = const_cast<char *>(raw[i]);
+    exp::parseSessionArgs(argc, argv);
+    EXPECT_EQ(argc, 1);
+
+    EngineKnobs flagged;
+    flagged.skip_quiescent = false;
+    flagged.snoop_filter = false;
+    flagged.histograms = true;
+    flagged.sample_every = 32;
+    EXPECT_EQ(SystemConfig{}.engine, flagged);
+    EXPECT_EQ(hier::HierConfig{}.engine, flagged);
+    // So does a machine a library call builds for itself.
+    sync::LockExperimentConfig lock;
+    lock.lock = sync::LockKind::TestAndSet;
+    lock.memory_latency = 16;
+    std::unique_ptr<System> system;
+    auto locked = sync::runLockExperiment(lock, &system);
+    ASSERT_NE(system, nullptr);
+    EXPECT_EQ(system->configuration().engine, flagged);
+    EXPECT_EQ(locked.skipped_cycles, 0u);
+    EXPECT_TRUE(locked.has_metrics);
+
+    // A field set in code wins.
+    exp::TraceRun run;
+    run.config.memory_latency = 16;
+    run.config.engine = EngineKnobs{};
+    run.trace = makeUniformRandomTrace(4, 300, 64, 0.3, 0.05, 3);
+    exp::RunResult coded = exp::executeTraceRun(run);
+    EXPECT_GT(coded.engine.skipped_cycles, 0u);
+    EXPECT_TRUE(coded.histograms.isNull());
+    EXPECT_TRUE(coded.samples.isNull());
+
+    setEngineDefaults(restore.saved);
+    EXPECT_EQ(SystemConfig{}.engine, EngineKnobs{});
+    EXPECT_EQ(hier::HierConfig{}.engine, EngineKnobs{});
 }
 
 TEST(SessionTest, TimingOptionEmitsWallClockFields)

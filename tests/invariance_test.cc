@@ -7,8 +7,8 @@
  * value) stays checkable only because no fast path or observer can
  * change what a run does.  The knobs:
  *
- *  - skip: quiescent-cycle skipping (`skip_quiescent`);
- *  - filter: the reaction-indexed snoop filter (`snoop_filter`);
+ *  - skip: quiescent-cycle skipping (`engine.skip_quiescent`);
+ *  - filter: the reaction-indexed snoop filter (`engine.snoop_filter`);
  *  - observed: a Chrome trace into a per-test temp file (every
  *    category in the per-knob cases, kMatrixTrace in the matrix),
  *    latency histograms, and counter sampling every 64 cycles;
@@ -19,8 +19,8 @@
  * combination of the knobs that apply to it (8, or 16 on hierarchical
  * snooping rows), and each run's fingerprint must equal the
  * all-defaults run's: cycles and status, the counter report, the full
- * execution log and the RunResult JSON that a second run through
- * exp::executeTraceRun produces, with its "engine" object removed.
+ * execution log and the RunResult JSON with its "engine" object
+ * removed, all from one run through exp::executeTraceRun.
  * Two differences are allowed, each only across its own knob: the
  * directory's dir.* counters (report lines and JSON keys) and its
  * hot_home_skew metric, and the "histograms"/"samples" fields
@@ -34,7 +34,7 @@
  * machine kind.  The SkipEquivalence, SnoopFilterEquivalence,
  * DirEquivalence and TraceDeterminism cases check their rows along
  * one knob each, and the directed cases cover what a row cannot: a
- * timed-out run's cycle, the process-wide switches, lock programs,
+ * timed-out run's cycle, the engine defaults, lock programs,
  * many-home consistency and the JSON shape.
  */
 
@@ -109,25 +109,20 @@ tempTracePath()
 constexpr Cycle kSampleEvery = 64;
 
 /**
- * Arms the process-wide observers for one run when @p on: a trace of
- * @p categories into a per-test temp file (claimed by the next
- * machine built) and, when @p sample (HierConfig has no sampling
- * field), counter sampling every kSampleEvery cycles.  The destructor
- * disarms both and deletes the file, so a failing assertion cannot
- * leak them; declare it before the machine, whose destruction writes
- * the trace.
+ * Arms a trace of @p categories into a per-test temp file for one run
+ * when @p on (claimed by the next machine built).  The destructor
+ * disarms it and deletes the file, so a failing assertion cannot leak
+ * it; declare it before the machine, whose destruction writes the
+ * trace.
  */
 class ObservedScope
 {
   public:
-    ObservedScope(bool on, std::uint32_t categories, bool sample)
-        : path(on ? tempTracePath() : ""), sample(on && sample)
+    ObservedScope(bool on, std::uint32_t categories)
+        : path(on ? tempTracePath() : "")
     {
-        if (path.empty())
-            return;
-        obs::setTraceOutput(path, categories);
-        if (this->sample)
-            obs::setSampleInterval(kSampleEvery);
+        if (!path.empty())
+            obs::setTraceOutput(path, categories);
     }
 
     ~ObservedScope()
@@ -135,8 +130,6 @@ class ObservedScope
         if (path.empty())
             return;
         obs::setTraceOutput("");
-        if (sample)
-            obs::setSampleInterval(0);
         std::remove(path.c_str());
     }
 
@@ -145,25 +138,28 @@ class ObservedScope
 
   private:
     std::string path;
-    bool sample;
 };
 
 /**
- * Turns one process-wide engine switch (setQuiescentSkipEnabled,
- * setSnoopFilterEnabled) off for a scope and back on when it ends,
- * so a failing assertion cannot leak it into later cases.
+ * Replaces the engine defaults every machine config starts from for
+ * a scope and restores them when it ends, so a failing assertion
+ * cannot leak them into later cases.
  */
-class SwitchOff
+class DefaultsScope
 {
   public:
-    explicit SwitchOff(void (*set)(bool)) : set(set) { set(false); }
-    ~SwitchOff() { set(true); }
+    explicit DefaultsScope(const EngineKnobs &knobs)
+        : saved(engineDefaults())
+    {
+        setEngineDefaults(knobs);
+    }
+    ~DefaultsScope() { setEngineDefaults(saved); }
 
-    SwitchOff(const SwitchOff &) = delete;
-    SwitchOff &operator=(const SwitchOff &) = delete;
+    DefaultsScope(const DefaultsScope &) = delete;
+    DefaultsScope &operator=(const DefaultsScope &) = delete;
 
   private:
-    void (*set)(bool);
+    EngineKnobs saved;
 };
 
 // ---- Rows ----------------------------------------------------------
@@ -665,69 +661,40 @@ expectObserversAttached(obs::Recorder *recorder)
     EXPECT_TRUE(sink != nullptr && sink->size() > 0) << "empty trace";
 }
 
-/** A flat or hierarchical machine configuration with @p knobs applied. */
+/**
+ * A flat or hierarchical machine configuration with @p knobs applied
+ * and its log recorded.
+ */
 template <typename Config>
 Config
 withKnobs(Config config, unsigned knobs)
 {
-    config.skip_quiescent = !(knobs & kNoSkip);
-    config.snoop_filter = !(knobs & kNoFilter);
-    config.histograms = (knobs & kObserved) != 0;
+    config.record_log = true;
+    config.engine.skip_quiescent = !(knobs & kNoSkip);
+    config.engine.snoop_filter = !(knobs & kNoFilter);
+    config.engine.histograms = (knobs & kObserved) != 0;
+    config.engine.sample_every = (knobs & kObserved) ? kSampleEvery : 0;
     if constexpr (std::is_same_v<Config, hier::HierConfig>) {
         if (knobs & kDirectory) {
             config.global = hier::GlobalKind::Directory;
             config.home_nodes = 1;
         }
-    } else {
-        config.sample_every = (knobs & kObserved) ? kSampleEvery : 0;
     }
     return config;
 }
 
-/** Run @p row's machine, built from @p config, with its log recorded. */
-template <typename Machine, typename Config>
-Outcome
-observeMachine(Config config, const Row &row, unsigned knobs)
-{
-    config.record_log = true;
-    Machine system(config);
-    system.loadTrace(row.trace);
-    Outcome run;
-    run.fingerprint.cycles = system.run(row.max_cycles);
-    run.fingerprint.status = system.runStatus();
-    run.fingerprint.counters = system.counters().report();
-    run.fingerprint.log = system.log().all();
-    run.skipped = system.skippedCycles();
-    run.snoop_visits = system.snoopVisits();
-    run.fallbacks = system.snoopFilterFallbacks();
-    if (knobs & kObserved)
-        expectObserversAttached(system.observability());
-    if constexpr (std::is_same_v<Machine, hier::HierSystem>) {
-        run.global_ops = system.globalBusTransactions();
-        const auto *fabric = system.directoryFabric();
-        if (config.global == hier::GlobalKind::Directory) {
-            EXPECT_NE(fabric, nullptr) << "directory fabric not built";
-            if (fabric != nullptr) {
-                EXPECT_EQ(fabric->numHomes(), config.home_nodes);
-                EXPECT_GT(fabric->directoryBlocks(), 0u);
-            }
-        } else {
-            EXPECT_EQ(fabric, nullptr);
-        }
-    }
-    return run;
-}
-
 /**
- * The RunResult JSON of @p row's machine under @p knobs, through
- * exp::executeTraceRun: toJson(true) without "engine", which must be
- * toJson(false) exactly.  Observed means histogrammed and sampled
- * here; the trace rides the machine run, whose counters and log the
- * JSON is built from.
+ * Run @p row under @p knobs once, through exp::executeTraceRun,
+ * tracing @p categories when observed.  Cycles, status, counters,
+ * engine counts and the JSON (toJson(true) without "engine", which
+ * must be toJson(false) exactly) come from the RunResult; the log,
+ * the trace sink and the fabric from the machine it hands back.
  */
-exp::Json
-observeJson(const Row &row, unsigned knobs)
+Outcome
+observe(const Row &row, unsigned knobs,
+        std::uint32_t categories = obs::kAllCategories)
 {
+    ObservedScope observed(knobs & kObserved, categories);
     exp::TraceRun run;
     if (row.kind == Kind::Flat)
         run.config = withKnobs(row.flat, knobs);
@@ -735,36 +702,40 @@ observeJson(const Row &row, unsigned knobs)
         run.hier = withKnobs(row.hier, knobs);
     run.trace = row.trace;
     run.max_cycles = row.max_cycles;
-    exp::RunResult result = exp::executeTraceRun(run);
-    exp::Json json = without(result.toJson(true), {"engine"});
-    EXPECT_EQ(json.dump(), result.toJson(false).dump());
+    std::unique_ptr<Multiprocessor> machine;
+    exp::RunResult result = exp::executeTraceRun(run, &machine);
+
+    Outcome outcome;
+    outcome.fingerprint.cycles = result.cycles;
+    outcome.fingerprint.status = result.status;
+    outcome.fingerprint.counters = result.counters.report();
+    outcome.fingerprint.log = machine->log().all();
+    outcome.fingerprint.json = without(result.toJson(true), {"engine"});
+    EXPECT_EQ(outcome.fingerprint.json.dump(), result.toJson(false).dump());
+    outcome.skipped = result.engine.skipped_cycles;
+    outcome.snoop_visits = result.engine.snoop_visits;
+    outcome.fallbacks = result.engine.snoop_filter_fallbacks;
     if (knobs & kObserved) {
+        expectObserversAttached(machine->observability());
         EXPECT_FALSE(result.histograms.isNull());
         EXPECT_FALSE(result.samples.isNull());
     }
-    return json;
-}
-
-/**
- * Run @p row under @p knobs, on its machine and through the engine,
- * tracing @p categories on the machine run when observed.
- */
-Outcome
-observe(const Row &row, unsigned knobs,
-        std::uint32_t categories = obs::kAllCategories)
-{
-    // The machine run claims the trace; HierConfig has no sampling
-    // field, so hierarchical rows sample through the process-wide
-    // interval for both runs.
-    bool hierarchical = row.kind != Kind::Flat;
-    ObservedScope observed(knobs & kObserved, categories, hierarchical);
-    Outcome run =
-        hierarchical
-            ? observeMachine<hier::HierSystem>(withKnobs(row.hier, knobs),
-                                               row, knobs)
-            : observeMachine<System>(withKnobs(row.flat, knobs), row, knobs);
-    run.fingerprint.json = observeJson(row, knobs);
-    return run;
+    if (run.hier) {
+        outcome.global_ops = result.bus_transactions;
+        const auto *fabric =
+            static_cast<const hier::HierSystem &>(*machine)
+                .directoryFabric();
+        if (run.hier->global == hier::GlobalKind::Directory) {
+            EXPECT_NE(fabric, nullptr) << "directory fabric not built";
+            if (fabric != nullptr) {
+                EXPECT_EQ(fabric->numHomes(), run.hier->home_nodes);
+                EXPECT_GT(fabric->directoryBlocks(), 0u);
+            }
+        } else {
+            EXPECT_EQ(fabric, nullptr);
+        }
+    }
+    return outcome;
 }
 
 // ---- Comparison ----------------------------------------------------
@@ -1048,7 +1019,7 @@ TEST(TraceDeterminism, RunResultJsonByteIdenticalTracingOnVsOff)
     exp::TraceRun run;
     run.config = row.flat;
     run.trace = row.trace;
-    ObservedScope traced(true, obs::kAllCategories, false);
+    ObservedScope traced(true, obs::kAllCategories);
     EXPECT_EQ(exp::executeTraceRun(run).toJson(false).dump(),
               runs.at(0).fingerprint.json.dump());
 }
@@ -1094,7 +1065,7 @@ TEST(SnoopFilterEquivalence, TimedOutRunResultJsonIsIdentical)
     run.trace = row.trace;
     run.max_cycles = row.max_cycles;
     exp::RunResult filtered = exp::executeTraceRun(run);
-    run.config.snoop_filter = false;
+    run.config.engine.snoop_filter = false;
     exp::RunResult unfiltered = exp::executeTraceRun(run);
     EXPECT_LT(filtered.engine.snoop_visits, unfiltered.engine.snoop_visits);
     EXPECT_EQ(filtered.toJson(false).dump(), unfiltered.toJson(false).dump());
@@ -1144,8 +1115,8 @@ TEST(TraceDeterminism, HistogramsOnlyAddJsonFields)
     EXPECT_TRUE(plain.histograms.isNull());
     EXPECT_TRUE(plain.samples.isNull());
 
-    run.config.histograms = true;
-    run.config.sample_every = 100;
+    run.config.engine.histograms = true;
+    run.config.engine.sample_every = 100;
     exp::RunResult observed = exp::executeTraceRun(run);
     ASSERT_FALSE(observed.histograms.isNull());
     ASSERT_FALSE(observed.samples.isNull());
@@ -1210,14 +1181,16 @@ const sync::LockKind kLocks[] = {sync::LockKind::TestAndSet,
 TEST(SkipEquivalence, LockWorkloadsViaProcessWideSwitch)
 {
     // runLockExperiment builds its System internally, so only the
-    // process-wide switch (--no-skip) reaches it.  Spin loops are real
-    // work and never skipped; TS spinners stall on the bus RMW, so the
-    // whole machine goes quiescent during transfers.
+    // engine defaults (what --no-skip sets) reach it.  Spin loops are
+    // real work and never skipped; TS spinners stall on the bus RMW,
+    // so the whole machine goes quiescent during transfers.
     for (auto lock : kLocks) {
         auto config = lockConfig(lock, ProtocolKind::Rb, 16);
         LockRun skipping = runLock(config);
         LockRun ticking = [&config] {
-            SwitchOff no_skip(setQuiescentSkipEnabled);
+            EngineKnobs knobs = engineDefaults();
+            knobs.skip_quiescent = false;
+            DefaultsScope no_skip(knobs);
             return runLock(config);
         }();
         expectSameLockRun(skipping, ticking);
@@ -1235,7 +1208,9 @@ TEST(SnoopFilterEquivalence, LockWorkloadsViaProcessWideSwitch)
         auto config = lockConfig(lock, ProtocolKind::Rb, 0);
         LockRun filtered = runLock(config);
         LockRun unfiltered = [&config] {
-            SwitchOff no_filter(setSnoopFilterEnabled);
+            EngineKnobs knobs = engineDefaults();
+            knobs.snoop_filter = false;
+            DefaultsScope no_filter(knobs);
             return runLock(config);
         }();
         expectSameLockRun(filtered, unfiltered);

@@ -109,7 +109,7 @@ class StallingAgent : public Agent
 TEST(Kernel, RunsAgentsToCompletion)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(2);
     CountingAgent fast(5);
     CountingAgent slow(12);
@@ -129,7 +129,7 @@ TEST(Kernel, RunsAgentsToCompletion)
 TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &a = kernel.makeShard(1);
     Shard &b = kernel.makeShard(1);
     WaiterAgent late(clock, 10);
@@ -151,9 +151,7 @@ TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
 TEST(Kernel, SkipDisabledTicksEveryCycle)
 {
     Clock clock;
-    KernelConfig config;
-    config.skip_quiescent = false;
-    Kernel kernel(clock, config);
+    Kernel kernel(clock, false);
     Shard &shard = kernel.makeShard(1);
     WaiterAgent waiter(clock, 20);
     shard.setAgent(0, &waiter);
@@ -168,7 +166,7 @@ TEST(Kernel, SkipDisabledTicksEveryCycle)
 TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(1);
     BlockedAgent blocked;
     shard.setAgent(0, &blocked);
@@ -185,7 +183,7 @@ TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
 TEST(Kernel, StallSkipAccruesAndFlushes)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(2);
     StallingAgent stalling;
     CountingAgent busy(10); // keeps the machine non-quiescent
@@ -206,7 +204,7 @@ TEST(Kernel, StallSkipAccruesAndFlushes)
 TEST(Kernel, StalledAgentWakesOnTheFlag)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(2);
     StallingAgent stalling;
     CountingAgent busy(4);
@@ -244,7 +242,7 @@ class LoggingStaller : public Agent
 TEST(Kernel, WakesRaisedOutOfOrderAreAdmittedInSlotOrder)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(4);
     std::vector<int> order;
     LoggingStaller a(order, 0), b(order, 1), c(order, 2), d(order, 3);
@@ -298,7 +296,7 @@ class WakeAt : public Tickable
 TEST(Kernel, StallCyclesOwedAcrossAQuiescentSkipArePaidAtWake)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(2);
     WakeAt waker(clock, shard, 10);
     shard.addComponent(&waker);
@@ -322,7 +320,7 @@ TEST(Kernel, StallCyclesOwedAcrossAQuiescentSkipArePaidAtWake)
 TEST(Kernel, WakeForARunnableSlotIsIgnored)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(1);
     StallingAgent stalling;
     shard.setAgent(0, &stalling);
@@ -355,7 +353,7 @@ TEST(Kernel, WakeDuringTheAgentPassPanics)
     };
 
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(1);
     SelfWaker waker(shard);
     shard.setAgent(0, &waker);
@@ -368,7 +366,7 @@ TEST(Kernel, TickOrderFollowsShardCreation)
     // The hierarchical machine relies on this: its global shard,
     // created first, commits before any cluster shard ticks.
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, true);
     std::vector<int> order;
 
     /** Appends its tag to the shared order log on each tick. */

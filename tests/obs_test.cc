@@ -21,6 +21,7 @@
 #include "core/rb.hh"
 #include "core/simulator.hh"
 #include "exp/json.hh"
+#include "exp/session.hh"
 #include "hier/hier_system.hh"
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
@@ -284,9 +285,9 @@ TEST(RecorderTest, LockEpisodesFeedHistograms)
 
 TEST(RecorderTest, MakeRecorderIsNullWhenNothingEnabled)
 {
+    // Histograms and sampling come only from the two arguments (a
+    // machine's EngineKnobs); nothing process-wide stands in for them.
     obs::setTraceOutput("");
-    obs::setHistogramsEnabled(false);
-    obs::setSampleInterval(0);
     EXPECT_EQ(obs::makeRecorder(false, 0), nullptr);
     EXPECT_NE(obs::makeRecorder(true, 0), nullptr);
     EXPECT_NE(obs::makeRecorder(false, 100), nullptr);
@@ -318,7 +319,7 @@ TEST(ObsSystem, HistogramsCollectEndToEnd)
     config.num_pes = 4;
     config.cache_lines = 64;
     config.protocol = ProtocolKind::Rb;
-    config.histograms = true;
+    config.engine.histograms = true;
 
     System system(config);
     system.loadTrace(trace);
@@ -386,12 +387,11 @@ TEST(ObsSystem, DirectoryHistogramsCollect)
     config.cache_lines = 64;
     config.global = hier::GlobalKind::Directory;
     config.home_nodes = 4;
-    config.histograms = true;
-    obs::setSampleInterval(64);
+    config.engine.histograms = true;
+    config.engine.sample_every = 64;
     hier::HierSystem system(config);
     system.loadTrace(trace);
     system.run();
-    obs::setSampleInterval(0);
     ASSERT_EQ(system.runStatus(), RunStatus::Finished);
 
     auto *observability = system.observability();
@@ -409,6 +409,41 @@ TEST(ObsSystem, DirectoryHistogramsCollect)
     ASSERT_NE(fabric, nullptr);
     EXPECT_GE(fabric->maxHomeMessages(),
               static_cast<std::uint64_t>(fabric->meanHomeMessages()));
+}
+
+TEST(ObsSystem, DirectoryOccupancyFollowsTheHistogramsFlag)
+{
+    // As `perf_directory --histograms --sample-every 64` runs it: the
+    // flags, not code, turn histograms and sampling on, and the
+    // sampler still feeds dir_occupancy one observation per row.
+    const EngineKnobs saved = engineDefaults();
+    const char *raw[] = {"perf_directory", "--histograms",
+                         "--sample-every", "64", nullptr};
+    int argc = 4;
+    char *argv[5];
+    for (int i = 0; i <= argc; i++)
+        argv[i] = const_cast<char *>(raw[i]);
+    exp::parseSessionArgs(argc, argv);
+    hier::HierConfig config;
+    setEngineDefaults(saved);
+    config.num_clusters = 4;
+    config.pes_per_cluster = 2;
+    config.cache_lines = 64;
+    config.global = hier::GlobalKind::Directory;
+    config.home_nodes = 2;
+    hier::HierSystem system(config);
+    system.loadTrace(makeUniformRandomTrace(8, 600, 64, 0.3, 0.05, 5));
+    system.run();
+    ASSERT_EQ(system.runStatus(), RunStatus::Finished);
+
+    auto *observability = system.observability();
+    ASSERT_NE(observability, nullptr);
+    ASSERT_NE(observability->sampler(), nullptr);
+    auto *metrics = observability->metrics();
+    ASSERT_NE(metrics, nullptr);
+    std::size_t rows = observability->sampler()->series().rows.size();
+    EXPECT_GT(rows, 0u);
+    EXPECT_EQ(metrics->dir_occupancy.count(), rows);
 }
 
 TEST(ObsSystem, LockHistogramsThroughWorkload)
@@ -437,7 +472,7 @@ TEST(ObsSystem, SamplerCollectsSeriesEndToEnd)
     SystemConfig config;
     config.num_pes = 4;
     config.cache_lines = 64;
-    config.sample_every = 100;
+    config.engine.sample_every = 100;
 
     System system(config);
     system.loadTrace(trace);

@@ -103,14 +103,19 @@ usage(std::ostream &os)
         "  --trace-out FILE  write a Chrome trace-event JSON of the run\n"
         "                   (load in Perfetto / chrome://tracing)\n"
         "  --trace-categories LIST\n"
-        "                   comma-separated: bus,state,lock,miss,quiesce\n"
-        "                   or \"all\" (default all; needs --trace-out)\n"
+        "                   comma-separated: bus,state,lock,miss,\n"
+        "                   quiesce,dir or \"all\" (default all; needs\n"
+        "                   --trace-out)\n"
         "  --histograms     collect latency histograms (miss service,\n"
         "                   bus wait, lock acquisition, ...) and emit\n"
         "                   them in the --json output\n"
         "  --sample-every N  sample counters every N cycles into a\n"
         "                   per-run time series in the --json output\n"
-        "  --help           this text\n";
+        "  --help           this text\n"
+        "\n"
+        "--no-skip, --no-snoop-filter, --histograms and --sample-every\n"
+        "set the defaults that every machine built afterwards starts\n"
+        "from; a machine config field set in code wins.\n";
 }
 
 struct Options
@@ -439,7 +444,6 @@ main(int argc, char **argv)
         config.protocol = machine.protocol;
         config.rwb_writes_to_local = machine.rwb_writes_to_local;
         config.arbiter = machine.arbiter;
-        config.histograms = session_options.histograms;
         config.global = options.global;
         config.home_nodes = options.homes;
         params.emplace_back("clusters", std::to_string(options.clusters));
