@@ -21,6 +21,19 @@ namespace ddc {
 /** Word address of a single shared-memory word (block size is one word). */
 using Addr = std::uint64_t;
 
+/**
+ * Width of the simulated word-address space.  Every address lies below
+ * 2^kAddrBits (the synthetic regions stay below 2^41), so the top 16
+ * bits of an address word are free: a MemRef keeps its op and class
+ * there and a cache line its tag and write streak.  Addresses are
+ * checked where they enter: MemRef's constructor (every ISA effective
+ * address) and Trace::load.
+ */
+inline constexpr unsigned kAddrBits = 48;
+
+/** One past the largest word address. */
+inline constexpr Addr kAddrLimit = Addr{1} << kAddrBits;
+
 /** Contents of one memory word. */
 using Word = std::uint64_t;
 

@@ -61,8 +61,11 @@ struct LineState
 /** Render a LineState as e.g. "R" or "F1". */
 std::string toString(const LineState &state);
 
-/** Reaction of a protocol to a CPU access. */
-struct CpuReaction
+/**
+ * Reaction of a protocol to a CPU access.  Word-aligned so the memo
+ * lookup on every access copies it as one 8-byte load, not six bytes.
+ */
+struct alignas(8) CpuReaction
 {
     /** True when the access needs a bus transaction to complete. */
     bool needs_bus = false;
@@ -82,8 +85,13 @@ struct CpuReaction
     bool operator==(const CpuReaction &other) const = default;
 };
 
-/** Reaction of a protocol to a snooped bus transaction. */
-struct SnoopReaction
+static_assert(sizeof(CpuReaction) == 8, "a CPU reaction is one word");
+
+/**
+ * Reaction of a protocol to a snooped bus transaction (aligned, like
+ * CpuReaction, to copy as one 4-byte word).
+ */
+struct alignas(4) SnoopReaction
 {
     /** Next state of the snooping line. */
     LineState next{};
@@ -96,6 +104,8 @@ struct SnoopReaction
      */
     bool supply = false;
 };
+
+static_assert(sizeof(SnoopReaction) == 4, "a snoop reaction is one word");
 
 /**
  * Abstract decentralized cache-coherence scheme.

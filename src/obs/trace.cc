@@ -7,6 +7,8 @@
 #include <tuple>
 #include <utility>
 
+#include "base/flat_map.hh"
+
 namespace ddc {
 namespace obs {
 
@@ -213,16 +215,20 @@ TraceSink::write(std::ostream &os) const
     }
 
     // Track span depth per (pid, tid) so unmatched B events can be
-    // closed at the end of the stream (balanced-pair guarantee).
+    // closed at the end of the stream (balanced-pair guarantee), in
+    // first-seen order; `slot` finds a pair's entry in O(1).
     std::vector<std::pair<std::pair<std::int32_t, std::int32_t>,
                           int>> depth;
+    FlatMap<std::uint64_t, std::size_t> slot; // pair -> 1 + depth index
     auto depthOf = [&](std::int32_t pid, std::int32_t tid) -> int & {
-        for (auto &entry : depth) {
-            if (entry.first.first == pid && entry.first.second == tid)
-                return entry.second;
+        std::size_t &index =
+            slot[(std::uint64_t{static_cast<std::uint32_t>(pid)} << 32) |
+                 static_cast<std::uint32_t>(tid)];
+        if (index == 0) {
+            depth.push_back({{pid, tid}, 0});
+            index = depth.size();
         }
-        depth.push_back({{pid, tid}, 0});
-        return depth.back().second;
+        return depth[index - 1].second;
     };
 
     Cycle max_ts = 0;

@@ -53,7 +53,7 @@ struct BusRequest
     /** Transfer a whole block (allocating read / write-back). */
     bool block_transfer = false;
     /** Payload of a block write (write-back); block_words long. */
-    std::vector<Word> block_data;
+    std::vector<Word> block_data{};
     /**
      * This Write publishes an owned value back to memory without
      * claiming ownership (the hierarchical cluster cache's pre-flush

@@ -87,10 +87,12 @@ Cache::Cache(PeId pe, std::size_t num_lines, const Protocol &protocol,
             blockShift++;
         setMask = num_sets - 1;
     }
-    static_assert(sizeof(Line) == 24, "a cache line's tag and state "
-                                      "must pack into 24 bytes");
+    static_assert(sizeof(Line) == 8, "a cache line's base and state "
+                                     "must pack into one word");
     lines.resize(num_lines);
     words.assign(num_lines * blockSize, 0);
+    if (ways > 1)
+        lastUse.assign(num_lines, 0);
 
     statRefs = this->stats.intern("cache.refs");
     statWriteback = this->stats.intern("cache.writeback");
@@ -110,9 +112,7 @@ Cache::Cache(PeId pe, std::size_t num_lines, const Protocol &protocol,
     for (CpuOp op : ops) {
         for (DataClass cls : classes) {
             for (int miss = 0; miss < 2; miss++) {
-                MemRef ref;
-                ref.op = op;
-                ref.cls = cls;
+                MemRef ref{op, 0, 0, cls};
                 refStat[static_cast<std::size_t>(op)][miss]
                        [static_cast<std::size_t>(cls)] =
                     this->stats.intern(refStatName(ref, miss != 0));
@@ -172,7 +172,7 @@ Cache::markStale(const Line &line)
         ddc_assert(reaction == pending.reaction &&
                        computePhase() == pending.phase,
                    "PE ", pe, ": a snoop on another line moved the plan "
-                   "of the pending access to ", pending.ref.addr);
+                   "of the pending access to ", Addr{pending.ref.addr});
     }
 #endif
 }
@@ -195,7 +195,7 @@ void
 Cache::addTagCensus(std::uint64_t *counts) const
 {
     for (const Line &line : lines)
-        counts[static_cast<std::size_t>(line.state.tag)]++;
+        counts[static_cast<std::size_t>(line.state().tag)]++;
 }
 
 void
@@ -224,7 +224,7 @@ Cache::requestKilled()
     pending.retries++;
 }
 
-Addr
+inline Addr
 Cache::blockBase(Addr addr) const
 {
     if (pow2Geometry)
@@ -232,7 +232,7 @@ Cache::blockBase(Addr addr) const
     return addr - addr % static_cast<Addr>(blockSize);
 }
 
-std::size_t
+inline std::size_t
 Cache::setBase(Addr addr) const
 {
     if (pow2Geometry)
@@ -245,41 +245,57 @@ Cache::setBase(Addr addr) const
     return set * ways;
 }
 
-Cache::Line *
+inline bool
+Cache::holdsBlock(const Line &line, Addr addr) const
+{
+    return line.state().tag != LineTag::NotPresent &&
+           line.base() == blockBase(addr);
+}
+
+inline Cache::Line *
 Cache::findLine(Addr addr)
 {
     std::size_t base = setBase(addr);
     for (std::size_t way = 0; way < ways; way++) {
         Line &line = lines[base + way];
-        if (line.state.tag != LineTag::NotPresent &&
-            line.base == blockBase(addr)) {
+        if (holdsBlock(line, addr))
             return &line;
-        }
     }
     return nullptr;
 }
 
-const Cache::Line *
+inline const Cache::Line *
 Cache::findLine(Addr addr) const
 {
     return const_cast<Cache *>(this)->findLine(addr);
 }
 
-Cache::Line &
+inline Cache::Line &
 Cache::victimLine(Addr addr)
 {
+    std::size_t base = setBase(addr);
+    // A direct-mapped set's one line is the match, the empty way and
+    // the LRU way alike.
+    if (ways == 1)
+        return lines[base];
     if (Line *match = findLine(addr))
         return *match;
-    std::size_t base = setBase(addr);
-    Line *victim = &lines[base];
+    std::size_t victim = base;
     for (std::size_t way = 0; way < ways; way++) {
-        Line &line = lines[base + way];
-        if (line.state.tag == LineTag::NotPresent)
-            return line;
-        if (line.last_use < victim->last_use)
-            victim = &line;
+        if (lines[base + way].state().tag == LineTag::NotPresent)
+            return lines[base + way];
+        if (lastUse[base + way] < lastUse[victim])
+            victim = base + way;
     }
-    return *victim;
+    return lines[victim];
+}
+
+inline void
+Cache::touch(const Line &line)
+{
+    if (ways > 1)
+        lastUse[static_cast<std::size_t>(&line - lines.data())] =
+            ++lruClock;
 }
 
 Cache::Line &
@@ -294,32 +310,25 @@ Cache::pendingLine() const
     return lines[pending.way_index];
 }
 
-Word *
+inline Word *
 Cache::lineData(const Line &line)
 {
     return words.data() +
            static_cast<std::size_t>(&line - lines.data()) * blockSize;
 }
 
-const Word *
+inline const Word *
 Cache::lineData(const Line &line) const
 {
     return const_cast<Cache *>(this)->lineData(line);
 }
 
-bool
-Cache::holdsBlock(const Line &line, Addr addr) const
-{
-    return line.state.tag != LineTag::NotPresent &&
-           line.base == blockBase(addr);
-}
-
-LineState
+inline LineState
 Cache::stateFor(const Line &line, Addr addr) const
 {
     if (!holdsBlock(line, addr))
         return {LineTag::NotPresent, 0};
-    return line.state;
+    return line.state();
 }
 
 ReactionClass
@@ -353,15 +362,15 @@ ReactionClass
 Cache::reactionClass(Addr addr) const
 {
     const Line *line = findLine(addr);
-    return line == nullptr ? 0 : classOf(line->state);
+    return line == nullptr ? 0 : classOf(line->state());
 }
 
 void
 Cache::setLineState(Line &line, LineState next)
 {
-    if (line.state == next)
+    if (line.state() == next)
         return;
-    bool was_supplier = protocol.snoop(line.state, BusOp::Read).supply;
+    bool was_supplier = protocol.snoop(line.state(), BusOp::Read).supply;
     bool is_supplier = protocol.snoop(next, BusOp::Read).supply;
     if (was_supplier != is_supplier) {
         supplierLines += is_supplier ? 1 : std::size_t{0} - 1;
@@ -373,32 +382,32 @@ Cache::setLineState(Line &line, LineState next)
     // Readable -> Local gains read reactions, an RWB write streak
     // growing keeps its class and changes nothing.
     if (busIndexed) {
-        ReactionClass from = classOf(line.state);
+        ReactionClass from = classOf(line.state());
         ReactionClass to = classOf(next);
         if (from != to)
-            bus->noteReactions(clientIndex, line.base, from, to);
+            bus->noteReactions(clientIndex, line.base(), from, to);
     }
     // Every state change funnels through here, so this one site (plus
     // the cause label set at each entry point) traces the full
     // NP/I/R/L/F transition diagram.
-    if (stateTrace && line.state.tag != next.tag)
-        traceStateChange(line.state.tag, next.tag, line.base);
-    line.state = next;
+    if (stateTrace && line.state().tag != next.tag)
+        traceStateChange(line.state().tag, next.tag, line.base());
+    line.setState(next);
 }
 
 void
 Cache::setLineBase(Line &line, Addr base)
 {
-    if (line.base == base)
+    if (line.base() == base)
         return;
     if (busIndexed) {
-        ReactionClass cls = classOf(line.state);
+        ReactionClass cls = classOf(line.state());
         if (cls != 0) {
-            bus->noteReactions(clientIndex, line.base, cls, 0);
+            bus->noteReactions(clientIndex, line.base(), cls, 0);
             bus->noteReactions(clientIndex, base, 0, cls);
         }
     }
-    line.base = base;
+    line.setBase(base);
 }
 
 Cache::AccessResult
@@ -441,7 +450,7 @@ Cache::cpuAccess(const MemRef &ref)
     if (!reaction.needs_bus) {
         // Hit: complete within the cache cycle.
         setLineState(line, reaction.next);
-        line.last_use = ++lruClock;
+        touch(line);
         Word *data = lineData(line);
         if (reaction.update_value)
             data[offset] = ref.data;
@@ -484,8 +493,8 @@ Cache::computePhase() const
     const CpuReaction &reaction = pending.reaction;
 
     // A dirty victim occupying the target line goes back first.
-    if (reaction.allocate && line.state.tag != LineTag::NotPresent &&
-        line.base != base && protocol.needsWriteback(line.state)) {
+    if (reaction.allocate && line.state().tag != LineTag::NotPresent &&
+        line.base() != base && protocol.needsWriteback(line.state())) {
         return Phase::Writeback;
     }
 
@@ -494,7 +503,7 @@ Cache::computePhase() const
     bool rmw_like = reaction.bus_op == BusOp::Rmw ||
                     reaction.bus_op == BusOp::ReadLock;
     if (rmw_like && holdsBlock(line, pending.ref.addr) &&
-        protocol.memoryMayBeStale(line.state)) {
+        protocol.memoryMayBeStale(line.state())) {
         return Phase::Flush;
     }
 
@@ -524,7 +533,7 @@ Cache::lineState(Addr addr) const
     const Line *line = findLine(addr);
     if (line == nullptr)
         return {LineTag::NotPresent, 0};
-    return line->state;
+    return line->state();
 }
 
 Word
@@ -533,7 +542,7 @@ Cache::lineValue(Addr addr) const
     const Line *line = findLine(addr);
     if (line == nullptr)
         return 0;
-    return lineData(*line)[static_cast<std::size_t>(addr - line->base)];
+    return lineData(*line)[static_cast<std::size_t>(addr - line->base())];
 }
 
 bool
@@ -562,7 +571,7 @@ Cache::currentRequest()
         // Write the dirty victim (Writeback) or the target block
         // itself (Flush) back to memory.
         request.op = BusOp::Write;
-        request.addr = line.base;
+        request.addr = line.base();
         request.data = lineData(line)[0];
         if (blockSize > 1) {
             request.block_transfer = true;
@@ -621,7 +630,7 @@ Cache::requestComplete(const BusResult &result)
       case Phase::Flush:
         stats.add(statFlush);
         // The flushed block now matches memory.
-        setLineState(line, protocol.afterSupply(line.state));
+        setLineState(line, protocol.afterSupply(line.state()));
         revalidatePending();
         return;
 
@@ -633,7 +642,7 @@ Cache::requestComplete(const BusResult &result)
         setLineBase(line, base);
         std::copy(result.block.begin(), result.block.end(), data);
         setLineState(line, protocol.afterBusOp(state, BusOp::Read, false));
-        line.last_use = ++lruClock;
+        touch(line);
         revalidatePending();
         return;
       }
@@ -678,7 +687,7 @@ Cache::requestComplete(const BusResult &result)
             setLineState(line,
                          protocol.afterBusOp(state, pending.reaction.bus_op,
                                              result.rmw_success));
-            line.last_use = ++lruClock;
+            touch(line);
         }
         AccessResult access;
         access.complete = true;
@@ -702,9 +711,9 @@ Cache::wouldSupply(Addr addr, Word &value)
     const Line *line = findLine(addr);
     if (line == nullptr)
         return false;
-    if (!protocol.snoop(line->state, BusOp::Read).supply)
+    if (!protocol.snoop(line->state(), BusOp::Read).supply)
         return false;
-    value = lineData(*line)[static_cast<std::size_t>(addr - line->base)];
+    value = lineData(*line)[static_cast<std::size_t>(addr - line->base())];
     return true;
 }
 
@@ -725,7 +734,7 @@ Cache::observe(const BusTransaction &txn)
     if (found == nullptr)
         return; // Caches react only to blocks they contain.
     Line &line = *found;
-    LineState state = line.state;
+    LineState state = line.state();
 
     SnoopReaction reaction = protocol.snoop(state, txn.op);
     ddc_assert(!reaction.supply,
@@ -767,7 +776,7 @@ Cache::observe(const BusTransaction &txn)
                        "snarf of a malformed block");
             std::copy(txn.block.begin(), txn.block.end(), lineData(line));
         } else {
-            lineData(line)[static_cast<std::size_t>(txn.addr - line.base)] =
+            lineData(line)[static_cast<std::size_t>(txn.addr - line.base())] =
                 txn.data;
         }
         stats.add(statSnarf);
@@ -785,7 +794,7 @@ Cache::supplied(Addr addr)
     stats.add(statSupply);
     if (stateTrace)
         stateCause = "supply";
-    setLineState(*line, protocol.afterSupply(line->state));
+    setLineState(*line, protocol.afterSupply(line->state()));
     markStale(*line);
 }
 
@@ -811,7 +820,7 @@ Cache::revalidatePending()
             stateCause = "broadcast_fill";
         setLineState(line, reaction.next);
         Word &word = lineData(line)[static_cast<std::size_t>(
-            pending.ref.addr - line.base)];
+            pending.ref.addr - line.base())];
         if (reaction.update_value)
             word = pending.ref.data;
         AccessResult access;

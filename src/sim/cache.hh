@@ -48,11 +48,14 @@ class Shard;
 class Cache : public BusClient
 {
   public:
-    /** Outcome of a CPU access. */
+    /**
+     * Outcome of a CPU access: 16 bytes, so a hit comes back in two
+     * registers rather than through memory.
+     */
     struct AccessResult
     {
-        bool complete = false;
         Word value = 0;
+        bool complete = false;
         bool ts_success = false;
     };
 
@@ -164,17 +167,43 @@ class Cache : public BusClient
 
   private:
     /**
-     * Tag and state of one line (one block).  The block's words live
-     * in the cache's contiguous words array (lineData()), so a line is
-     * 24 bytes with no allocation of its own.
+     * Block base and state of one line (one block), packed into one
+     * word: the base in the low kAddrBits bits, the LineTag and the
+     * write streak in the two bytes above.  The block's words live in
+     * the cache's contiguous words array (lineData()) and its LRU
+     * stamp, when the cache is set-associative, in lastUse, so a line
+     * is 8 bytes with no allocation of its own.  Raw accessors: state
+     * and base changes that the bus must hear of go through
+     * setLineState() and setLineBase().
      */
-    struct Line
+    class Line
     {
+      public:
         /** Block base address (valid when state is not NotPresent). */
-        Addr base = 0;
-        /** LRU stamp (updated on CPU use and install). */
-        std::uint64_t last_use = 0;
-        LineState state{};
+        Addr base() const { return bits & kBaseMask; }
+
+        LineState
+        state() const
+        {
+            return {static_cast<LineTag>((bits >> kAddrBits) & 0xff),
+                    static_cast<std::uint8_t>(bits >> (kAddrBits + 8))};
+        }
+
+        void setBase(Addr base) { bits = (bits & ~kBaseMask) | base; }
+
+        void
+        setState(LineState state)
+        {
+            bits = (bits & kBaseMask) |
+                   (std::uint64_t{static_cast<std::uint8_t>(state.tag)}
+                    << kAddrBits) |
+                   (std::uint64_t{state.streak} << (kAddrBits + 8));
+        }
+
+      private:
+        static constexpr std::uint64_t kBaseMask = kAddrLimit - 1;
+        /** All zero: base 0, NotPresent. */
+        std::uint64_t bits = 0;
     };
 
     /** Phases of a pending access. */
@@ -220,25 +249,31 @@ class Cache : public BusClient
         std::uint64_t retries = 0;
     };
 
-    Addr blockBase(Addr addr) const;
+    // The lookup helpers are inline, defined in cache.cc (their only
+    // user), so the per-access and per-snoop paths carry them in-line.
+
+    inline Addr blockBase(Addr addr) const;
 
     /** First line index of @p addr's set. */
-    std::size_t setBase(Addr addr) const;
+    inline std::size_t setBase(Addr addr) const;
 
     /** The way of @p addr's set holding its tag, or nullptr. */
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    inline Line *findLine(Addr addr);
+    inline const Line *findLine(Addr addr) const;
 
     /**
      * The line a (re)fill of @p addr will use: the tag-matching way
      * when one exists (even Invalid, so a set never holds duplicate
      * tags), else an empty way, else the LRU way.
      */
-    Line &victimLine(Addr addr);
+    inline Line &victimLine(Addr addr);
 
     /** The words of @p line's block (blockSize of them). */
-    Word *lineData(const Line &line);
-    const Word *lineData(const Line &line) const;
+    inline Word *lineData(const Line &line);
+    inline const Word *lineData(const Line &line) const;
+
+    /** Stamp @p line as most recently used (set-associative only). */
+    inline void touch(const Line &line);
 
     /** The line reserved for the pending access. */
     Line &pendingLine();
@@ -269,10 +304,10 @@ class Cache : public BusClient
     ReactionClass classOf(LineState state) const;
 
     /** True when @p line holds the block containing @p addr. */
-    bool holdsBlock(const Line &line, Addr addr) const;
+    inline bool holdsBlock(const Line &line, Addr addr) const;
 
     /** State of @p line as seen for @p addr (NotPresent on tag miss). */
-    LineState stateFor(const Line &line, Addr addr) const;
+    inline LineState stateFor(const Line &line, Addr addr) const;
 
     /** Choose the next phase for the current pending reaction. */
     Phase computePhase() const;
@@ -383,6 +418,12 @@ class Cache : public BusClient
     std::vector<Line> lines;
     /** Block data, lines.size() * blockSize words, line-major. */
     std::vector<Word> words;
+    /**
+     * LRU stamp of each line (updated on CPU use and install), indexed
+     * like lines.  Allocated only when ways > 1: a direct-mapped
+     * set's one line is always its victim.
+     */
+    std::vector<std::uint64_t> lastUse;
     /**
      * Issue cycle of the last CPU write to each line's block (kNever =
      * none yet), indexed like lines.  Allocated and maintained only

@@ -171,16 +171,16 @@ Trace::load(std::istream &is)
     // A record starts with its PE id; once one has, all five fields
     // must follow, so a truncated last record is an error.
     while (is >> pe) {
-        MemRef ref;
+        CpuOp op{};
+        DataClass cls{};
         if (!(is >> op_char >> addr >> data >> cls_char) || pe < 0 ||
-            pe >= num_pes || !parseOp(op_char, ref.op) ||
-            !parseClass(cls_char, ref.cls)) {
+            pe >= num_pes || !parseOp(op_char, op) ||
+            !parseClass(cls_char, cls) || addr >= kAddrLimit) {
             streams.clear();
             return false;
         }
-        ref.addr = addr;
-        ref.data = data;
-        streams[static_cast<std::size_t>(pe)]->push_back(ref);
+        streams[static_cast<std::size_t>(pe)]->emplace_back(op, addr, data,
+                                                            cls);
     }
     // The PE-id read stops cleanly only at end of input; anything else
     // is a malformed field.

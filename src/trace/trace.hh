@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace ddc {
@@ -24,29 +25,34 @@ namespace ddc {
 /**
  * One memory reference issued by one PE.
  *
- * Members are ordered widest-first so a reference packs into 24 bytes
- * (a trace holds one per simulated reference); the constructor keeps
- * the natural {op, addr, data, class} argument order.
+ * The address, op and class share one word (the address space is
+ * kAddrBits wide), so a reference packs into 16 bytes: a trace holds
+ * one per simulated reference.  The constructor keeps the natural
+ * {op, addr, data, class} argument order and rejects an address
+ * outside the address space, which would otherwise lose its top bits.
  */
 struct MemRef
 {
-    Addr addr = 0;
+    Addr addr : kAddrBits = 0;
+    CpuOp op : 8 = CpuOp::Read;
+    /** Software classification; RB/RWB ignore it, baselines use it. */
+    DataClass cls : 8 = DataClass::Shared;
     /** Value stored for Write / TestAndSet; ignored for Read. */
     Word data = 0;
-    CpuOp op = CpuOp::Read;
-    /** Software classification; RB/RWB ignore it, baselines use it. */
-    DataClass cls = DataClass::Shared;
 
     constexpr MemRef() = default;
     constexpr MemRef(CpuOp op, Addr addr, Word data = 0,
                      DataClass cls = DataClass::Shared)
-        : addr(addr), data(data), op(op), cls(cls)
-    {}
+        : addr(addr), op(op), cls(cls), data(data)
+    {
+        ddc_assert(addr < kAddrLimit, "address ", addr,
+                   " lies outside the ", kAddrBits, "-bit address space");
+    }
 
     bool operator==(const MemRef &other) const = default;
 };
 
-static_assert(sizeof(MemRef) == 24, "MemRef must pack into 24 bytes");
+static_assert(sizeof(MemRef) == 16, "MemRef must pack into 16 bytes");
 
 /** One PE's reference stream. */
 using RefStream = std::vector<MemRef>;
@@ -106,7 +112,8 @@ class Trace
     /**
      * Parse a trace produced by save().
      * @return false on malformed or truncated input, including a
-     *         partial last record (the trace is left empty).
+     *         partial last record or an address at or above
+     *         kAddrLimit (the trace is left empty).
      */
     bool load(std::istream &is);
 

@@ -17,18 +17,6 @@
 namespace ddc {
 namespace {
 
-MemRef
-read(Addr addr)
-{
-    return {CpuOp::Read, addr, 0, DataClass::Shared};
-}
-
-MemRef
-write(Addr addr, Word data)
-{
-    return {CpuOp::Write, addr, data, DataClass::Shared};
-}
-
 TEST(Block, ReadFillsWholeBlock)
 {
     Scenario scenario(ProtocolKind::Rb, 2, 8, 2, /*block_words=*/4);

@@ -49,8 +49,9 @@ TEST(Hier, WritePropagatesAcrossClusters)
 
     EXPECT_EQ(system.coherentValue(10), 42u);
     // The reader's final copy agrees.
-    if (system.lineState(3, 10).present())
+    if (system.lineState(3, 10).present()) {
         EXPECT_EQ(system.cacheValue(3, 10), 42u);
+    }
     auto report = checkSerialConsistency(system.log());
     EXPECT_TRUE(report.consistent) << report.first_error;
 }
@@ -400,8 +401,9 @@ TEST(HierRwb, UpdateBroadcastWorksWithinClusters)
 
     EXPECT_TRUE(checkSerialConsistency(system.log()).consistent);
     // PE1's final copy carries the written value.
-    if (system.lineState(1, 5).present())
+    if (system.lineState(1, 5).present()) {
         EXPECT_EQ(system.cacheValue(1, 5), 7u);
+    }
 }
 
 TEST(HierRwb, CrossClusterWriteInvalidatesRemoteCopies)

@@ -188,6 +188,32 @@ TEST(Processor, EmptyProgramIsDoneImmediately)
     EXPECT_TRUE(system.allDone());
 }
 
+TEST(Processor, EffectiveAddressPastAddressSpaceDies)
+{
+    // The last word of the space is an ordinary address...
+    System system(smallConfig());
+    ProgramBuilder builder;
+    auto top = static_cast<std::int64_t>(kAddrLimit - 1);
+    system.setProgram(0, builder.loadImm(1, top)
+                             .loadImm(2, 9)
+                             .store(1, 2)
+                             .load(3, 1)
+                             .halt()
+                             .build());
+    system.run();
+    ASSERT_TRUE(system.allDone());
+    EXPECT_EQ(system.processor(0).reg(3), 9u);
+
+    // ...and one word further is refused, not aliased onto address 0.
+    System past(smallConfig());
+    ProgramBuilder past_builder;
+    past.setProgram(0, past_builder.loadImm(1, top)
+                           .load(2, 1, /*offset=*/1)
+                           .halt()
+                           .build());
+    EXPECT_DEATH(past.run(100), "48-bit address space");
+}
+
 TEST(Processor, RunningOffTheEndDies)
 {
     System system(smallConfig());

@@ -231,6 +231,45 @@ TEST(ClusteredTrace, ExtremesAreAllLocalOrAllGlobal)
         EXPECT_GE(ref.addr, global_region);
 }
 
+/**
+ * Every reference of @p trace lies in its PE's private region or in
+ * the shared region, both bounded with full-width arithmetic below
+ * 2^41.  A generator address past the 48-bit space would be truncated
+ * by MemRef's address field and land outside both.
+ */
+void
+expectInRegions(const Trace &trace)
+{
+    const Addr shared_end = Addr{1} << 41;
+    static_assert((Addr{1} << 41) < kAddrLimit);
+    ASSERT_LE(codeBase(trace.numPes()), sharedBase());
+    for (PeId pe = 0; pe < trace.numPes(); pe++) {
+        for (const auto &ref : trace.stream(pe)) {
+            bool own = ref.addr >= codeBase(pe) &&
+                       ref.addr < codeBase(pe + 1);
+            bool shared = ref.addr >= sharedBase() &&
+                          ref.addr < shared_end;
+            ASSERT_TRUE(own || shared)
+                << "PE " << pe << " references " << ref.addr;
+        }
+    }
+}
+
+TEST(Generators, StayInsideAddressSpaceAt8192Pes)
+{
+    const int pes = 8192;
+    expectInRegions(makeCmStarTrace(cmStarApplicationA(), pes, 8, 3));
+    expectInRegions(makeUniformRandomTrace(pes, 4, 64, 0.3, 0.1, 3));
+    expectInRegions(makeArrayInitTrace(pes, 4));
+    expectInRegions(makeProducerConsumerTrace(pes, 2, 1, 1));
+    expectInRegions(makeMigratoryTrace(pes, 2, 1));
+    expectInRegions(makeHotSpotTrace(pes, 1, 1));
+    expectInRegions(makeSequentialWalkTrace(pes, 4, 1, 2));
+    expectInRegions(makeFalseSharingTrace(pes, 1));
+    expectInRegions(makeClusteredTrace(pes / 32, 32, 4, 0.5, 0.3, 3));
+    expectInRegions(makeClusteredTrace(pes, 1, 4, 0.5, 0.3, 3));
+}
+
 TEST(Generators, NoReservedValuesEmitted)
 {
     auto trace = makeUniformRandomTrace(2, 5000, 8, 0.5, 0.2, 21);

@@ -144,10 +144,51 @@ TEST(Trace, SharedStreamOutlivesAppendAndTrace)
 
 TEST(Trace, MemRefPacksInto24Bytes)
 {
-    static_assert(sizeof(MemRef) == 24);
+    // The name predates the packed layout: a reference is now one
+    // word of address, op and class, then its data word.
+    static_assert(sizeof(MemRef) == 16);
+    MemRef blank;
+    EXPECT_EQ(blank.addr, 0u);
+    EXPECT_EQ(blank.op, CpuOp::Read);
+    EXPECT_EQ(blank.cls, DataClass::Shared);
+    EXPECT_EQ(blank.data, 0u);
     MemRef ref{CpuOp::Read, 4};
+    EXPECT_EQ(ref.addr, 4u);
     EXPECT_EQ(ref.data, 0u);
     EXPECT_EQ(ref.cls, DataClass::Shared);
+    // Every field keeps its full range next to the others.
+    MemRef top{CpuOp::WriteUnlock, kAddrLimit - 1, kMaxDataValue,
+               DataClass::Code};
+    EXPECT_EQ(top.addr, kAddrLimit - 1);
+    EXPECT_EQ(top.op, CpuOp::WriteUnlock);
+    EXPECT_EQ(top.cls, DataClass::Code);
+    EXPECT_EQ(top.data, kMaxDataValue);
+}
+
+TEST(Trace, MemRefOutsideAddressSpaceDies)
+{
+    EXPECT_DEATH((MemRef{CpuOp::Read, kAddrLimit}), "48-bit address space");
+    EXPECT_DEATH((MemRef{CpuOp::Write, ~Addr{0}, 1}), "address space");
+}
+
+TEST(Trace, LoadRejectsAddressOutsideAddressSpace)
+{
+    Trace trace;
+    std::istringstream past("ddctrace 1 1\n0 R 281474976710656 0 S\n");
+    EXPECT_FALSE(trace.load(past));
+    EXPECT_EQ(trace.numPes(), 0);
+    EXPECT_EQ(trace.totalRefs(), 0u);
+
+    // The last address of the space round-trips.
+    Trace top(1);
+    top.append(0, {CpuOp::Write, kAddrLimit - 1, 5, DataClass::Shared});
+    std::stringstream ss;
+    top.save(ss);
+    EXPECT_NE(ss.str().find("281474976710655"), std::string::npos);
+    Trace loaded;
+    ASSERT_TRUE(loaded.load(ss));
+    EXPECT_EQ(loaded, top);
+    EXPECT_EQ(loaded.stream(0)[0].addr, kAddrLimit - 1);
 }
 
 TEST(Trace, ToStringMentionsOpAndClass)
