@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "sync/analysis.hh"
 #include "sync/workload.hh"
@@ -153,24 +152,6 @@ printReproduction(exp::Session &session)
         "finish far earlier.  Mixed-workload throughput is nearly\n"
         "arbiter-independent.\n\n";
 }
-
-void
-BM_ArbitrationLockRun(benchmark::State &state)
-{
-    auto kind = kArbiters[static_cast<std::size_t>(state.range(0))];
-    for (auto _ : state) {
-        sync::LockExperimentConfig config;
-        config.num_pes = 8;
-        config.lock = sync::LockKind::TestAndSet;
-        config.protocol = ProtocolKind::Rb;
-        config.acquisitions_per_pe = 8;
-        auto result = sync::runLockExperiment(config);
-        benchmark::DoNotOptimize(result.cycles);
-    }
-    state.SetLabel(std::string(toString(kind)));
-}
-BENCHMARK(BM_ArbitrationLockRun)->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -12,7 +12,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -117,24 +116,6 @@ printReproduction(exp::Session &session)
         "consistent with the paper's choice to keep set size 1 and\n"
         "spend the hardware budget on the coherence machinery instead.\n\n";
 }
-
-void
-BM_AssociativitySweep(benchmark::State &state)
-{
-    auto ways = static_cast<std::size_t>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 4, 10000, 7);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 4;
-        config.cache_lines = 1024;
-        config.ways = ways;
-        config.protocol = ProtocolKind::CmStar;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-}
-BENCHMARK(BM_AssociativitySweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

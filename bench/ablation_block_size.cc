@@ -22,7 +22,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -99,24 +98,6 @@ printReproduction(exp::Session &session)
         "losses nearly cancel -- supporting the paper's choice of one-\n"
         "word blocks for a shared-data-caching machine.\n\n";
 }
-
-void
-BM_BlockSweep(benchmark::State &state)
-{
-    auto block = static_cast<std::size_t>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 4, 8000, 5);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 4;
-        config.cache_lines = 1024 / block;
-        config.block_words = block;
-        config.protocol = ProtocolKind::Rb;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-}
-BENCHMARK(BM_BlockSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

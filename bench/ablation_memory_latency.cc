@@ -16,7 +16,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -124,24 +123,6 @@ printReproduction(exp::Session &session)
         "update-broadcasting RWB (fewest transactions) degrades least\n"
         "and the uncached CmStar baseline degrades most.\n\n";
 }
-
-void
-BM_MemoryLatencySweep(benchmark::State &state)
-{
-    auto latency = static_cast<std::size_t>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 8, 2000, 7);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 8;
-        config.cache_lines = 1024;
-        config.protocol = ProtocolKind::Rb;
-        config.memory_latency = latency;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-}
-BENCHMARK(BM_MemoryLatencySweep)->Arg(0)->Arg(3)->Arg(7)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -14,7 +14,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -107,25 +106,6 @@ printReproduction(exp::Session &session)
         "(dynamic classification); CmStar worst everywhere shared data\n"
         "matters since it cannot cache it.\n\n";
 }
-
-void
-BM_ProtocolOnWorkload(benchmark::State &state)
-{
-    auto kinds = allProtocolKinds();
-    auto kind = kinds[static_cast<std::size_t>(state.range(0))];
-    auto trace = makeProducerConsumerTrace(4, 16, 8, 2);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 4;
-        config.cache_lines = 256;
-        config.protocol = kind;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-    state.SetLabel(std::string(toString(kind)));
-}
-BENCHMARK(BM_ProtocolOnWorkload)->DenseRange(0, 4)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

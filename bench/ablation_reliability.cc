@@ -129,52 +129,6 @@ printReproduction(exp::Session &session)
         "(shared words live only in memory).\n\n";
 }
 
-void
-BM_ReplicationCensus(benchmark::State &state)
-{
-    auto trace = makeProducerConsumerTrace(4, 16, 8, 2);
-    SystemConfig config;
-    config.num_pes = 4;
-    config.cache_lines = 256;
-    config.protocol = ProtocolKind::Rwb;
-    System system(config);
-    system.loadTrace(trace);
-    system.run();
-
-    std::vector<Addr> addrs;
-    for (Addr a = 0; a < 16; a++)
-        addrs.push_back(sharedBase() + a);
-    for (auto _ : state) {
-        auto report = reliability::measureReplication(system, addrs);
-        benchmark::DoNotOptimize(report.total_copies);
-    }
-}
-BENCHMARK(BM_ReplicationCensus);
-
-void
-BM_FaultCampaign(benchmark::State &state)
-{
-    auto trace = makeProducerConsumerTrace(4, 16, 8, 2);
-    SystemConfig config;
-    config.num_pes = 4;
-    config.cache_lines = 256;
-    config.protocol = ProtocolKind::Rwb;
-    System system(config);
-    system.loadTrace(trace);
-    system.run();
-
-    std::vector<Addr> addrs;
-    for (Addr a = 0; a < 16; a++)
-        addrs.push_back(sharedBase() + a);
-    Rng rng(5);
-    for (auto _ : state) {
-        auto result =
-            reliability::runMemoryFaultCampaign(system, addrs, 100, rng);
-        benchmark::DoNotOptimize(result.recovered);
-    }
-}
-BENCHMARK(BM_FaultCampaign);
-
 } // namespace
 
 DDC_BENCH_MAIN(printReproduction)

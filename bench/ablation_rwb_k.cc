@@ -13,7 +13,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -104,23 +103,6 @@ printReproduction(exp::Session &session)
         "keeps consumers updated and avoids refill reads.  k = 2 is\n"
         "the paper's compromise.\n\n";
 }
-
-void
-BM_RwbKSweep(benchmark::State &state)
-{
-    auto k = static_cast<int>(state.range(0));
-    auto trace = makeUniformRandomTrace(4, 2000, 32, 0.4, 0.05, 17);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 4;
-        config.cache_lines = 256;
-        config.protocol = ProtocolKind::Rwb;
-        config.rwb_writes_to_local = k;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-}
-BENCHMARK(BM_RwbKSweep)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

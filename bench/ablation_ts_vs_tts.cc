@@ -101,42 +101,6 @@ printReproduction(exp::Session &session)
         "hot spot is eliminated.\n\n";
 }
 
-void
-BM_LockScaling(benchmark::State &state)
-{
-    auto num_pes = static_cast<int>(state.range(0));
-    auto lock = state.range(1) == 0 ? sync::LockKind::TestAndSet
-                                    : sync::LockKind::TestAndTestAndSet;
-    for (auto _ : state) {
-        auto result = run(num_pes, lock, ProtocolKind::Rb);
-        benchmark::DoNotOptimize(result.cycles);
-    }
-    state.SetLabel(std::string(sync::toString(lock)));
-}
-BENCHMARK(BM_LockScaling)
-    ->Args({4, 0})->Args({4, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->Unit(benchmark::kMillisecond);
-
-/** Simulated cycles to finish the contention run, as a counter. */
-void
-BM_LockSimulatedCycles(benchmark::State &state)
-{
-    auto num_pes = static_cast<int>(state.range(0));
-    auto lock = state.range(1) == 0 ? sync::LockKind::TestAndSet
-                                    : sync::LockKind::TestAndTestAndSet;
-    double cycles = 0.0;
-    for (auto _ : state) {
-        auto result = run(num_pes, lock, ProtocolKind::Rb);
-        cycles = static_cast<double>(result.cycles);
-    }
-    state.counters["simulated_cycles"] = cycles;
-    state.SetLabel(std::string(sync::toString(lock)));
-}
-BENCHMARK(BM_LockSimulatedCycles)
-    ->Args({16, 0})->Args({16, 1})
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 DDC_BENCH_MAIN(printReproduction)

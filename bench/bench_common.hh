@@ -4,12 +4,11 @@
  *
  * Every bench binary (a) runs its sweep points through the parallel
  * experiment engine (src/exp) and prints its paper table/figure
- * reproduction, (b) emits the structured results as JSON when --json
- * PATH is given, then (c) runs its google-benchmark timing sweeps.
- * The DDC_BENCH_MAIN macro wires that order up.
+ * reproduction, then (b) emits the structured results as JSON when
+ * --json PATH is given.  The DDC_BENCH_MAIN macro wires that order up.
  *
- * Engine flags (parsed and stripped before google-benchmark sees
- * argv):
+ * Engine flags (the only arguments a bench takes; anything else exits
+ * 1, naming it, before the bench runs):
  *   --jobs N     run sweep points on N worker threads (default 1);
  *                output is byte-identical for every N
  *   --json PATH  write the collected results (conventionally
@@ -35,36 +34,63 @@
 #ifndef DDC_BENCH_COMMON_HH
 #define DDC_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
+#include <cstdlib>
 #include <iostream>
 
 #include "exp/session.hh"
 
+namespace ddc {
+namespace bench {
+
 /**
- * Print the reproduction through the experiment engine, emit JSON,
- * then run the registered benchmarks.  @p print_reproduction is a
- * callable taking (ddc::exp::Session &).
+ * Parse the engine flags out of argv and exit 1, naming the first
+ * argument left over, when anything else was given.
  */
+inline exp::SessionOptions
+parseBenchArgs(int argc, char **argv)
+{
+    auto options = exp::parseSessionArgs(argc, argv);
+    if (argc > 1) {
+        std::cerr << argv[0] << ": unknown argument '" << argv[1]
+                  << "'\n";
+        std::exit(1);
+    }
+    return options;
+}
+
+/**
+ * Print the reproduction through a session built from @p options,
+ * then write its JSON.  @p print_reproduction is a callable taking
+ * (exp::Session &).
+ * @return main's exit status.
+ */
+template <typename Print>
+int
+runBench(const char *argv0, const exp::SessionOptions &options,
+         Print print_reproduction)
+{
+    exp::Session session(options);
+    print_reproduction(session);
+    std::cout.flush();
+    if (!session.writeJson()) {
+        std::cerr << argv0 << ": cannot write " << options.json_path
+                  << "\n";
+        return 1;
+    }
+    return 0;
+}
+
+} // namespace bench
+} // namespace ddc
+
+/** A bench's main: parse the engine flags, print, write the JSON. */
 #define DDC_BENCH_MAIN(print_reproduction)                                  \
     int                                                                     \
     main(int argc, char **argv)                                             \
     {                                                                       \
-        auto options = ddc::exp::parseSessionArgs(argc, argv);              \
-        ddc::exp::Session session(options);                                 \
-        print_reproduction(session);                                        \
-        std::cout.flush();                                                  \
-        if (!session.writeJson()) {                                         \
-            std::cerr << argv[0] << ": cannot write "                       \
-                      << options.json_path << "\n";                         \
-            return 1;                                                       \
-        }                                                                   \
-        benchmark::Initialize(&argc, argv);                                 \
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))             \
-            return 1;                                                       \
-        benchmark::RunSpecifiedBenchmarks();                                \
-        benchmark::Shutdown();                                              \
-        return 0;                                                           \
+        return ddc::bench::runBench(                                        \
+            argv[0], ddc::bench::parseBenchArgs(argc, argv),                \
+            print_reproduction);                                            \
     }
 
 #endif // DDC_BENCH_COMMON_HH

@@ -153,40 +153,6 @@ printReproduction(exp::Session &session)
         "checker as the flat machine (tests/hier_test.cc).\n\n";
 }
 
-void
-BM_HierVsFlat(benchmark::State &state)
-{
-    bool hierarchical = state.range(0) == 1;
-    auto trace = makeClusteredTrace(8, 4, 1000, 0.9, 0.3, 77);
-    auto run = hierarchical ? hierRun(trace, 8, 4) : flatRun(trace);
-    for (auto _ : state) {
-        auto point = exp::executeTraceRun(run);
-        benchmark::DoNotOptimize(point.cycles);
-    }
-    state.SetLabel(hierarchical ? "hierarchical" : "flat");
-}
-BENCHMARK(BM_HierVsFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/** Simulated completion cycles, as counters. */
-void
-BM_HierSimulatedCycles(benchmark::State &state)
-{
-    auto locality = static_cast<double>(state.range(0)) / 100.0;
-    auto trace = makeClusteredTrace(8, 4, 1000, locality, 0.3, 77);
-    double flat_cycles = 0.0;
-    double hier_cycles = 0.0;
-    for (auto _ : state) {
-        flat_cycles = static_cast<double>(
-            exp::executeTraceRun(flatRun(trace)).cycles);
-        hier_cycles = static_cast<double>(
-            exp::executeTraceRun(hierRun(trace, 8, 4)).cycles);
-    }
-    state.counters["flat_cycles"] = flat_cycles;
-    state.counters["hier_cycles"] = hier_cycles;
-}
-BENCHMARK(BM_HierSimulatedCycles)->Arg(0)->Arg(90)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 DDC_BENCH_MAIN(printReproduction)

@@ -2,9 +2,7 @@
  * @file
  * Figure 3-1 reproduction: the RB scheme's per-line state transition
  * diagram, printed as a transition table generated from the shipped
- * protocol object (so the table cannot drift from the code), followed
- * by microbenchmarks of protocol dispatch and of the elementary
- * coherence operations on a live bus.
+ * protocol object (so the table cannot drift from the code).
  */
 
 #include "bench_common.hh"
@@ -13,7 +11,6 @@
 #include <sstream>
 
 #include "core/rb.hh"
-#include "sim/scenario.hh"
 #include "stats/table.hh"
 #include "verify/product_machine.hh"
 
@@ -116,72 +113,6 @@ printReproduction(exp::Session &session)
     const auto &results = session.run(spec);
     std::cout << results[0].rendered;
 }
-
-void
-BM_RbCpuDispatch(benchmark::State &state)
-{
-    RbProtocol rb;
-    LineState line{LineTag::Readable, 0};
-    for (auto _ : state) {
-        auto reaction = rb.onCpuAccess(line, CpuOp::Read,
-                                       DataClass::Shared);
-        benchmark::DoNotOptimize(reaction);
-    }
-}
-BENCHMARK(BM_RbCpuDispatch);
-
-void
-BM_RbSnoopDispatch(benchmark::State &state)
-{
-    RbProtocol rb;
-    LineState line{LineTag::Invalid, 0};
-    for (auto _ : state) {
-        auto reaction = rb.onSnoop(line, BusOp::Read);
-        benchmark::DoNotOptimize(reaction);
-    }
-}
-BENCHMARK(BM_RbSnoopDispatch);
-
-/** Cost of a full read-miss -> broadcast-fill round on a live bus. */
-void
-BM_RbReadMissRoundTrip(benchmark::State &state)
-{
-    Scenario scenario(ProtocolKind::Rb, 4);
-    Addr addr = 0;
-    for (auto _ : state) {
-        scenario.read(0, addr);
-        scenario.write(1, addr, 1); // invalidate, keeping misses coming
-        addr ^= 1;
-    }
-}
-BENCHMARK(BM_RbReadMissRoundTrip);
-
-/** Cost of the write-hit fast path (Local state, no bus). */
-void
-BM_RbLocalWriteHit(benchmark::State &state)
-{
-    Scenario scenario(ProtocolKind::Rb, 4);
-    scenario.write(0, 0, 1); // take ownership
-    Word value = 2;
-    for (auto _ : state) {
-        scenario.write(0, 0, value);
-        value = value % 1000 + 1;
-    }
-}
-BENCHMARK(BM_RbLocalWriteHit);
-
-/** Cost of the Local-owner intervention (kill + supply + retry). */
-void
-BM_RbIntervention(benchmark::State &state)
-{
-    Scenario scenario(ProtocolKind::Rb, 2);
-    for (auto _ : state) {
-        scenario.write(0, 0, 1);
-        scenario.write(0, 0, 2); // dirty Local
-        benchmark::DoNotOptimize(scenario.read(1, 0)); // killed + supplied
-    }
-}
-BENCHMARK(BM_RbIntervention);
 
 } // namespace
 

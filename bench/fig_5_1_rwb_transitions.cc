@@ -2,8 +2,7 @@
  * @file
  * Figure 5-1 reproduction: the RWB scheme's state transition diagram
  * (with the First-write state and the Bus Invalidate signal), printed
- * as a transition table generated from the shipped protocol object,
- * followed by dispatch and update-broadcast microbenchmarks.
+ * as a transition table generated from the shipped protocol object.
  */
 
 #include "bench_common.hh"
@@ -12,7 +11,6 @@
 #include <sstream>
 
 #include "core/rwb.hh"
-#include "sim/scenario.hh"
 #include "stats/table.hh"
 #include "verify/product_machine.hh"
 
@@ -112,69 +110,6 @@ printReproduction(exp::Session &session)
     const auto &results = session.run(spec);
     std::cout << results[0].rendered;
 }
-
-void
-BM_RwbCpuDispatch(benchmark::State &state)
-{
-    RwbProtocol rwb;
-    LineState line{LineTag::FirstWrite, 1};
-    for (auto _ : state) {
-        auto reaction = rwb.onCpuAccess(line, CpuOp::Write,
-                                        DataClass::Shared);
-        benchmark::DoNotOptimize(reaction);
-    }
-}
-BENCHMARK(BM_RwbCpuDispatch);
-
-void
-BM_RwbSnoopDispatch(benchmark::State &state)
-{
-    RwbProtocol rwb;
-    LineState line{LineTag::Readable, 0};
-    for (auto _ : state) {
-        auto reaction = rwb.onSnoop(line, BusOp::Write);
-        benchmark::DoNotOptimize(reaction);
-    }
-}
-BENCHMARK(BM_RwbSnoopDispatch);
-
-/**
- * The update-broadcast path: one writer, N snarfing readers.  Under
- * RWB the readers' next reads are cache hits; this measures the cost
- * of the whole write-broadcast round.
- */
-void
-BM_RwbWriteBroadcast(benchmark::State &state)
-{
-    auto readers = static_cast<int>(state.range(0));
-    Scenario scenario(ProtocolKind::Rwb, readers + 1);
-    for (PeId pe = 0; pe <= readers; pe++)
-        scenario.read(pe, 0);
-    Word value = 1;
-    for (auto _ : state) {
-        scenario.write(0, 0, value);
-        value = value % 1000 + 1;
-        for (PeId pe = 1; pe <= readers; pe++)
-            benchmark::DoNotOptimize(scenario.read(pe, 0));
-    }
-}
-BENCHMARK(BM_RwbWriteBroadcast)->Arg(1)->Arg(3)->Arg(7);
-
-/** The BI fast path: second write of a streak (k = 2). */
-void
-BM_RwbBusInvalidate(benchmark::State &state)
-{
-    Scenario scenario(ProtocolKind::Rwb, 2);
-    scenario.read(1, 0);
-    Word value = 1;
-    for (auto _ : state) {
-        scenario.read(1, 0);           // bring PE1 back in
-        scenario.write(0, 0, value);   // BW -> F
-        scenario.write(0, 0, value);   // BI -> L
-        value = value % 1000 + 1;
-    }
-}
-BENCHMARK(BM_RwbBusInvalidate);
 
 } // namespace
 

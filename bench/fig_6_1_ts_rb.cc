@@ -13,7 +13,6 @@
 
 #include "sim/scenario.hh"
 #include "stats/table.hh"
-#include "sync/workload.hh"
 
 namespace {
 
@@ -101,45 +100,6 @@ printReproduction(exp::Session &session)
     const auto &results = session.run(spec);
     std::cout << results[0].rendered;
 }
-
-/** Wall-clock cost of simulating the full TS contention workload. */
-void
-BM_TsLockContention(benchmark::State &state)
-{
-    auto num_pes = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        sync::LockExperimentConfig config;
-        config.num_pes = num_pes;
-        config.lock = sync::LockKind::TestAndSet;
-        config.protocol = ProtocolKind::Rb;
-        config.acquisitions_per_pe = 16;
-        config.cs_increments = 4;
-        auto result = sync::runLockExperiment(config);
-        benchmark::DoNotOptimize(result.cycles);
-    }
-}
-BENCHMARK(BM_TsLockContention)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-/** Simulated bus transactions per acquisition, reported as a counter. */
-void
-BM_TsBusPerAcquisition(benchmark::State &state)
-{
-    auto num_pes = static_cast<int>(state.range(0));
-    double bus_per_acq = 0.0;
-    for (auto _ : state) {
-        sync::LockExperimentConfig config;
-        config.num_pes = num_pes;
-        config.lock = sync::LockKind::TestAndSet;
-        config.protocol = ProtocolKind::Rb;
-        config.acquisitions_per_pe = 16;
-        auto result = sync::runLockExperiment(config);
-        bus_per_acq = result.bus_per_acquisition;
-    }
-    state.counters["bus_per_acquisition"] = bus_per_acq;
-}
-BENCHMARK(BM_TsBusPerAcquisition)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -187,46 +187,6 @@ printReproduction(exp::Session &session)
     std::cout << results[1].rendered;
 }
 
-void
-BM_TtsRwbLockContention(benchmark::State &state)
-{
-    auto num_pes = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        sync::LockExperimentConfig config;
-        config.num_pes = num_pes;
-        config.lock = sync::LockKind::TestAndTestAndSet;
-        config.protocol = ProtocolKind::Rwb;
-        config.acquisitions_per_pe = 16;
-        config.cs_increments = 4;
-        auto result = sync::runLockExperiment(config);
-        benchmark::DoNotOptimize(result.cycles);
-    }
-}
-BENCHMARK(BM_TtsRwbLockContention)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-/** RB vs RWB bus traffic per acquisition under TTS, side by side. */
-void
-BM_TtsRwbVsRbTraffic(benchmark::State &state)
-{
-    auto protocol = state.range(0) == 0 ? ProtocolKind::Rb
-                                        : ProtocolKind::Rwb;
-    double bus_per_acq = 0.0;
-    for (auto _ : state) {
-        sync::LockExperimentConfig config;
-        config.num_pes = 8;
-        config.lock = sync::LockKind::TestAndTestAndSet;
-        config.protocol = protocol;
-        config.acquisitions_per_pe = 16;
-        auto result = sync::runLockExperiment(config);
-        bus_per_acq = result.bus_per_acquisition;
-    }
-    state.counters["bus_per_acquisition"] = bus_per_acq;
-    state.SetLabel(std::string(toString(protocol)));
-}
-BENCHMARK(BM_TtsRwbVsRbTraffic)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 DDC_BENCH_MAIN(printReproduction)

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -97,45 +96,6 @@ printReproduction(exp::Session &session)
         "as many as 32 to 256 processors could be economically built'\n"
         "using a small number of buses.\n\n";
 }
-
-void
-BM_MultibusRun(benchmark::State &state)
-{
-    auto buses = static_cast<int>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 16, 2000, 3);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 16;
-        config.cache_lines = 1024;
-        config.protocol = ProtocolKind::Rb;
-        config.num_buses = buses;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-}
-BENCHMARK(BM_MultibusRun)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-/** Simulated cycle counts per bus count, exposed as counters. */
-void
-BM_MultibusSimulatedCycles(benchmark::State &state)
-{
-    auto buses = static_cast<int>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 16, 2000, 3);
-    double cycles = 0.0;
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 16;
-        config.cache_lines = 1024;
-        config.protocol = ProtocolKind::Rb;
-        config.num_buses = buses;
-        auto summary = runTrace(config, trace);
-        cycles = static_cast<double>(summary.cycles);
-    }
-    state.counters["simulated_cycles"] = cycles;
-}
-BENCHMARK(BM_MultibusSimulatedCycles)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -208,37 +208,6 @@ printReproduction(exp::Session &session)
     std::cout << table.render() << "\n";
 }
 
-/** Wall-clock rate of one 1024-PE run per global-interconnect mode. */
-void
-BM_GlobalInterconnect(benchmark::State &state)
-{
-    constexpr int kClusters = 32;
-    bool directory = state.range(0) != 0;
-    auto trace = makeClusteredTrace(kClusters, kPesPerCluster, 50,
-                                    kClusterLocalFraction,
-                                    kWriteFraction, 7);
-    double cycles = 0.0;
-    for (auto _ : state) {
-        hier::HierConfig config;
-        config.num_clusters = kClusters;
-        config.pes_per_cluster = kPesPerCluster;
-        config.cache_lines = 256;
-        config.protocol = ProtocolKind::Rb;
-        if (directory) {
-            config.global = hier::GlobalKind::Directory;
-            config.home_nodes = homesFor(kClusters);
-        }
-        hier::HierSystem system(config);
-        system.loadTrace(trace);
-        cycles += static_cast<double>(system.run());
-    }
-    state.counters["sim_cycles_per_sec"] =
-        benchmark::Counter(cycles, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GlobalInterconnect)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 // Not DDC_BENCH_MAIN: this bench measures the simulator itself, so it
@@ -246,24 +215,11 @@ BENCHMARK(BM_GlobalInterconnect)
 int
 main(int argc, char **argv)
 {
-    auto options = ddc::exp::parseSessionArgs(argc, argv);
+    auto options = ddc::bench::parseBenchArgs(argc, argv);
     options.timing = true;
     // The route/serve phase-split columns come from the fabric's
     // profile; force it on like --timing -- this bench's output is
     // host-dependent on purpose.
     ddc::obs::setPhaseProfilingEnabled(true);
-    ddc::exp::Session session(options);
-    printReproduction(session);
-    std::cout.flush();
-    if (!session.writeJson()) {
-        std::cerr << argv[0] << ": cannot write " << options.json_path
-                  << "\n";
-        return 1;
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return ddc::bench::runBench(argv[0], options, printReproduction);
 }

@@ -33,7 +33,6 @@
 #include <iostream>
 #include <iterator>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "sync/workload.hh"
 #include "trace/synthetic.hh"
@@ -294,53 +293,6 @@ printReproduction(exp::Session &session)
     std::cout << idle_table.render() << "\n";
 }
 
-/** Simulated cycles per wall-clock second on the contention workload. */
-void
-BM_LockThroughput(benchmark::State &state)
-{
-    sync::LockExperimentConfig config;
-    config.num_pes = static_cast<int>(state.range(0));
-    config.lock = state.range(1) == 0 ? sync::LockKind::TestAndSet
-                                      : sync::LockKind::TestAndTestAndSet;
-    config.protocol = ProtocolKind::Rb;
-    config.acquisitions_per_pe = 8;
-    config.cs_increments = 8;
-    double cycles = 0.0;
-    for (auto _ : state) {
-        auto result = sync::runLockExperiment(config);
-        cycles += static_cast<double>(result.cycles);
-    }
-    state.counters["sim_cycles_per_sec"] =
-        benchmark::Counter(cycles, benchmark::Counter::kIsRate);
-    state.SetLabel(std::string(sync::toString(config.lock)));
-}
-BENCHMARK(BM_LockThroughput)
-    ->Args({16, 0})->Args({16, 1})
-    ->Unit(benchmark::kMillisecond);
-
-/** Simulated cycles per wall-clock second on the Cm* trace replay. */
-void
-BM_TraceThroughput(benchmark::State &state)
-{
-    auto kinds = allProtocolKinds();
-    auto kind = kinds[static_cast<std::size_t>(state.range(0))];
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 4, kRefsPerPe, 5);
-    double cycles = 0.0;
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 4;
-        config.cache_lines = 256;
-        config.protocol = kind;
-        auto summary = runTrace(config, trace);
-        cycles += static_cast<double>(summary.cycles);
-    }
-    state.counters["sim_cycles_per_sec"] =
-        benchmark::Counter(cycles, benchmark::Counter::kIsRate);
-    state.SetLabel(std::string(toString(kind)));
-}
-BENCHMARK(BM_TraceThroughput)->DenseRange(0, 1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 // Not DDC_BENCH_MAIN: this bench measures the simulator itself, so it
@@ -348,20 +300,7 @@ BENCHMARK(BM_TraceThroughput)->DenseRange(0, 1)
 int
 main(int argc, char **argv)
 {
-    auto options = ddc::exp::parseSessionArgs(argc, argv);
+    auto options = ddc::bench::parseBenchArgs(argc, argv);
     options.timing = true;
-    ddc::exp::Session session(options);
-    printReproduction(session);
-    std::cout.flush();
-    if (!session.writeJson()) {
-        std::cerr << argv[0] << ": cannot write " << options.json_path
-                  << "\n";
-        return 1;
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return ddc::bench::runBench(argv[0], options, printReproduction);
 }

@@ -16,7 +16,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -113,25 +112,6 @@ printReproduction(exp::Session &session)
     printAnalyticModel();
     printMeasuredSweep(session);
 }
-
-void
-BM_BandwidthSweep(benchmark::State &state)
-{
-    auto num_pes = static_cast<int>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), num_pes, 2000, 7);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = num_pes;
-        config.cache_lines = 1024;
-        config.protocol = ProtocolKind::Rb;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            num_pes * 2000);
-}
-BENCHMARK(BM_BandwidthSweep)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

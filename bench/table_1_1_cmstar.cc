@@ -17,7 +17,6 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -144,25 +143,6 @@ printReproduction(exp::Session &session)
         "budget of large caches, which is the paper's motivation for\n"
         "caching shared data at all.\n\n";
 }
-
-void
-BM_CmStarEmulation(benchmark::State &state)
-{
-    auto cache_lines = static_cast<std::size_t>(state.range(0));
-    auto trace = makeCmStarTrace(cmStarApplicationA(), 4, 10000, 7);
-    for (auto _ : state) {
-        SystemConfig config;
-        config.num_pes = 4;
-        config.cache_lines = cache_lines;
-        config.protocol = ProtocolKind::CmStar;
-        auto summary = runTrace(config, trace);
-        benchmark::DoNotOptimize(summary.cycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            40000);
-}
-BENCHMARK(BM_CmStarEmulation)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

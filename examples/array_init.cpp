@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -36,18 +36,19 @@ main()
             config.num_pes = num_pes;
             config.cache_lines = cache_lines;
             config.protocol = kind;
-            auto summary = runTrace(config, trace);
+            auto run =
+                exp::executeTraceRun({.config = config, .trace = trace});
 
             double per_element =
-                static_cast<double>(summary.counters.get("bus.write")) /
+                static_cast<double>(run.counters.get("bus.write")) /
                 static_cast<double>(num_pes * elements);
             table.addRow({std::to_string(elements),
                           std::string(toString(kind)),
-                          std::to_string(summary.counters.get("bus.write")),
+                          std::to_string(run.counters.get("bus.write")),
                           std::to_string(
-                              summary.counters.get("cache.writeback")),
+                              run.counters.get("cache.writeback")),
                           stats::Table::num(per_element, 2),
-                          std::to_string(summary.cycles)});
+                          std::to_string(run.cycles)});
         }
         table.addSeparator();
     }

@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -33,13 +33,13 @@ measure(int num_pes, int num_buses)
     config.cache_lines = 1024;
     config.protocol = ProtocolKind::Rb;
     config.num_buses = num_buses;
-    auto summary = runTrace(config, trace);
+    auto run = exp::executeTraceRun({.config = config, .trace = trace});
 
     Measurement result;
-    result.utilization = static_cast<double>(summary.bus_transactions) /
-                         static_cast<double>(summary.cycles) / num_buses;
-    result.per_pe_throughput = static_cast<double>(summary.total_refs) /
-                               static_cast<double>(summary.cycles) /
+    result.utilization = static_cast<double>(run.bus_transactions) /
+                         static_cast<double>(run.cycles) / num_buses;
+    result.per_pe_throughput = static_cast<double>(run.total_refs) /
+                               static_cast<double>(run.cycles) /
                                num_pes;
     return result;
 }

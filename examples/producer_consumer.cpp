@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -38,20 +38,21 @@ main()
         config.num_pes = 4;
         config.cache_lines = 256;
         config.protocol = kind;
-        auto summary = runTrace(config, trace, /*check_consistency=*/true);
-        if (!summary.consistent) {
+        auto run = exp::executeTraceRun(
+            {.config = config, .trace = trace, .check_consistency = true});
+        if (!run.consistent) {
             std::cerr << "consistency violation under " << toString(kind)
                       << "\n";
             return 1;
         }
         table.addRow({std::string(toString(kind)),
-                      std::to_string(summary.counters.get("bus.read")),
-                      std::to_string(summary.counters.get("bus.write")),
+                      std::to_string(run.counters.get("bus.read")),
+                      std::to_string(run.counters.get("bus.write")),
                       std::to_string(
-                          summary.counters.get("bus.invalidate")),
-                      std::to_string(summary.bus_transactions),
-                      stats::Table::num(summary.bus_per_ref, 3),
-                      std::to_string(summary.cycles)});
+                          run.counters.get("bus.invalidate")),
+                      std::to_string(run.bus_transactions),
+                      stats::Table::num(run.metric("bus_per_ref"), 3),
+                      std::to_string(run.cycles)});
     }
     std::cout << table.render() << "\n";
 

@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "sim/scenario.hh"
 #include "trace/synthetic.hh"
 
@@ -59,20 +59,23 @@ main()
                                         /*footprint=*/64,
                                         /*write_fraction=*/0.3,
                                         /*ts_fraction=*/0.05, /*seed=*/1);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    std::cout << "   " << describe(summary) << "\n"
+    std::cout << "   " << result.cycles << " cycles; "
+              << result.metric("bus_per_ref")
+              << " bus operations per reference\n"
               << "   every read observed the latest write: "
-              << (summary.consistent ? "yes" : "NO - BUG") << "\n\n";
+              << (result.consistent ? "yes" : "NO - BUG") << "\n\n";
 
     // --- 3. Compare the schemes on the same workload. ----------------
     std::cout << "3. Same workload under every scheme "
               << "(bus transactions per reference)\n\n";
     for (auto kind : allProtocolKinds()) {
         config.protocol = kind;
-        auto run = runTrace(config, trace);
+        auto run = exp::executeTraceRun({.config = config, .trace = trace});
         std::cout << "   " << toString(kind) << ": "
-                  << run.bus_per_ref << "\n";
+                  << run.metric("bus_per_ref") << "\n";
     }
     std::cout << "\nDone. See examples/spinlock_contention.cpp, "
               << "examples/array_init.cpp,\nexamples/producer_consumer.cpp "

@@ -70,7 +70,7 @@ struct TraceRun
     /** The flat machine (unused when hier is set). */
     SystemConfig config;
     /** When set, run the hierarchical machine it configures instead. */
-    std::optional<hier::HierConfig> hier;
+    std::optional<hier::HierConfig> hier{};
     Trace trace;
     /** Record and replay the log through the consistency checker. */
     bool check_consistency = false;

@@ -55,13 +55,14 @@ struct SessionOptions
  * `--trace-categories LIST`, `--histograms`, `--sample-every N`,
  * `--profile`) from an argv vector.
  *
- * Unrecognized arguments are left in place (benches forward them to
- * google-benchmark).  Exits with an error message on malformed
- * values.  `--no-skip`, `--no-snoop-filter`, `--histograms` and
- * `--sample-every N` set the engine defaults (engineDefaults()) that
- * every machine config built afterwards starts from, so custom
- * experiment points that construct their own machines are covered
- * too; an EngineKnobs field a config sets in code wins.  `--no-skip`
+ * Unrecognized arguments are left in place for the caller (ddcsim
+ * parses its own options from them; a bench rejects them).  Exits
+ * with an error message on malformed values.  `--no-skip`,
+ * `--no-snoop-filter`, `--histograms` and `--sample-every N` set the
+ * engine defaults (engineDefaults()) that every machine config built
+ * afterwards starts from, so custom experiment points that construct
+ * their own machines are covered too; an EngineKnobs field a config
+ * sets in code wins.  `--no-skip`
  * and `--no-snoop-filter` are A/B baselines and `--histograms` and
  * `--sample-every` only add JSON fields: deterministic results stay
  * byte-identical under all four.  The trace claim (`--trace-out`)

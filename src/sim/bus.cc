@@ -150,8 +150,8 @@ Bus::noteReactions(int client, Addr base, ReactionClass from,
                                       : masks.read & ~bit;
     masks.write = (to & kReactsToWrite) ? masks.write | bit
                                         : masks.write & ~bit;
-    if (holders.size() > kMaxFilterBlocks)
-        revertToFullSnoop();
+    if ((masks.read | masks.write) == 0)
+        holders.erase(blockIndex(base));
 }
 
 std::vector<int>
@@ -348,11 +348,9 @@ Bus::revertToFullSnoop()
     // reverted) with filtering off is just doing what it was asked.
     if (filterOn) {
         fallbackCount++;
-        ddc_warn("snoop filter reverting to full snooping (",
-                 clients.size() > kMaxFilterClients
-                     ? "more than 64 clients"
-                     : "holder index block cap exceeded",
-                 "); run continues correct but O(clients) per snoop");
+        ddc_warn("snoop filter reverting to full snooping (more than 64 "
+                 "clients); run continues correct but O(clients) per "
+                 "snoop");
     }
     filterOn = false;
     holders.clear();

@@ -342,12 +342,12 @@ class Bus : public GlobalFabric, public Tickable
 
     /**
      * Times this bus silently degraded from sharer-indexed to full
-     * snooping (more clients than a mask holds, or more distinct
-     * blocks than the index cap; see revertToFullSnoop).  Counted only
-     * when the filter was actually active — a bus built with the
-     * filter off never "degrades".  Like snoopVisits, deliberately not
-     * a CounterSet statistic, so counter reports stay byte-identical
-     * filter-on vs filter-off; surfaced per run in the engine section
+     * snooping (more clients than a mask holds; see
+     * revertToFullSnoop).  Counted only when the filter was actually
+     * active — a bus built with the filter off never "degrades".
+     * Like snoopVisits, deliberately not a CounterSet statistic, so
+     * counter reports stay byte-identical filter-on vs filter-off;
+     * surfaced per run in the engine section
      * (EngineReport::snoop_filter_fallbacks, under --timing).
      */
     std::uint64_t snoopFilterFallbacks() const { return fallbackCount; }
@@ -448,8 +448,7 @@ class Bus : public GlobalFabric, public Tickable
 
     /**
      * Permanently fall back to unfiltered snooping on this bus (more
-     * clients than a mask holds, or a workload caching more distinct
-     * blocks than the index cap).  Always safe: filtered and
+     * clients than a mask holds).  Always safe: filtered and
      * unfiltered snooping are byte-identical by construction, and
      * reaction notes become no-ops from here on.
      */
@@ -523,8 +522,6 @@ class Bus : public GlobalFabric, public Tickable
 
     /** Most clients one bus can sharer-index (bits in a mask). */
     static constexpr std::size_t kMaxFilterClients = 64;
-    /** Cap on distinct blocks the holder index tracks (16 MiB). */
-    static constexpr std::size_t kMaxFilterBlocks = std::size_t{1} << 20;
 
     /**
      * One block's slot in the sharer index: the indexed clients whose
@@ -546,10 +543,10 @@ class Bus : public GlobalFabric, public Tickable
      * data lives at 2^40 — so a dense array is unusable; a FlatMap
      * (base/flat_map.hh, the same open-addressing table behind the
      * directory and the memory banks) holds the masks instead.
-     * Entries are never erased: an eviction clears the holder's bits
-     * but leaves the key in place.  The entry count is bounded by the
-     * distinct blocks the workload ever caches, and capped by
-     * kMaxFilterBlocks (revertToFullSnoop past that).
+     * An entry is erased when its last reacting line leaves both
+     * masks, so the entry count is bounded by the indexed lines that
+     * react, not by the blocks the workload ever cached.  Nothing
+     * iterates the index, so its slot order cannot reach a result.
      */
     using HolderIndex = FlatMap<std::uint64_t, ReactionMasks>;
 
@@ -563,7 +560,7 @@ class Bus : public GlobalFabric, public Tickable
         return op == BusOp::Read ? masks->read : masks->write;
     }
 
-    /** Whether this bus filters snoops (ctor flag AND process flag). */
+    /** Whether this bus filters snoops (the ctor flag, until a revert). */
     bool filterOn = true;
     /** blockSize is a power of two; blockIndex() shifts instead. */
     bool blockPow2 = true;

@@ -79,7 +79,7 @@ struct EngineKnobs
  * parseSessionArgs sets them from --no-skip, --no-snoop-filter,
  * --histograms and --sample-every before any machine is built, which
  * covers machines built anywhere afterwards (custom experiment
- * points, runLockExperiment, google-benchmark loops).  Set them only
+ * points, runLockExperiment).  Set them only
  * while no machine is being built: flag parsing, or a test between
  * runs.
  */

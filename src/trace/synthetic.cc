@@ -339,8 +339,14 @@ makeClusteredTrace(int num_clusters, int pes_per_cluster,
                    double cluster_local_fraction, double write_fraction,
                    std::uint64_t seed)
 {
+    // Cluster c's region starts c * 1024 words above sharedBase() and
+    // the global region 2^20 words above it: a 1025th cluster's region
+    // would be the global one.
     ddc_assert(num_clusters > 0 && pes_per_cluster > 0,
                "need at least one cluster and one PE per cluster");
+    ddc_assert(num_clusters <= 1024,
+               "makeClusteredTrace supports at most 1024 clusters, got ",
+               num_clusters);
     const std::uint64_t region_words = 24;
     int num_pes = num_clusters * pes_per_cluster;
     Trace trace(num_pes);

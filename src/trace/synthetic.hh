@@ -171,7 +171,8 @@ Trace makeFalseSharingTrace(int num_pes, int rounds);
  * locality, the more traffic a cluster cache can keep off the global
  * bus.
  *
- * @param num_clusters Number of clusters.
+ * @param num_clusters Number of clusters, at most 1024 (cluster
+ *        regions sit 1024 words apart below the global region).
  * @param pes_per_cluster PEs per cluster (streams are cluster-major).
  * @param refs_per_pe References per PE.
  * @param cluster_local_fraction Of the references, fraction aimed at

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "sim/scenario.hh"
 #include "trace/synthetic.hh"
 
@@ -159,9 +159,10 @@ TEST_P(AssociativityConsistency, RandomTracesStayConsistent)
     config.protocol = kind;
 
     auto trace = makeUniformRandomTrace(4, 600, 48, 0.35, 0.1, 654);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -186,9 +187,10 @@ TEST(Associativity, ComposesWithMultiWordBlocks)
     config.protocol = ProtocolKind::Rb;
 
     auto trace = makeUniformRandomTrace(4, 500, 48, 0.35, 0.1, 655);
-    auto summary = runTrace(config, trace, true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 TEST(Associativity, ScenarioRigStillDirectMapped)

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "sim/scenario.hh"
 #include "trace/synthetic.hh"
 #include "verify/consistency.hh"
@@ -168,10 +168,10 @@ TEST(Block, SequentialWalkMissRatioFallsWithBlockSize)
         config.cache_lines = 512 / block; // constant capacity in words
         config.block_words = block;
         config.protocol = ProtocolKind::Rb;
-        auto summary = runTrace(config, trace);
-        ASSERT_TRUE(summary.completed);
-        EXPECT_LT(summary.miss_ratio, previous) << "B=" << block;
-        previous = summary.miss_ratio;
+        auto result = exp::executeTraceRun({.config = config, .trace = trace});
+        ASSERT_EQ(result.status, RunStatus::Finished);
+        EXPECT_LT(result.metric("miss_ratio"), previous) << "B=" << block;
+        previous = result.metric("miss_ratio");
     }
 }
 
@@ -185,13 +185,14 @@ TEST(Block, FalseSharingTrafficGrowsWithBlockSize)
         config.cache_lines = 64;
         config.block_words = block;
         config.protocol = ProtocolKind::Rb;
-        auto summary = runTrace(config, trace, true);
-        ASSERT_TRUE(summary.completed);
-        ASSERT_TRUE(summary.consistent);
+        auto result = exp::executeTraceRun(
+            {.config = config, .trace = trace, .check_consistency = true});
+        ASSERT_EQ(result.status, RunStatus::Finished);
+        ASSERT_TRUE(result.consistent);
         if (block == 1) {
-            small_traffic = summary.bus_transactions;
+            small_traffic = result.bus_transactions;
         } else {
-            EXPECT_GT(summary.bus_transactions, 2 * small_traffic);
+            EXPECT_GT(result.bus_transactions, 2 * small_traffic);
         }
     }
 }
@@ -211,9 +212,10 @@ TEST_P(BlockConsistency, RandomTracesStayConsistent)
     config.protocol = kind;
 
     auto trace = makeUniformRandomTrace(4, 600, 48, 0.35, 0.1, 321);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -241,9 +243,10 @@ TEST(Block, LockExperimentsWorkWithBlocks)
     config.record_log = true;
 
     auto trace = makeHotSpotTrace(4, 8, 4);
-    auto summary = runTrace(config, trace, true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 } // namespace

@@ -552,6 +552,34 @@ TEST_F(SnoopIndexTest, OutOfSyncFromClassPanics)
     EXPECT_DEATH(bus.noteReactions(0, 8, kReactsToWrite, 0), "index holds");
 }
 
+TEST_F(SnoopIndexTest, EmptiedBlocksLeaveTheIndex)
+{
+    // A block whose last reacting line leaves is erased, so a run that
+    // passes more than 2^20 distinct blocks through its caches keeps
+    // the filter on.  noteReactions is called directly: note() keeps
+    // a map entry per block.
+    const Addr blocks = (Addr{1} << 20) + 1;
+    for (Addr base = 0; base < blocks; base++) {
+        bus.noteReactions(0, base, 0, kReactsToWrite);
+        bus.noteReactions(0, base, kReactsToWrite, 0);
+    }
+    EXPECT_TRUE(bus.snoopFilterActive());
+    EXPECT_EQ(bus.snoopFilterFallbacks(), 0u);
+
+    // The entry outlives one holder's exit, goes with the last one's,
+    // and a re-insert starts from empty masks.
+    note(0, 8, kReactsToRead | kReactsToWrite);
+    note(1, 8, kReactsToWrite);
+    note(0, 8, 0);
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Write), (std::vector<int>{1}));
+    note(1, 8, 0);
+    EXPECT_TRUE(bus.indexHolders(8, BusOp::Read).empty());
+    EXPECT_TRUE(bus.indexHolders(8, BusOp::Write).empty());
+    note(0, 8, kReactsToRead);
+    EXPECT_EQ(bus.indexHolders(8, BusOp::Read), (std::vector<int>{0}));
+    EXPECT_TRUE(bus.indexHolders(8, BusOp::Write).empty());
+}
+
 #ifndef NDEBUG
 // The broadcast cross-check is compiled into Debug builds only.
 TEST_F(SnoopIndexTest, BroadcastCrossCheckCatchesAStaleMask)

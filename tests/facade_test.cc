@@ -1,13 +1,13 @@
 /**
  * @file
- * Edge-case tests: the run facade's derived metrics, processor
- * register bounds, CacheSet assertions, execution-log field
- * semantics, and describe() rendering.
+ * Edge-case tests: exp::executeTraceRun's derived metrics, processor
+ * register bounds, CacheSet assertions and execution-log field
+ * semantics.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
 
@@ -25,27 +25,11 @@ TEST(Facade, MissRatioCountsBusNeedingRefs)
     SystemConfig config;
     config.num_pes = 1;
     config.protocol = ProtocolKind::Rb;
-    auto summary = runTrace(config, trace);
-    ASSERT_TRUE(summary.completed);
+    auto result = exp::executeTraceRun({.config = config, .trace = trace});
+    ASSERT_EQ(result.status, RunStatus::Finished);
     // Write misses + nothing else: RB read after own write hits (L).
-    EXPECT_DOUBLE_EQ(summary.miss_ratio, 0.1);
-    EXPECT_EQ(summary.bus_transactions, 1u);
-}
-
-TEST(Facade, DescribeMentionsInconsistency)
-{
-    RunSummary summary;
-    summary.completed = true;
-    summary.consistent = false;
-    auto text = describe(summary);
-    EXPECT_NE(text.find("INCONSISTENT"), std::string::npos);
-}
-
-TEST(Facade, DescribeMentionsTimeout)
-{
-    RunSummary summary;
-    summary.completed = false;
-    EXPECT_NE(describe(summary).find("TIMED OUT"), std::string::npos);
+    EXPECT_DOUBLE_EQ(result.metric("miss_ratio"), 0.1);
+    EXPECT_EQ(result.bus_transactions, 1u);
 }
 
 TEST(Facade, EmptyTraceCompletesImmediately)
@@ -53,10 +37,10 @@ TEST(Facade, EmptyTraceCompletesImmediately)
     SystemConfig config;
     config.num_pes = 2;
     Trace trace(2);
-    auto summary = runTrace(config, trace);
-    EXPECT_TRUE(summary.completed);
-    EXPECT_EQ(summary.total_refs, 0u);
-    EXPECT_DOUBLE_EQ(summary.bus_per_ref, 0.0);
+    auto result = exp::executeTraceRun({.config = config, .trace = trace});
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_EQ(result.total_refs, 0u);
+    EXPECT_DOUBLE_EQ(result.metric("bus_per_ref"), 0.0);
 }
 
 TEST(Processor, RegisterBoundsChecked)

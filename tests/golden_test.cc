@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "hier/hier_system.hh"
 #include "trace/synthetic.hh"
 #include "verify/consistency.hh"
@@ -26,16 +26,17 @@ TEST(Golden, CmStarRunMatchesPreRefactorBaseline)
     // ddcsim --workload cmstar_a --pes 4 --refs 2000 --seed 7 --check
     SystemConfig config;
     auto trace = makeCmStarTrace(cmStarApplicationA(), 4, 2000, 7);
-    auto summary = runTrace(config, trace, true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 3358u);
-    EXPECT_EQ(summary.total_refs, 8000u);
-    EXPECT_EQ(summary.bus_transactions, 2792u);
-    EXPECT_NEAR(summary.miss_ratio, 0.333, 1e-9);
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 3358u);
+    EXPECT_EQ(result.total_refs, 8000u);
+    EXPECT_EQ(result.bus_transactions, 2792u);
+    EXPECT_NEAR(result.metric("miss_ratio"), 0.333, 1e-9);
 
-    const auto &counters = summary.counters;
+    const auto &counters = result.counters;
     EXPECT_EQ(counters.get("bus.busy_cycles"), 2792u);
     EXPECT_EQ(counters.get("bus.idle_cycles"), 566u);
     EXPECT_EQ(counters.get("bus.kill"), 17u);
@@ -62,7 +63,7 @@ TEST(Golden, CmStarRunMatchesPreRefactorBaseline)
     EXPECT_EQ(counters.get("pe.stall_cycles"), 4903u);
 
     // sumPrefix over the merged set still agrees with the dense
-    // handle path the facade now uses for miss_ratio.
+    // handle path executeTraceRun uses for miss_ratio.
     EXPECT_EQ(counters.sumPrefix("cache.read_miss."), 2202u);
     EXPECT_EQ(counters.sumPrefix("cache.write_miss."), 462u);
 
@@ -83,14 +84,15 @@ TEST(Golden, HotSpotRwbRunMatchesPreRefactorBaseline)
     SystemConfig config;
     config.protocol = ProtocolKind::Rwb;
     auto trace = makeHotSpotTrace(8, 500 / 9 + 1, 8);
-    auto summary = runTrace(config, trace, true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 568u);
-    EXPECT_EQ(summary.total_refs, 4032u);
-    EXPECT_EQ(summary.bus_transactions, 456u);
-    EXPECT_NEAR(summary.miss_ratio, 456.0 / 4032.0, 1e-9);
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 568u);
+    EXPECT_EQ(result.total_refs, 4032u);
+    EXPECT_EQ(result.bus_transactions, 456u);
+    EXPECT_NEAR(result.metric("miss_ratio"), 456.0 / 4032.0, 1e-9);
 }
 
 TEST(Golden, HierarchicalRunMatchesPreRefactorBaseline)
@@ -133,15 +135,15 @@ TEST(Golden, RandomArbiterOnNinetySixPesMatchesBaseline)
     config.num_pes = 96;
     config.arbiter = ArbiterKind::Random;
     auto trace = makeUniformRandomTrace(96, 1000, 64, 0.3, 0.05, 5);
-    auto summary = runTrace(config, trace, true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_EQ(summary.status, RunStatus::Finished);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 64987u);
-    EXPECT_EQ(summary.skipped_cycles, 0u);
-    EXPECT_EQ(summary.bus_transactions, 64974u);
-    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 64974
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 64987u);
+    EXPECT_EQ(result.engine.skipped_cycles, 0u);
+    EXPECT_EQ(result.bus_transactions, 64974u);
+    EXPECT_EQ(result.counters.report(), R"(bus.busy_cycles = 64974
 bus.idle_cycles = 13
 bus.kill = 17224
 bus.read = 14583
@@ -180,15 +182,19 @@ TEST(Golden, MultiBusHotSpotWithMemoryLatencyMatchesBaseline)
     config.arbiter = ArbiterKind::FixedPriority;
     config.memory_latency = 8;
     auto trace = makeHotSpotTrace(8, 500 / 9 + 1, 8);
-    auto summary = runTrace(config, trace, true);
+    // The run result's counters gain the per-bus busK.busy_cycles
+    // lines; the machine's own merged set is the pinned report.
+    std::unique_ptr<Multiprocessor> machine;
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true},
+        &machine);
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_EQ(summary.status, RunStatus::Finished);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 4108u);
-    EXPECT_EQ(summary.skipped_cycles, 64u);
-    EXPECT_EQ(summary.bus_transactions, 4105u);
-    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 4105
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 4108u);
+    EXPECT_EQ(result.engine.skipped_cycles, 64u);
+    EXPECT_EQ(result.bus_transactions, 4105u);
+    EXPECT_EQ(machine->counters().report(), R"(bus.busy_cycles = 4105
 bus.idle_cycles = 4111
 bus.kill = 1
 bus.read = 8
@@ -298,15 +304,15 @@ TEST(Golden, RwbBlocksAndWaysWithStreaksMatchesBaseline)
     config.ways = 2;
     config.memory_latency = 2;
     auto trace = makeUniformRandomTrace(8, 1000, 64, 0.3, 0.05, 3);
-    auto summary = runTrace(config, trace, true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_EQ(summary.status, RunStatus::Finished);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 9023u);
-    EXPECT_EQ(summary.skipped_cycles, 1271u);
-    EXPECT_EQ(summary.bus_transactions, 9010u);
-    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 9010
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 9023u);
+    EXPECT_EQ(result.engine.skipped_cycles, 1271u);
+    EXPECT_EQ(result.bus_transactions, 9010u);
+    EXPECT_EQ(result.counters.report(), R"(bus.busy_cycles = 9010
 bus.idle_cycles = 13
 bus.invalidate = 17
 bus.kill = 16
@@ -349,15 +355,15 @@ TEST(Golden, RwbCmStarEvictionsWithWritebacksMatchesBaseline)
     config.block_words = 4;
     config.ways = 2;
     auto trace = makeCmStarTrace(cmStarApplicationA(), 8, 2000, 7);
-    auto summary = runTrace(config, trace, true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_EQ(summary.status, RunStatus::Finished);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 33616u);
-    EXPECT_EQ(summary.skipped_cycles, 11705u);
-    EXPECT_EQ(summary.bus_transactions, 33615u);
-    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 33615
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 33616u);
+    EXPECT_EQ(result.engine.skipped_cycles, 11705u);
+    EXPECT_EQ(result.bus_transactions, 33615u);
+    EXPECT_EQ(result.counters.report(), R"(bus.busy_cycles = 33615
 bus.idle_cycles = 1
 bus.invalidate = 278
 bus.read = 7752
@@ -394,15 +400,15 @@ TEST(Golden, WriteOnceMigratoryInFourWaySetsMatchesBaseline)
     config.cache_lines = 16;
     config.ways = 4;
     auto trace = makeMigratoryTrace(8, 24, 3);
-    auto summary = runTrace(config, trace, true);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
 
-    EXPECT_TRUE(summary.completed);
-    EXPECT_EQ(summary.status, RunStatus::Finished);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.cycles, 1153u);
-    EXPECT_EQ(summary.skipped_cycles, 0u);
-    EXPECT_EQ(summary.bus_transactions, 1152u);
-    EXPECT_EQ(summary.counters.report(), R"(bus.busy_cycles = 1152
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.cycles, 1153u);
+    EXPECT_EQ(result.engine.skipped_cycles, 0u);
+    EXPECT_EQ(result.bus_transactions, 1152u);
+    EXPECT_EQ(result.counters.report(), R"(bus.busy_cycles = 1152
 bus.idle_cycles = 1
 bus.read = 576
 bus.write = 576
@@ -490,7 +496,9 @@ TEST(Golden, RwbMachinesWithDifferentKKeepTheirOwnReactions)
         SystemConfig config;
         config.protocol = ProtocolKind::Rwb;
         config.rwb_writes_to_local = k;
-        return runTrace(config, makeMigratoryTrace(4, 8, 6), true);
+        return exp::executeTraceRun({.config = config,
+                                     .trace = makeMigratoryTrace(4, 8, 6),
+                                     .check_consistency = true});
     };
 
     auto first = run(1);

@@ -8,23 +8,24 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "trace/synthetic.hh"
 
 namespace ddc {
 namespace {
 
-RunSummary
+exp::RunResult
 runOn(ProtocolKind protocol, const Trace &trace, std::size_t lines = 256)
 {
     SystemConfig config;
     config.num_pes = std::max(trace.numPes(), 1);
     config.cache_lines = lines;
     config.protocol = protocol;
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    EXPECT_TRUE(summary.completed) << toString(protocol);
-    EXPECT_TRUE(summary.consistent) << toString(protocol);
-    return summary;
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    EXPECT_EQ(result.status, RunStatus::Finished) << toString(protocol);
+    EXPECT_TRUE(result.consistent) << toString(protocol);
+    return result;
 }
 
 /**
@@ -158,12 +159,12 @@ TEST(CmStarAccounting, SharedAndLocalWritesAlwaysMiss)
                          static_cast<Word>(i + 1), DataClass::Local});
         trace.append(0, {CpuOp::Read, code_word, 0, DataClass::Code});
     }
-    auto summary = runOn(ProtocolKind::CmStar, trace, 64);
+    auto result = runOn(ProtocolKind::CmStar, trace, 64);
     // 10 shared reads + 10 local writes + 1 code cold miss.
-    EXPECT_EQ(summary.counters.get("cache.read_miss.Shared"), 10u);
-    EXPECT_EQ(summary.counters.get("cache.write_miss.Local"), 10u);
-    EXPECT_EQ(summary.counters.get("cache.read_miss.Code"), 1u);
-    EXPECT_EQ(summary.counters.get("cache.read_hit.Code"), 9u);
+    EXPECT_EQ(result.counters.get("cache.read_miss.Shared"), 10u);
+    EXPECT_EQ(result.counters.get("cache.write_miss.Local"), 10u);
+    EXPECT_EQ(result.counters.get("cache.read_miss.Code"), 1u);
+    EXPECT_EQ(result.counters.get("cache.read_hit.Code"), 9u);
 }
 
 /** Larger caches reduce the Cm* read-miss ratio (the Table 1-1 trend). */
@@ -176,13 +177,13 @@ TEST(CmStarTrend, ReadMissRatioFallsWithCacheSize)
         config.num_pes = 2;
         config.cache_lines = lines;
         config.protocol = ProtocolKind::CmStar;
-        auto summary = runTrace(config, trace);
-        ASSERT_TRUE(summary.completed);
+        auto result = exp::executeTraceRun({.config = config, .trace = trace});
+        ASSERT_EQ(result.status, RunStatus::Finished);
         double read_miss =
             static_cast<double>(
-                summary.counters.get("cache.read_miss.Code") +
-                summary.counters.get("cache.read_miss.Local")) /
-            static_cast<double>(summary.total_refs);
+                result.counters.get("cache.read_miss.Code") +
+                result.counters.get("cache.read_miss.Local")) /
+            static_cast<double>(result.total_refs);
         EXPECT_LT(read_miss, previous) << lines << " lines";
         previous = read_miss;
     }
@@ -195,8 +196,8 @@ TEST(SchemeComparison, CachingSharedDataPaysOff)
     auto cmstar = runOn(ProtocolKind::CmStar, trace, 1024);
     auto rb = runOn(ProtocolKind::Rb, trace, 1024);
     auto rwb = runOn(ProtocolKind::Rwb, trace, 1024);
-    EXPECT_LT(rb.bus_per_ref, cmstar.bus_per_ref);
-    EXPECT_LT(rwb.bus_per_ref, cmstar.bus_per_ref);
+    EXPECT_LT(rb.metric("bus_per_ref"), cmstar.metric("bus_per_ref"));
+    EXPECT_LT(rwb.metric("bus_per_ref"), cmstar.metric("bus_per_ref"));
 }
 
 } // namespace

@@ -52,7 +52,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/simulator.hh"
 #include "exp/runner.hh"
 #include "hier/hier_system.hh"
 #include "obs/recorder.hh"

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
 #include "verify/consistency.hh"
@@ -63,9 +63,10 @@ TEST(MultiBus, ConsistencyHoldsAcrossBanks)
     config.num_buses = 4;
     config.protocol = ProtocolKind::Rwb;
     auto trace = makeUniformRandomTrace(4, 1000, 32, 0.4, 0.1, 10);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 TEST(MultiBus, LemmaHoldsPerAddressAfterRun)
@@ -94,9 +95,10 @@ TEST(MultiBus, MorePesStillComplete)
     config.num_buses = 4;
     config.protocol = ProtocolKind::Rwb;
     auto trace = makeUniformRandomTrace(8, 300, 64, 0.3, 0.05, 12);
-    auto summary = runTrace(config, trace, true);
-    EXPECT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 TEST(MultiBus, SingleBusAndDualBusAgreeOnFinalMemory)

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/rb.hh"
-#include "core/simulator.hh"
 #include "exp/json.hh"
 #include "exp/session.hh"
 #include "hier/hier_system.hh"

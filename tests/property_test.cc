@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "trace/synthetic.hh"
 #include "verify/consistency.hh"
 
@@ -96,9 +96,10 @@ TEST_P(RwbKProperty, ConsistentForAnyK)
     config.rwb_writes_to_local = GetParam();
 
     auto trace = makeUniformRandomTrace(4, 800, 12, 0.4, 0.1, 77);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 INSTANTIATE_TEST_SUITE_P(KSweep, RwbKProperty,
@@ -118,9 +119,10 @@ TEST_P(ArbiterProperty, ConsistentUnderAnyArbitration)
     config.arbiter = GetParam();
 
     auto trace = makeUniformRandomTrace(4, 600, 8, 0.4, 0.15, 88);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    ASSERT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    ASSERT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
 }
 
 INSTANTIATE_TEST_SUITE_P(Arbiters, ArbiterProperty,
@@ -149,10 +151,11 @@ TEST(WorkloadProperty, AllGeneratorsConsistentOnRbAndRwb)
             config.num_pes = 4;
             config.cache_lines = 64;
             config.protocol = protocol;
-            auto summary = runTrace(config, trace, true);
-            EXPECT_TRUE(summary.completed)
+            auto result = exp::executeTraceRun(
+                {.config = config, .trace = trace, .check_consistency = true});
+            EXPECT_EQ(result.status, RunStatus::Finished)
                 << name << " on " << toString(protocol);
-            EXPECT_TRUE(summary.consistent)
+            EXPECT_TRUE(result.consistent)
                 << name << " on " << toString(protocol);
         }
     }

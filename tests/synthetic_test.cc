@@ -231,6 +231,23 @@ TEST(ClusteredTrace, ExtremesAreAllLocalOrAllGlobal)
         EXPECT_GE(ref.addr, global_region);
 }
 
+TEST(ClusteredTrace, AtMost1024ClustersSoNoneAliasesTheGlobalRegion)
+{
+    // Cluster c's region starts at sharedBase() + c * 1024 and the
+    // global region at sharedBase() + 2^20: the last cluster that fits
+    // still lies wholly below it.
+    auto widest = makeClusteredTrace(1024, 1, 50, 1.0, 0.5, 9);
+    Addr global_region = sharedBase() + (Addr{1} << 20);
+    for (PeId pe = 0; pe < widest.numPes(); pe++) {
+        for (const auto &ref : widest.stream(pe))
+            ASSERT_LT(ref.addr, global_region) << "PE " << pe;
+    }
+    EXPECT_DEATH(makeClusteredTrace(1025, 1, 1, 1.0, 0.5, 9),
+                 "at most 1024 clusters");
+    EXPECT_DEATH(makeClusteredTrace(2048, 1, 1, 1.0, 0.5, 9),
+                 "at most 1024 clusters");
+}
+
 /**
  * Every reference of @p trace lies in its PE's private region or in
  * the shared region, both bounded with full-width arithmetic below
@@ -267,7 +284,7 @@ TEST(Generators, StayInsideAddressSpaceAt8192Pes)
     expectInRegions(makeSequentialWalkTrace(pes, 4, 1, 2));
     expectInRegions(makeFalseSharingTrace(pes, 1));
     expectInRegions(makeClusteredTrace(pes / 32, 32, 4, 0.5, 0.3, 3));
-    expectInRegions(makeClusteredTrace(pes, 1, 4, 0.5, 0.3, 3));
+    expectInRegions(makeClusteredTrace(1024, pes / 1024, 4, 0.5, 0.3, 3));
 }
 
 TEST(Generators, NoReservedValuesEmitted)

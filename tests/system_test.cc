@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/simulator.hh"
+#include "exp/runner.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
 
@@ -146,13 +146,13 @@ TEST(RunTraceFacade, SummaryFieldsPopulated)
     config.num_pes = 4;
     config.protocol = ProtocolKind::Rwb;
     auto trace = makeUniformRandomTrace(4, 200, 16, 0.3, 0.05, 6);
-    auto summary = runTrace(config, trace, /*check_consistency=*/true);
-    EXPECT_TRUE(summary.completed);
-    EXPECT_TRUE(summary.consistent);
-    EXPECT_EQ(summary.total_refs, trace.totalRefs());
-    EXPECT_GT(summary.bus_transactions, 0u);
-    EXPECT_GT(summary.bus_per_ref, 0.0);
-    EXPECT_FALSE(describe(summary).empty());
+    auto result = exp::executeTraceRun(
+        {.config = config, .trace = trace, .check_consistency = true});
+    EXPECT_EQ(result.status, RunStatus::Finished);
+    EXPECT_TRUE(result.consistent);
+    EXPECT_EQ(result.total_refs, trace.totalRefs());
+    EXPECT_GT(result.bus_transactions, 0u);
+    EXPECT_GT(result.metric("bus_per_ref"), 0.0);
 }
 
 TEST(RunTraceFacade, GrowsPeCountToTrace)
@@ -160,8 +160,8 @@ TEST(RunTraceFacade, GrowsPeCountToTrace)
     SystemConfig config;
     config.num_pes = 1;
     auto trace = makeUniformRandomTrace(3, 20, 8, 0.5, 0.0, 7);
-    auto summary = runTrace(config, trace);
-    EXPECT_TRUE(summary.completed);
+    auto result = exp::executeTraceRun({.config = config, .trace = trace});
+    EXPECT_EQ(result.status, RunStatus::Finished);
 }
 
 TEST(System, AppendAfterLoadTraceLeavesRunUnchanged)
@@ -194,8 +194,8 @@ TEST(System, DeterministicAcrossRuns)
     config.protocol = ProtocolKind::Rwb;
     auto trace = makeUniformRandomTrace(4, 300, 12, 0.4, 0.1, 8);
 
-    auto a = runTrace(config, trace);
-    auto b = runTrace(config, trace);
+    auto a = exp::executeTraceRun({.config = config, .trace = trace});
+    auto b = exp::executeTraceRun({.config = config, .trace = trace});
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.bus_transactions, b.bus_transactions);
     EXPECT_EQ(a.counters.report(), b.counters.report());
