@@ -53,6 +53,7 @@ EngineReport::toJson(Cycle cycles) const
     json["snoop_visits"] = Json(snoop_visits);
     json["global_visits"] = Json(global_visits);
     json["snoop_filter_fallbacks"] = Json(snoop_filter_fallbacks);
+    json["parked_cycles"] = Json(parked_cycles);
     json["directory_blocks"] = Json(directory_blocks);
     json["directory_max_load_factor"] = Json(directory_max_load_factor);
     json["route_phase_ms"] = Json(route_phase_ms);
@@ -77,6 +78,7 @@ EngineReport::fromJson(const Json &json)
     engine.snoop_visits = count("snoop_visits");
     engine.global_visits = count("global_visits");
     engine.snoop_filter_fallbacks = count("snoop_filter_fallbacks");
+    engine.parked_cycles = count("parked_cycles");
     engine.directory_blocks = count("directory_blocks");
     engine.directory_max_load_factor = real("directory_max_load_factor");
     engine.route_phase_ms = real("route_phase_ms");

@@ -68,6 +68,12 @@ struct EngineReport
     std::uint64_t global_visits = 0;
     /** Buses that degraded to full snooping (Bus::snoopFilterFallbacks). */
     std::uint64_t snoop_filter_fallbacks = 0;
+    /**
+     * Bus cycles the hierarchical machine's cluster buses booked in
+     * bulk while parked on repeated NACKs (HierSystem::parkedCycles);
+     * 0 on the flat machine, under --no-skip and when observed.
+     */
+    std::uint64_t parked_cycles = 0;
     /** Blocks with directory state at the end; 0 on snooping runs. */
     std::uint64_t directory_blocks = 0;
     /** Highest directory/home-memory flat-map load factor reached. */

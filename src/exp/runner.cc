@@ -85,6 +85,7 @@ executeTraceRun(const TraceRun &run,
                          static_cast<double>(
                              machine->clusterBusTransactions()));
         result.engine.global_visits = machine->globalVisits();
+        result.engine.parked_cycles = machine->parkedCycles();
         if (const auto *fabric = machine->directoryFabric()) {
             // Hot-home skew: peak over mean per-home message count
             // (1.0 = perfectly balanced).

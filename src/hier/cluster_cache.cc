@@ -139,7 +139,12 @@ ClusterCache::cancelForward(PeId pe)
 std::deque<ClusterCache::Forward>::iterator
 ClusterCache::dequeue(std::deque<Forward>::iterator it)
 {
-    childOf(it->origin).queued = false;
+    Child &child = childOf(it->origin);
+    child.queued = false;
+    // The PE's next RMW-class grant enqueues again instead of
+    // repeating a NACK (an abandoned read's forward can hold the slot
+    // under a later TestAndSet, whose L1 hears nothing here).
+    clusterBus->endRepeat(child.cache->busClient());
     if (it == forwards.begin())
         flushing = false;
     it = forwards.erase(it);

@@ -120,6 +120,16 @@ class ClusterCache : public BusClient, public MemorySide
         return kNever;
     }
 
+    /**
+     * RMW-class ops always serialize globally, so tryRmw, tryReadLock
+     * and tryWriteUnlock always NACK, and enqueueForward ignores a PE
+     * whose forward is already queued: every NACK after the first
+     * repeats with no side effect.  The only thing that ends the
+     * repeat without the L1 hearing of it is the forward leaving the
+     * queue, and dequeue() tells the cluster bus (Bus::endRepeat).
+     */
+    bool rmwNacksRepeat() const override { return true; }
+
     bool tryRead(Addr addr, PeId pe, Word &data) override;
     bool tryReadBlock(Addr base, std::size_t words, PeId pe,
                       std::vector<Word> &block) override;

@@ -22,7 +22,7 @@ HierSystem::HierSystem(const HierConfig &config)
     : Multiprocessor("HierSystem",
                      config.num_clusters * config.pes_per_cluster,
                      config.protocol, config.rwb_writes_to_local,
-                     config.engine),
+                     config.engine, config.record_log),
       config(config)
 {
     ddc_assert(config.num_clusters >= 1, "need at least one cluster");
@@ -49,10 +49,13 @@ HierSystem::HierSystem(const HierConfig &config)
         ddc_assert(config.home_nodes == 1,
                    "home_nodes > 1 needs GlobalKind::Directory");
         memory = std::make_unique<Memory>(globalStats);
+        // Never parked: a cluster cache's requestNacked rotates its
+        // forward queue, so no NACK of it repeats unseen.
         globalBus = std::make_unique<Bus>(*memory, config.arbiter, clock,
                                           globalStats,
                                           config.arbiter_seed, 1, 0,
-                                          config.engine.snoop_filter);
+                                          config.engine.snoop_filter,
+                                          false);
         global_shard.addComponent(globalBus.get());
     }
 
@@ -71,7 +74,8 @@ HierSystem::HierSystem(const HierConfig &config)
             *clusterCaches.back(), config.arbiter, clock,
             *clusterStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(c) + 1,
-            1, 0, config.engine.snoop_filter));
+            1, 0, config.engine.snoop_filter,
+            config.engine.skip_quiescent));
         clusterCaches.back()->connectCluster(*clusterBuses.back());
         shard.addComponent(clusterBuses.back().get());
 
@@ -219,6 +223,7 @@ HierSystem::clusterCounters(int cluster) const
 {
     ddc_assert(cluster >= 0 && cluster < config.num_clusters,
                "cluster index out of range");
+    flushStalls();
     return *clusterStats[static_cast<std::size_t>(cluster)];
 }
 
@@ -231,6 +236,7 @@ HierSystem::globalBusTransactions() const
 std::uint64_t
 HierSystem::clusterBusTransactions() const
 {
+    flushStalls();
     std::uint64_t total = 0;
     for (const auto &cluster : clusterStats)
         total += cluster->get("bus.busy_cycles");
@@ -250,6 +256,15 @@ std::uint64_t
 HierSystem::globalVisits() const
 {
     return fabric ? fabric->messageVisits() : globalBus->snoopVisits();
+}
+
+std::uint64_t
+HierSystem::parkedCycles() const
+{
+    std::uint64_t total = 0;
+    for (const auto &bus : clusterBuses)
+        total += bus->parkedCycles();
+    return total;
 }
 
 std::uint64_t

@@ -121,7 +121,10 @@ class HierSystem final : public Multiprocessor
     /** Global-bus (and global-memory) counters only. */
     const stats::CounterSet &globalCounters() const { return globalStats; }
 
-    /** Cluster @p cluster's bus/cache counters. */
+    /**
+     * Cluster @p cluster's bus/cache counters (parked buses caught up
+     * first, as by counters()).
+     */
     const stats::CounterSet &clusterCounters(int cluster) const;
 
     /** Transactions executed on the global bus. */
@@ -146,6 +149,14 @@ class HierSystem final : public Multiprocessor
      * reverts past 64 clusters), O(sharers) directory.
      */
     std::uint64_t globalVisits() const;
+
+    /**
+     * Bus cycles the cluster buses booked in bulk while parked on
+     * repeated NACKs (Bus::parkedCycles; 0 under --no-skip or when
+     * observed, and the global bus never parks).  Counts settled
+     * parks: run() settles every bus before it returns.
+     */
+    std::uint64_t parkedCycles() const;
 
     /**
      * Times any bus of this machine degraded from sharer-indexed to

@@ -32,7 +32,60 @@ ClientMask::nth(std::size_t n) const
     ddc_panic("client mask has no member ", n);
 }
 
+std::size_t
+ClientMask::countBelow(int client) const
+{
+    auto limit = static_cast<std::size_t>(client);
+    std::size_t total = 0;
+    for (std::size_t w = 0; w < words.size() && w * 64 < limit; w++) {
+        std::uint64_t bits = words[w];
+        if (limit < (w + 1) * 64)
+            bits &= (std::uint64_t{1} << (limit % 64)) - 1;
+        total += static_cast<std::size_t>(std::popcount(bits));
+    }
+    return total;
+}
+
+bool
+ClientMask::subsetOf(const ClientMask &other) const
+{
+    for (std::size_t w = 0; w < words.size(); w++) {
+        std::uint64_t theirs = w < other.numWords() ? other.word(w) : 0;
+        if (words[w] & ~theirs)
+            return false;
+    }
+    return true;
+}
+
 namespace {
+
+/**
+ * Walk the members of @p ready in [@p lo, @p hi) upward, adding to
+ * @p run each one that is in @p repeaters; true when a member outside
+ * @p repeaters ends the walk.
+ */
+bool
+walkRepeaters(const ClientMask &ready, const ClientMask &repeaters,
+              std::size_t lo, std::size_t hi, std::uint64_t &run)
+{
+    for (std::size_t w = lo / 64; w < ready.numWords() && w * 64 < hi;
+         w++) {
+        std::uint64_t bits = ready.word(w);
+        if (w == lo / 64)
+            bits &= ~std::uint64_t{0} << (lo % 64);
+        if (hi < (w + 1) * 64)
+            bits &= (std::uint64_t{1} << (hi % 64)) - 1;
+        std::uint64_t others =
+            bits & ~(w < repeaters.numWords() ? repeaters.word(w) : 0);
+        if (others != 0) {
+            run += static_cast<std::uint64_t>(
+                std::popcount(bits & ((others & -others) - 1)));
+            return true;
+        }
+        run += static_cast<std::uint64_t>(std::popcount(bits));
+    }
+    return false;
+}
 
 /** Rotating-priority arbitration; guarantees progress for every client. */
 class RoundRobinArbiter : public Arbiter
@@ -51,6 +104,35 @@ class RoundRobinArbiter : public Arbiter
         return grant;
     }
 
+    std::uint64_t
+    repeatRun(const ClientMask &ready,
+              const ClientMask &repeaters) const override
+    {
+        // The picks visit ready's members in rotation from the one
+        // after the last grant: count them up to the first
+        // non-repeater, above the last grant and then wrapped round.
+        auto from = static_cast<std::size_t>(last + 1);
+        std::uint64_t run = 0;
+        if (walkRepeaters(ready, repeaters, from, ready.numWords() * 64,
+                          run) ||
+            walkRepeaters(ready, repeaters, 0, from, run))
+            return run;
+        return kUnbounded;
+    }
+
+    void
+    advance(const ClientMask &ready, std::uint64_t count) override
+    {
+        if (count == 0)
+            return;
+        // The first pick is the member ranked just above the last
+        // grant; the count-th is count - 1 ranks further round.
+        std::uint64_t members = ready.count();
+        std::uint64_t first = ready.countBelow(last + 1);
+        last = ready.nth(static_cast<std::size_t>(
+            (first + (count - 1) % members) % members));
+    }
+
   private:
     int last = -1;
 };
@@ -66,6 +148,26 @@ class FixedPriorityArbiter : public Arbiter
         ddc_assert(grant >= 0, "arbiter invoked with no requests");
         return grant;
     }
+
+    std::uint64_t
+    repeatRun(const ClientMask &ready,
+              const ClientMask &repeaters) const override
+    {
+        // Every pick goes to the lowest member.
+        int first = ready.first();
+        bool repeats = first >= 0 &&
+                       static_cast<std::size_t>(first) / 64 <
+                           repeaters.numWords() &&
+                       repeaters.test(first);
+        return repeats ? kUnbounded : 0;
+    }
+
+    void
+    advance(const ClientMask &ready, std::uint64_t count) override
+    {
+        (void)ready;
+        (void)count;
+    }
 };
 
 /** Uniform random grant; starvation-free in expectation. */
@@ -80,6 +182,23 @@ class RandomArbiter : public Arbiter
         std::size_t count = requesters.count();
         ddc_assert(count > 0, "arbiter invoked with no requests");
         return requesters.nth(rng.nextBelow(count));
+    }
+
+    std::uint64_t
+    repeatRun(const ClientMask &ready,
+              const ClientMask &repeaters) const override
+    {
+        // Which member a pick lands on is up to the RNG, so a run is
+        // certain only when every member repeats.
+        return ready.subsetOf(repeaters) ? kUnbounded : 0;
+    }
+
+    void
+    advance(const ClientMask &ready, std::uint64_t count) override
+    {
+        // Replay the draws, so the RNG stream stays the baseline's.
+        for (; count > 0; count--)
+            pick(ready);
     }
 
   private:

@@ -109,6 +109,14 @@ class ClientMask
     /** The @p n-th lowest member (0-based; n < count()). */
     int nth(std::size_t n) const;
 
+    /** Number of members below @p client (0 <= client). */
+    std::size_t countBelow(int client) const;
+
+    /** Whether every member is also a member of @p other. */
+    bool subsetOf(const ClientMask &other) const;
+
+    bool operator==(const ClientMask &other) const = default;
+
   private:
     static std::size_t
     index(int client)
@@ -140,6 +148,9 @@ std::string_view toString(ArbiterKind kind);
 class Arbiter
 {
   public:
+    /** A run of picks with no end in sight (see repeatRun). */
+    static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+
     virtual ~Arbiter() = default;
 
     /**
@@ -147,6 +158,24 @@ class Arbiter
      * cycle with at least one requester.
      */
     virtual int pick(const ClientMask &requesters) = 0;
+
+    /**
+     * Bulk arbitration for a parked bus (DESIGN.md, "NACK-repeat
+     * parking"): of the picks this arbiter would make next over the
+     * unchanging, non-empty requester set @p ready, how many go to
+     * members of @p repeaters before the first that goes to a
+     * non-member.  kUnbounded when every pick would; 0 when the next
+     * would not, or when the arbiter cannot tell, which declines the
+     * park.  Side-effect free.
+     */
+    virtual std::uint64_t repeatRun(const ClientMask &ready,
+                                    const ClientMask &repeaters) const = 0;
+
+    /**
+     * Leave the arbiter exactly as @p count consecutive pick(@p ready)
+     * calls would; @p count is within the repeatRun() just granted.
+     */
+    virtual void advance(const ClientMask &ready, std::uint64_t count) = 0;
 };
 
 /**

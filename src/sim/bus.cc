@@ -65,10 +65,11 @@ BusClient::pendingAddr() const
 Bus::Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
          stats::CounterSet &stats, std::uint64_t seed,
          std::size_t block_words, std::size_t memory_latency,
-         bool snoop_filter)
+         bool snoop_filter, bool park_repeats)
     : memory(memory), arbiter(makeArbiter(arbiter_kind, seed)),
       clock(clock), stats(stats), blockSize(block_words),
       memoryLatency(memory_latency),
+      parkable(park_repeats && memory.rmwNacksRepeat()),
       filterOn(snoop_filter)
 {
     ddc_assert(block_words >= 1, "block size must be at least one word");
@@ -101,6 +102,8 @@ Bus::attach(BusClient *client)
     int index = static_cast<int>(clients.size()) - 1;
     for (ClientMask *mask : {&armed, &poll, &always, &ready})
         mask->resize(clients.size());
+    for (ClientMask &mask : repeaters)
+        mask.resize(clients.size());
     armed.set(index);
     armedCount++;
     always.set(index);
@@ -172,6 +175,7 @@ Bus::setSupplier(int client, bool is_supplier)
     char flag = is_supplier ? 1 : 0;
     if (suppliers[index] == flag)
         return;
+    settle();
     suppliers[index] = flag;
     if (is_supplier)
         supplierCount++;
@@ -192,6 +196,8 @@ Bus::setRequestArmed(int client, bool is_armed)
                "bad bus client index ", client);
     if (armed.test(client) == is_armed)
         return;
+    settle();
+    unrepeat(client);
     if (is_armed) {
         armed.set(client);
         armedCount++;
@@ -207,6 +213,7 @@ Bus::setPollOnStale(int client)
 {
     ddc_assert(static_cast<std::size_t>(client) < clients.size(),
                "bad bus client index ", client);
+    settle();
     always.reset(client);
     // A client opting in while armed gets one real poll first.
     if (armed.test(client))
@@ -275,6 +282,8 @@ Bus::occupy(std::size_t extra_cycles)
 void
 Bus::skipCycles(Cycle count)
 {
+    // A parked bus has an armed client, so nextEventCycle() is now.
+    ddc_assert(!parked, "skipped cycles of a parked bus");
     // Streaming past the end of the in-flight transfer is only legal
     // when no client could have requested the freed bus.
     ddc_assert(count <= static_cast<Cycle>(transferCyclesLeft) ||
@@ -291,9 +300,86 @@ Bus::skipCycles(Cycle count)
         stats.add(statIdle, count - streamed);
 }
 
+std::size_t
+Bus::repeatSlot(BusOp op)
+{
+    switch (op) {
+      case BusOp::Rmw:         return 0;
+      case BusOp::ReadLock:    return 1;
+      case BusOp::WriteUnlock: return 2;
+      default:                 return kNumRepeatOps;
+    }
+}
+
+void
+Bus::tryPark(BusOp op)
+{
+    // The next grants must go, unpolled and unchanged, to the armed
+    // set the arbiter is told about, and an Rmw or ReadLock's supplier
+    // scan must visit no one (so snoopVisits stays exact).
+    if (transferCyclesLeft > 0 || supplierCount > 0)
+        return;
+    for (std::size_t w = 0; w < armed.numWords(); w++) {
+        if (armed.word(w) & (poll.word(w) | always.word(w)))
+            return;
+    }
+    const ClientMask &repeating = repeaters[repeatSlot(op)];
+    std::uint64_t run = arbiter->repeatRun(armed, repeating);
+    if (run == 0)
+        return;
+    parked = true;
+    parkOp = op;
+    parkRun = run;
+#ifndef NDEBUG
+    parkArmed = armed;
+    parkPoll = poll;
+    parkAlways = always;
+    parkRepeaters = repeating;
+    parkSuppliers = supplierCount;
+#endif
+}
+
+void
+Bus::catchUp()
+{
+    parked = false;
+    if (owed == 0)
+        return;
+    // Every owed cycle was a grant to a repeater of parkOp, NACKed.
+    stats.add(statBusy, owed);
+    stats.add(statNack, owed);
+    stats.add(statNackOp[opIndex(parkOp)], owed);
+    arbiter->advance(armed, owed);
+    parkedTotal += owed;
+    owed = 0;
+}
+
+void
+Bus::checkParked() const
+{
+#ifndef NDEBUG
+    // Every change to these goes through a trigger that catches the
+    // bus up first; a mismatch is a missed trigger.
+    ddc_assert(armed == parkArmed && poll == parkPoll &&
+                   always == parkAlways &&
+                   repeaters[repeatSlot(parkOp)] == parkRepeaters &&
+                   supplierCount == parkSuppliers,
+               "a parked bus's clients changed without a catch-up");
+#endif
+}
+
 void
 Bus::tick()
 {
+    if (parked) {
+        if (owed < parkRun) {
+            owed++;
+            checkParked();
+            return;
+        }
+        // The next grant goes to a client that does not repeat.
+        catchUp();
+    }
     if (transferCyclesLeft > 0) {
         // A multi-cycle transfer is still streaming over the bus.
         transferCyclesLeft--;
@@ -310,6 +396,7 @@ Bus::tick()
     stats.add(statBusy);
 
     int grant = arbiter->pick(ready);
+    unrepeat(grant);
     BusRequest request = clients[static_cast<std::size_t>(grant)]
                              ->currentRequest();
 
@@ -324,6 +411,10 @@ Bus::tick()
       case BusOp::Invalidate:
         executeWriteLike(grant, request);
         break;
+    }
+    if (repeatNacked) {
+        repeatNacked = false;
+        tryPark(request.op);
     }
 }
 
@@ -362,6 +453,16 @@ Bus::setObserver(obs::Recorder *recorder, int bus_id)
     busId = bus_id;
     busTrace = recorder ? recorder->trace(obs::Category::Bus) : nullptr;
     lockRec = recorder ? recorder->lockLog() : nullptr;
+    // Parked grants are never traced, logged or sampled, and the
+    // grantee's retry count (read by histograms and the miss trace)
+    // is not told of them, so any of those observers keeps every
+    // grant ticked.  Phase profiling reads none of them.
+    bool observed = busTrace != nullptr || lockRec != nullptr ||
+                    (recorder != nullptr &&
+                     (recorder->liveMetrics() != nullptr ||
+                      recorder->trace(obs::Category::Miss) != nullptr ||
+                      recorder->sampler() != nullptr));
+    parkable = parkable && !observed;
 }
 
 void
@@ -719,6 +820,14 @@ Bus::nack(int grant, const BusRequest &request)
                              ->peId(),
                          request.addr, clock.now, false);
     clients[static_cast<std::size_t>(grant)]->requestNacked();
+    // The memory side declares this NACK repeats until the client's
+    // request changes: the client is a repeater from here on.
+    std::size_t slot = repeatSlot(request.op);
+    if (parkable && slot < kNumRepeatOps) {
+        repeaters[slot].set(grant);
+        repeaterCount++;
+        repeatNacked = true;
+    }
 }
 
 } // namespace ddc

@@ -174,6 +174,10 @@ class BusClient
      * side not ready) and will retry.  Multi-request proxies (the
      * hierarchical cluster cache) use this to rotate their queue so a
      * blocked operation cannot starve the one that would unblock it.
+     * A parked bus books repeated NACKs without this call (Bus,
+     * "NACK-repeat parking"), so on a bus whose memory side declares
+     * MemorySide::rmwNacksRepeat it must change nothing but what no
+     * one reads while the bus may park (the L1's retry count).
      */
     virtual void requestNacked() {}
 
@@ -207,7 +211,25 @@ class BusClient
 std::string_view busOpStatName(BusOp op);
 std::string_view busNackStatName(BusOp op);
 
-/** The shared bus: arbitration, execution, snooping, kill/retry. */
+/**
+ * The shared bus: arbitration, execution, snooping, kill/retry.
+ *
+ * NACK-repeat parking (DESIGN.md): a client whose RMW-class grant its
+ * memory side NACKed, where that side declares such NACKs repeat
+ * (MemorySide::rmwNacksRepeat), is a *repeater*: until something
+ * changes, granting it again only books one busy cycle and one NACK.
+ * After such a NACK, when no transfer is in flight, no armed client is
+ * due for a poll, no client could supply, nothing observes grants or
+ * retries, and the arbiter can say how many of its next grants go to
+ * repeaters of the same op, the bus parks: tick() only counts the
+ * cycles it owes, up to that many.  Anything that could change or
+ * read what the repeats depend on first catches the bus up (settle):
+ * arming, disarming, noteStale, setSupplier, setPollOnStale,
+ * endRepeat and Shard::flushStalls.  A catch-up adds the owed cycles
+ * to the busy and NACK counters and advances the arbiter by as many
+ * grants (a few mask-word popcounts for RoundRobin); it touches no
+ * client.
+ */
 class Bus : public GlobalFabric, public Tickable
 {
   public:
@@ -230,11 +252,16 @@ class Bus : public GlobalFabric, public Tickable
      *        of visiting every client.  Results are byte-identical
      *        either way; off is the A/B baseline (the machine
      *        passes its EngineKnobs::snoop_filter).
+     * @param park_repeats Book runs of repeated NACKs in bulk when
+     *        @p memory declares them (MemorySide::rmwNacksRepeat; see
+     *        the class comment).  Results are byte-identical either
+     *        way; off is the A/B baseline (the machine passes its
+     *        EngineKnobs::skip_quiescent).
      */
     Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
         stats::CounterSet &stats, std::uint64_t seed = 0,
         std::size_t block_words = 1, std::size_t memory_latency = 0,
-        bool snoop_filter = true);
+        bool snoop_filter = true, bool park_repeats = true);
 
     /** Attach a client; returns its client index on this bus. */
     int attach(BusClient *client) override;
@@ -266,7 +293,27 @@ class Bus : public GlobalFabric, public Tickable
      * moved the line of its pending access): poll it at the next free
      * cycle.
      */
-    void noteStale(int client) { poll.set(client); }
+    void
+    noteStale(int client)
+    {
+        settle();
+        unrepeat(client);
+        poll.set(client);
+    }
+
+    /**
+     * The memory side's NACKs of client @p client's request no longer
+     * repeat (the cluster cache dequeued that PE's forward): catch up
+     * a park that counted on them.
+     */
+    void
+    endRepeat(int client)
+    {
+        if (isRepeater(client)) {
+            settle();
+            unrepeat(client);
+        }
+    }
 
     /** Number of currently armed clients. */
     std::size_t
@@ -368,6 +415,26 @@ class Bus : public GlobalFabric, public Tickable
 
     /** Advance one cycle (at most one new transaction begins). */
     void tick() override;
+
+    /**
+     * Catch a parked bus up: book the cycles it owes, exactly as the
+     * ticks it skipped would have, and unpark.  A no-op otherwise.
+     */
+    void
+    settle() override
+    {
+        if (parked)
+            catchUp();
+    }
+
+    /**
+     * Bus cycles booked by catch-ups so far, all of them NACKed grants
+     * (a parked interval not yet settled is not counted).  Plain
+     * bookkeeping like snoopVisits: it depends on the skip knob and on
+     * observation, so it is reported only in the engine section
+     * (EngineReport::parked_cycles, under --timing).
+     */
+    std::uint64_t parkedCycles() const { return parkedTotal; }
 
     /**
      * Earliest cycle at which this bus (or the memory side behind it)
@@ -474,6 +541,56 @@ class Bus : public GlobalFabric, public Tickable
     /** Record a retry due to a locked word / not-ready memory side. */
     void nack(int grant, const BusRequest &request);
 
+    /** Number of RMW-class ops (Rmw, ReadLock, WriteUnlock). */
+    static constexpr std::size_t kNumRepeatOps = 3;
+
+    /** @p op's repeaters slot, or kNumRepeatOps when it cannot repeat. */
+    static std::size_t repeatSlot(BusOp op);
+
+    /** Whether @p client is a repeater (of any op). */
+    bool
+    isRepeater(int client) const
+    {
+        if (repeaterCount == 0)
+            return false;
+        for (const ClientMask &mask : repeaters) {
+            if (mask.test(client))
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * @p client stops being a repeater.  A client repeats at most one
+     * op (every grant unrepeats it before its NACK can mark it), and a
+     * bus without repeaters touches no mask.
+     */
+    void
+    unrepeat(int client)
+    {
+        if (repeaterCount == 0)
+            return;
+        for (ClientMask &mask : repeaters) {
+            if (mask.test(client)) {
+                mask.reset(client);
+                repeaterCount--;
+                return;
+            }
+        }
+    }
+
+    /**
+     * After a tick whose grant NACKed a repeater of @p op: park when
+     * the predicate holds (see the class comment).
+     */
+    void tryPark(BusOp op);
+
+    /** Book the owed cycles and unpark (settle's slow path). */
+    void catchUp();
+
+    /** Debug: the park's inputs are as they were when it began. */
+    void checkParked() const;
+
     /** Emit a completed-transaction trace event (phase 'X'). */
     void traceComplete(std::string_view name, Addr addr, int issuer,
                        std::size_t extra_cycles,
@@ -519,6 +636,35 @@ class Bus : public GlobalFabric, public Tickable
     ClientMask ready;
     /** Remaining cycles of an in-flight transaction. */
     std::size_t transferCyclesLeft = 0;
+
+    // Parking state every tick() reads, kept beside transferCyclesLeft
+    // so an unparked tick touches no further cache line.
+    /** Ticks only count owed cycles (see the class comment). */
+    bool parked = false;
+    /** This tick's grant was NACKed and repeats (tick -> tryPark). */
+    bool repeatNacked = false;
+    /**
+     * The ctor's park_repeats, the memory side declares repeats, and
+     * no observer reads grants or retries (setObserver).
+     */
+    bool parkable = false;
+    /** The op every grant of the park repeats. */
+    BusOp parkOp = BusOp::Rmw;
+    /** Parked ticks not yet booked. */
+    std::uint64_t owed = 0;
+    /** Cycles the park may owe before its next grant is a real one. */
+    std::uint64_t parkRun = 0;
+    /** Members of all repeaters masks. */
+    std::size_t repeaterCount = 0;
+    /** Per RMW-class op (repeatSlot), the clients whose NACK repeats. */
+    ClientMask repeaters[kNumRepeatOps];
+    /** Cycles booked by catch-ups (parkedCycles()). */
+    std::uint64_t parkedTotal = 0;
+#ifndef NDEBUG
+    /** The park's inputs when it began (checkParked). */
+    ClientMask parkArmed, parkPoll, parkAlways, parkRepeaters;
+    std::size_t parkSuppliers = 0;
+#endif
 
     /** Most clients one bus can sharer-index (bits in a mask). */
     static constexpr std::size_t kMaxFilterClients = 64;

@@ -245,7 +245,13 @@ class Cache : public BusClient
         Cycle issue_cycle = 0;
         /** Start of the current bus wait (reset per transaction). */
         Cycle phase_start = 0;
-        /** NACK + kill restarts absorbed so far (observability). */
+        /**
+         * NACK + kill restarts absorbed so far (observability).  Read
+         * only by histograms and the miss trace (finish()).  A parked
+         * bus books repeated NACKs without calling requestNacked, but
+         * never parks while either is attached, so the count is exact
+         * wherever it is read.
+         */
         std::uint64_t retries = 0;
     };
 

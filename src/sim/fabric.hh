@@ -48,6 +48,14 @@ class Tickable
      * guarantees no grant opportunity is skipped over.
      */
     virtual void skipCycles(Cycle count) = 0;
+
+    /**
+     * Book any work this component deferred (a parked bus's owed
+     * cycles, see Bus::settle), so what is read now matches the
+     * tick-every-cycle baseline.  Shard::flushStalls calls it before
+     * every counter read.
+     */
+    virtual void settle() {}
 };
 
 /** The global interconnect as seen by an attaching client. */

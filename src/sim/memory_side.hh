@@ -40,6 +40,18 @@ class MemorySide
         return kNever;
     }
 
+    /**
+     * Whether this side's NACKs of RMW-class requests (Rmw, ReadLock,
+     * WriteUnlock) repeat: once it NACKed PE p's request, it NACKs
+     * the same request from p again, with no side effect, until p's
+     * bus client is granted, armed, disarmed or marked stale, or this
+     * side calls Bus::endRepeat for it.  A bus may then book such
+     * repeats in bulk instead of ticking them (DESIGN.md, "NACK-repeat
+     * parking").  Main memory's NACKs wait on word locks that other
+     * PEs release, so the default is false.
+     */
+    virtual bool rmwNacksRepeat() const { return false; }
+
     /** Service a word read (reads ignore word locks). */
     virtual bool tryRead(Addr addr, PeId pe, Word &data) = 0;
 

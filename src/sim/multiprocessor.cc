@@ -12,11 +12,11 @@ namespace ddc {
 Multiprocessor::Multiprocessor(const char *name, int num_pes,
                                ProtocolKind protocol,
                                int rwb_writes_to_local,
-                               const EngineKnobs &engine)
+                               const EngineKnobs &engine, bool record_log)
     : kernel(clock, engine.skip_quiescent),
       proto(makeProtocol(protocol, rwb_writes_to_local)),
       recorder(obs::makeRecorder(engine.histograms, engine.sample_every)),
-      name(name),
+      name(name), recordsLog(record_log),
       seats(static_cast<std::size_t>(std::max(num_pes, 0))),
       agents(seats.size())
 {
@@ -59,6 +59,8 @@ Multiprocessor::loadTrace(const Trace &trace)
 {
     ddc_assert(trace.numPes() <= numPes(),
                "trace has more PE streams than the machine has PEs");
+    if (recordsLog)
+        execLog.reserve(trace.totalRefs());
     for (PeId pe = 0; pe < numPes(); pe++) {
         SharedStream stream =
             pe < trace.numPes() ? trace.share(pe) : nullptr;

@@ -54,7 +54,9 @@ class Multiprocessor
     /**
      * Replace every agent with trace replay of @p trace.  The agents
      * share the trace's streams (no copy); @p trace may be changed or
-     * destroyed afterwards without affecting the loaded run.
+     * destroyed afterwards without affecting the loaded run.  A
+     * machine that records its log reserves room for every reference
+     * of the trace, so the log never grows by reallocation.
      */
     void loadTrace(const Trace &trace);
 
@@ -139,10 +141,14 @@ class Multiprocessor
      * @param name The machine's name in the budget warning.
      * @param engine The machine config's knobs: the kernel's skip and
      *        the recorder's histograms and sampling (the derived
-     *        machine passes snoop_filter to its buses).
+     *        machine passes snoop_filter and skip_quiescent to its
+     *        buses).
+     * @param record_log The derived machine hands its caches the
+     *        execution log (its config's record_log).
      */
     Multiprocessor(const char *name, int num_pes, ProtocolKind protocol,
-                   int rwb_writes_to_local, const EngineKnobs &engine);
+                   int rwb_writes_to_local, const EngineKnobs &engine,
+                   bool record_log);
 
     /**
      * PE @p pe issues to @p banks (one per bus, in bus order) and its
@@ -182,6 +188,7 @@ class Multiprocessor
     void install(PeId pe, std::unique_ptr<Agent> agent);
 
     const char *name;
+    bool recordsLog;
     RunStatus run_status = RunStatus::Finished;
     std::vector<Seat> seats;
     std::vector<std::unique_ptr<Agent>> agents;

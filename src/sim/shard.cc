@@ -137,6 +137,8 @@ Shard::skipCycles(Cycle count)
 void
 Shard::flushStalls() const
 {
+    for (Tickable *component : components)
+        component->settle();
     for (std::size_t slot = 0; slot < waits.size(); slot++) {
         if (waits[slot] == Runnable || agents[slot] == nullptr)
             continue;

@@ -92,9 +92,10 @@ class Shard
     void skipCycles(Cycle count);
 
     /**
-     * Pay every stalled agent the stall cycles owed so far; called at
-     * the end of a run and before any counter read, so observed
-     * statistics always match the tick-every-cycle baseline.
+     * Settle every component (Tickable::settle) and pay every stalled
+     * agent the stall cycles owed so far; called at the end of a run
+     * and before any counter read, so observed statistics always
+     * match the tick-every-cycle baseline.
      */
     void flushStalls() const;
 

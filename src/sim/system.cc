@@ -9,7 +9,8 @@ namespace ddc {
 
 System::System(const SystemConfig &config)
     : Multiprocessor("System", config.num_pes, config.protocol,
-                     config.rwb_writes_to_local, config.engine),
+                     config.rwb_writes_to_local, config.engine,
+                     config.record_log),
       config(config)
 {
     ddc_assert(config.num_pes >= 1, "need at least one PE");
@@ -28,7 +29,7 @@ System::System(const SystemConfig &config)
             *busStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(b),
             config.block_words, config.memory_latency,
-            config.engine.snoop_filter));
+            config.engine.snoop_filter, config.engine.skip_quiescent));
         shard.addComponent(buses.back().get());
     }
 

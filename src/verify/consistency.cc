@@ -17,11 +17,12 @@ flagViolation(ConsistencyReport &report, const std::string &message)
     report.violations++;
 }
 
+/** @p entry, the log's @p index-th, for a violation message. */
 std::string
-describeEntry(const LogEntry &entry)
+describeEntry(std::size_t index, const LogEntry &entry)
 {
     std::ostringstream os;
-    os << "seq=" << entry.seq << " cycle=" << entry.cycle << " pe="
+    os << "seq=" << index << " cycle=" << entry.cycle << " pe="
        << entry.pe << " " << toString(entry.op) << " addr=" << entry.addr
        << " value=" << entry.value;
     return os.str();
@@ -40,7 +41,8 @@ checkSerialConsistency(const ExecutionLog &log)
         return it == model.end() ? Word{0} : it->second;
     };
 
-    for (const LogEntry &entry : log.all()) {
+    for (std::size_t index = 0; index < log.size(); index++) {
+        const LogEntry &entry = log.all()[index];
         switch (entry.op) {
           case CpuOp::Read:
           case CpuOp::ReadLock:
@@ -48,7 +50,7 @@ checkSerialConsistency(const ExecutionLog &log)
                 flagViolation(report,
                               "stale read: expected " +
                                   std::to_string(current(entry.addr)) +
-                                  " at " + describeEntry(entry));
+                                  " at " + describeEntry(index, entry));
             }
             break;
 
@@ -63,12 +65,12 @@ checkSerialConsistency(const ExecutionLog &log)
                 flagViolation(report,
                               "TS observed stale value: expected " +
                                   std::to_string(latest) + " at " +
-                                  describeEntry(entry));
+                                  describeEntry(index, entry));
             }
             bool should_succeed = latest == 0;
             if (entry.ts_success != should_succeed) {
                 flagViolation(report, "TS outcome contradicts value at " +
-                                          describeEntry(entry));
+                                          describeEntry(index, entry));
             }
             if (entry.ts_success)
                 model[entry.addr] = entry.stored;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/arbiter.hh"
+#include "trace/rng.hh"
 
 namespace ddc {
 namespace {
@@ -144,6 +145,114 @@ TEST(ClientMask, MembersAcrossWords)
     mask.clear();
     EXPECT_TRUE(mask.empty());
     EXPECT_EQ(mask.numWords(), 3u);
+}
+
+TEST(ClientMask, CountBelowAndSubsetAcrossWords)
+{
+    ClientMask mask{1, 63, 64, 100};
+    EXPECT_EQ(mask.countBelow(0), 0u);
+    EXPECT_EQ(mask.countBelow(2), 1u);
+    EXPECT_EQ(mask.countBelow(64), 2u);
+    EXPECT_EQ(mask.countBelow(65), 3u);
+    EXPECT_EQ(mask.countBelow(128), 4u);
+    EXPECT_TRUE((ClientMask{1, 64}).subsetOf(mask));
+    EXPECT_FALSE((ClientMask{1, 65}).subsetOf(mask));
+    EXPECT_TRUE(ClientMask{}.subsetOf(mask));
+    EXPECT_FALSE(mask.subsetOf(ClientMask{1}));
+}
+
+/** A random subset of [0, @p clients), never empty when @p nonempty. */
+ClientMask
+randomMask(Rng &rng, int clients, bool nonempty)
+{
+    ClientMask mask;
+    mask.resize(static_cast<std::size_t>(clients));
+    for (int c = 0; c < clients; c++) {
+        if (rng.chance(0.5))
+            mask.set(c);
+    }
+    if (nonempty && mask.empty())
+        mask.set(static_cast<int>(rng.nextBelow(
+            static_cast<std::uint64_t>(clients))));
+    return mask;
+}
+
+/**
+ * The bulk interface a parked bus uses agrees with pick() one grant at
+ * a time, for every policy, on sets that span two mask words:
+ * repeatRun() counts exactly the picks that go to repeaters before the
+ * first that does not (or declines with 0), and advance(k) leaves the
+ * arbiter where k picks would.
+ */
+TEST(BulkArbitration, RepeatRunAndAdvanceMatchPickByPick)
+{
+    constexpr int kClients = 70;
+    for (auto kind : {ArbiterKind::RoundRobin, ArbiterKind::FixedPriority,
+                      ArbiterKind::Random}) {
+        SCOPED_TRACE(toString(kind));
+        Rng rng(7);
+        for (int trial = 0; trial < 300; trial++) {
+            // Three arbiters in one state: bulk, pick by pick, probe.
+            auto bulk = makeArbiter(kind, 11);
+            auto stepped = makeArbiter(kind, 11);
+            auto probe = makeArbiter(kind, 11);
+            for (auto warm = rng.nextBelow(5); warm > 0; warm--) {
+                ClientMask any = randomMask(rng, kClients, true);
+                bulk->pick(any);
+                stepped->pick(any);
+                probe->pick(any);
+            }
+            ClientMask ready = randomMask(rng, kClients, true);
+            ClientMask repeaters = randomMask(rng, kClients, false);
+            if (rng.chance(0.3))
+                repeaters = ready;
+
+            std::uint64_t run = bulk->repeatRun(ready, repeaters);
+            std::uint64_t limit = 3 * ready.count() + 3;
+            std::uint64_t picked = 0;
+            while (picked < limit &&
+                   ClientMask{probe->pick(ready)}.subsetOf(repeaters))
+                picked++;
+            if (run == Arbiter::kUnbounded) {
+                EXPECT_EQ(picked, limit) << "trial " << trial;
+            } else if (kind == ArbiterKind::Random) {
+                EXPECT_EQ(run, 0u) << "trial " << trial;
+            } else {
+                EXPECT_EQ(run, picked) << "trial " << trial;
+            }
+
+            std::uint64_t count = rng.nextBelow(2 * ready.count() + 2);
+            bulk->advance(ready, count);
+            for (std::uint64_t i = 0; i < count; i++)
+                stepped->pick(ready);
+            for (int after = 0; after < 4; after++) {
+                ClientMask next = randomMask(rng, kClients, true);
+                EXPECT_EQ(bulk->pick(next), stepped->pick(next))
+                    << "trial " << trial;
+            }
+        }
+    }
+}
+
+TEST(BulkArbitration, DeclinesWhenTheRunCannotBeKnown)
+{
+    // FixedPriority grants the lowest requester forever: a run is
+    // unbounded exactly when it repeats.
+    auto fixed = makeArbiter(ArbiterKind::FixedPriority);
+    EXPECT_EQ(fixed->repeatRun({0, 1, 2}, {1, 2}), 0u);
+    EXPECT_EQ(fixed->repeatRun({1, 2}, {1}), Arbiter::kUnbounded);
+    // Random cannot tell which member it draws next, so it books only
+    // when every member repeats.
+    auto random = makeArbiter(ArbiterKind::Random, 5);
+    EXPECT_EQ(random->repeatRun({0, 1, 2}, {0, 1}), 0u);
+    EXPECT_EQ(random->repeatRun({0, 1}, {0, 1, 2}), Arbiter::kUnbounded);
+    // RoundRobin counts the rotation up to the first non-repeater.
+    auto rotating = makeArbiter(ArbiterKind::RoundRobin);
+    rotating->pick({0, 1, 2, 3});
+    EXPECT_EQ(rotating->repeatRun({0, 1, 2, 3}, {1, 2}), 2u);
+    EXPECT_EQ(rotating->repeatRun({0, 1, 2, 3}, {0, 2, 3}), 0u);
+    EXPECT_EQ(rotating->repeatRun({0, 2, 3}, {0, 2, 3}),
+              Arbiter::kUnbounded);
 }
 
 TEST(ArbiterNames, AllPrintable)

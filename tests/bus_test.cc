@@ -20,6 +20,7 @@
 #include "sim/bus.hh"
 #include "sim/cache.hh"
 #include "sim/memory.hh"
+#include "sim/shard.hh"
 
 namespace ddc {
 namespace {
@@ -1039,6 +1040,400 @@ TEST_F(StaleMarkTest, ReadBroadcastSnarfingThePendingLinePollsOnce)
     EXPECT_EQ(cache.takeCompletion().value, 5u);
     EXPECT_EQ(stats.get("cache.broadcast_fill"), 1u);
     EXPECT_TRUE(bus.idle());
+}
+
+// ---- NACK-repeat parking ------------------------------------------
+
+/**
+ * A memory side like the cluster cache: it NACKs every RMW-class
+ * request and declares those NACKs repeat; reads and writes go to a
+ * plain Memory.  Records the PE of every request it is asked to serve.
+ */
+class RepeatMemory : public MemorySide
+{
+  public:
+    explicit RepeatMemory(stats::CounterSet &stats) : memory(stats) {}
+
+    bool rmwNacksRepeat() const override { return true; }
+
+    bool
+    tryRead(Addr addr, PeId pe, Word &data) override
+    {
+        served.push_back(pe);
+        return memory.tryRead(addr, pe, data);
+    }
+
+    bool
+    tryReadBlock(Addr base, std::size_t words, PeId pe,
+                 std::vector<Word> &block) override
+    {
+        served.push_back(pe);
+        return memory.tryReadBlock(base, words, pe, block);
+    }
+
+    bool
+    tryWrite(Addr addr, PeId pe, Word data) override
+    {
+        served.push_back(pe);
+        return memory.tryWrite(addr, pe, data);
+    }
+
+    bool
+    tryWriteBlock(Addr base, PeId pe,
+                  const std::vector<Word> &block) override
+    {
+        served.push_back(pe);
+        return memory.tryWriteBlock(base, pe, block);
+    }
+
+    bool
+    tryRmw(Addr, PeId pe, Word, Word &, bool &) override
+    {
+        served.push_back(pe);
+        return false;
+    }
+
+    bool
+    tryReadLock(Addr, PeId pe, Word &) override
+    {
+        served.push_back(pe);
+        return false;
+    }
+
+    bool
+    tryWriteUnlock(Addr, PeId pe, Word) override
+    {
+        served.push_back(pe);
+        return false;
+    }
+
+    void
+    acceptSupply(Addr addr, Word data) override
+    {
+        memory.acceptSupply(addr, data);
+    }
+
+    void
+    acceptSupplyBlock(Addr base, const std::vector<Word> &block) override
+    {
+        memory.acceptSupplyBlock(base, block);
+    }
+
+    Memory memory;
+    std::vector<PeId> served;
+};
+
+/**
+ * A client that keeps the bus's promises the way an L1 does: polled
+ * only when stale, no supplier until it says so, armed exactly while
+ * it has a request.  Logs each grant it gets (the bus asks for the
+ * request once per grant it executes) and counts the NACKs it is told
+ * of.
+ */
+class RepeatClient : public FakeClient
+{
+  public:
+    explicit RepeatClient(PeId pe) : FakeClient(pe) {}
+
+    BusRequest
+    currentRequest() override
+    {
+        grants->push_back(index);
+        return FakeClient::currentRequest();
+    }
+
+    void
+    requestComplete(const BusResult &result) override
+    {
+        FakeClient::requestComplete(result);
+        if (requests.empty())
+            bus->setRequestArmed(index, false);
+    }
+
+    void requestNacked() override { retries++; }
+
+    Bus *bus = nullptr;
+    int index = -1;
+    std::vector<int> *grants = nullptr;
+    std::uint64_t retries = 0;
+};
+
+/** One bus, its repeat-declaring memory side and four clients. */
+struct ParkSide
+{
+    ParkSide(ArbiterKind kind, bool park)
+        : memory(stats), bus(memory, kind, clock, stats, /*seed=*/5, 1, 0,
+                             /*snoop_filter=*/true, park)
+    {
+        for (auto &client : clients) {
+            client.bus = &bus;
+            client.grants = &granted;
+            client.index = bus.attach(&client);
+            bus.setRequestArmed(client.index, false);
+            bus.setSupplier(client.index, false);
+            bus.setPollOnStale(client.index);
+        }
+    }
+
+    /** Client @p c issues @p request. */
+    void
+    issue(int c, BusRequest request)
+    {
+        clients[c].push(request);
+        bus.setRequestArmed(c, true);
+    }
+
+    void
+    tick(int cycles)
+    {
+        for (int i = 0; i < cycles; i++) {
+            bus.tick();
+            clock.now++;
+        }
+    }
+
+    stats::CounterSet stats;
+    Clock clock;
+    RepeatMemory memory;
+    Bus bus;
+    /** Clients granted by executed ticks, in order (not booked ones). */
+    std::vector<int> granted;
+    RepeatClient clients[4] = {RepeatClient(0), RepeatClient(1),
+                               RepeatClient(2), RepeatClient(3)};
+};
+
+/**
+ * A parking bus and one that ticks every grant (park_repeats off, as
+ * under --no-skip), driven alike through each case.
+ */
+class ParkTest : public ::testing::Test
+{
+  protected:
+    void
+    build(ArbiterKind kind)
+    {
+        parking = std::make_unique<ParkSide>(kind, true);
+        ticking = std::make_unique<ParkSide>(kind, false);
+    }
+
+    /** Apply @p step to both sides. */
+    template <typename Step>
+    void
+    both(Step step)
+    {
+        step(*parking);
+        step(*ticking);
+    }
+
+    void
+    issue(int c, BusRequest request)
+    {
+        both([&](ParkSide &side) { side.issue(c, request); });
+    }
+
+    void
+    tick(int cycles)
+    {
+        both([&](ParkSide &side) { side.tick(cycles); });
+    }
+
+    /**
+     * The two sides agree on what the caller already settled: every
+     * counter, snoop visits, each client's completions and retries.
+     * A parked bus books repeated NACKs without telling the client
+     * (an L1 counts retries only while an observer that blocks
+     * parking reads them), so each client was told of at most the
+     * ticking side's NACKs, and the NACKs nobody was told of are
+     * exactly the cycles the catch-ups booked.
+     */
+    void
+    expectSameCounts()
+    {
+        EXPECT_EQ(parking->stats.report(), ticking->stats.report());
+        EXPECT_EQ(parking->bus.snoopVisits(), ticking->bus.snoopVisits());
+        std::uint64_t told = 0, ticked = 0;
+        for (int c = 0; c < 4; c++) {
+            SCOPED_TRACE("client " + std::to_string(c));
+            EXPECT_EQ(parking->clients[c].completions.size(),
+                      ticking->clients[c].completions.size());
+            EXPECT_LE(parking->clients[c].retries,
+                      ticking->clients[c].retries);
+            told += parking->clients[c].retries;
+            ticked += ticking->clients[c].retries;
+        }
+        EXPECT_EQ(told + parking->bus.parkedCycles(), ticked);
+    }
+
+    /**
+     * Settle the parking side, hold the two to expectSameCounts, and
+     * check that the next grant goes to the same client on both.
+     */
+    void
+    expectSameRun()
+    {
+        parking->bus.settle();
+        expectSameCounts();
+        tick(1);
+        ASSERT_FALSE(parking->granted.empty());
+        EXPECT_EQ(parking->granted.back(), ticking->granted.back());
+        EXPECT_EQ(parking->stats.report(), ticking->stats.report());
+    }
+
+    std::unique_ptr<ParkSide> parking, ticking;
+};
+
+TEST_F(ParkTest, RoundRobinBooksARotationOfRepeatersInOneCatchUp)
+{
+    build(ArbiterKind::RoundRobin);
+    for (int c = 0; c < 4; c++)
+        issue(c, {BusOp::Rmw, 7, 1});
+    // Four first NACKs make every armed client a repeater; the other
+    // 38 grants are booked, ending mid-rotation, so the catch-up must
+    // move the arbiter to client 1.
+    tick(42);
+    parking->bus.settle();
+    EXPECT_EQ(parking->bus.parkedCycles(), 38u);
+    EXPECT_EQ(ticking->bus.parkedCycles(), 0u);
+    EXPECT_EQ(parking->memory.served.size(), 4u);
+    EXPECT_EQ(parking->stats.get("bus.nack.BusRmw"), 42u);
+    expectSameRun();
+    EXPECT_EQ(ticking->granted.back(), 2);
+}
+
+TEST_F(ParkTest, RoundRobinStopsAtTheNewlyArmedClientsGrant)
+{
+    build(ArbiterKind::RoundRobin);
+    for (int c : {0, 1, 3})
+        issue(c, {BusOp::Rmw, 7, 1});
+    tick(9); // parked after three grants
+    // Arming catches the bus up; the next park ends where the
+    // rotation reaches client 2, whose write is served for real.
+    issue(2, {BusOp::Write, 9, 4});
+    EXPECT_EQ(parking->bus.parkedCycles(), 6u);
+    tick(10);
+    EXPECT_EQ(parking->clients[2].completions.size(), 1u);
+    EXPECT_EQ(parking->memory.memory.peek(9), 4u);
+    parking->bus.settle();
+    EXPECT_EQ(parking->bus.parkedCycles(), 13u);
+    expectSameRun();
+}
+
+TEST_F(ParkTest, FixedPriorityRepeatsTheLowestRequesterForever)
+{
+    build(ArbiterKind::FixedPriority);
+    // Client 2 starves behind client 1, whose ReadLock repeats; the
+    // catch-up books its op's NACK counter, not client 2's.
+    issue(1, {BusOp::ReadLock, 7, 0});
+    issue(2, {BusOp::Rmw, 7, 1});
+    tick(20);
+    issue(0, {BusOp::Write, 9, 4});
+    tick(5);
+    parking->bus.settle();
+    EXPECT_EQ(parking->bus.parkedCycles(), 22u);
+    EXPECT_EQ(parking->stats.get("bus.nack.BusReadLock"), 24u);
+    EXPECT_EQ(parking->stats.get("bus.nack.BusRmw"), 0u);
+    EXPECT_EQ(parking->clients[0].completions.size(), 1u);
+    expectSameRun();
+}
+
+TEST_F(ParkTest, RandomReplaysItsDrawsOnlyWhenEveryArmedClientRepeats)
+{
+    build(ArbiterKind::Random);
+    for (int c = 0; c < 3; c++)
+        issue(c, {BusOp::Rmw, 7, 1});
+    // A client not yet NACKed could be drawn next: no park until all
+    // three repeat, then the catch-up replays one draw per grant.
+    tick(40);
+    parking->bus.settle();
+    std::uint64_t booked = parking->bus.parkedCycles();
+    EXPECT_GT(booked, 0u);
+    EXPECT_LT(booked, 40u - 2);
+    issue(3, {BusOp::Write, 9, 4});
+    tick(30); // declined until client 3 is served
+    EXPECT_EQ(parking->clients[3].completions.size(), 1u);
+    // Each settle below books a replayed stretch; the draw after it
+    // must be the ticking bus's.
+    for (int round = 0; round < 10; round++) {
+        expectSameRun();
+        tick(7);
+    }
+}
+
+TEST_F(ParkTest, NoteStaleEndsTheParkBeforeTheChangedRequestIsGranted)
+{
+    build(ArbiterKind::RoundRobin);
+    for (int c = 0; c < 4; c++)
+        issue(c, {BusOp::Rmw, 7, 1});
+    tick(10);
+    // A snoop moved client 2's pending line: its request is now a
+    // write, which the bus learns only by polling it.
+    both([](ParkSide &side) {
+        side.clients[2].requests.front() = {BusOp::Write, 9, 4};
+        side.bus.noteStale(2);
+    });
+    tick(10);
+    EXPECT_EQ(parking->clients[2].completions.size(), 1u);
+    expectSameRun();
+    EXPECT_EQ(parking->stats.get("bus.write"), 1u);
+}
+
+TEST_F(ParkTest, SetSupplierEndsTheParkBeforeTheNextSupplierScan)
+{
+    build(ArbiterKind::RoundRobin);
+    for (int c = 0; c < 3; c++)
+        issue(c, {BusOp::Rmw, 7, 1});
+    tick(10);
+    // Client 3 now owns the lock word: every further Rmw grant is
+    // killed and supplied instead of NACKed.
+    both([](ParkSide &side) {
+        side.clients[3].supply_addr = 7;
+        side.clients[3].supply_value = 1;
+        side.bus.setSupplier(3, true);
+    });
+    tick(10);
+    EXPECT_GT(parking->stats.get("bus.kill"), 0u);
+    expectSameRun();
+}
+
+TEST_F(ParkTest, ShardFlushSettlesABudgetThatEndsMidPark)
+{
+    build(ArbiterKind::RoundRobin);
+    for (int c = 0; c < 4; c++)
+        issue(c, {BusOp::Rmw, 7, 1});
+    // The shard's flush at the end of a run (or before a counter
+    // read) is the only catch-up here.
+    Shard parking_shard(0), ticking_shard(0);
+    parking_shard.addComponent(&parking->bus);
+    ticking_shard.addComponent(&ticking->bus);
+    for (int i = 0; i < 25; i++) {
+        parking_shard.tick();
+        ticking_shard.tick();
+    }
+    parking_shard.flushStalls();
+    ticking_shard.flushStalls();
+    EXPECT_EQ(parking->bus.parkedCycles(), 21u);
+    expectSameCounts();
+}
+
+TEST_F(ParkTest, ObservedBusesNeverPark)
+{
+    build(ArbiterKind::RoundRobin);
+    obs::Recorder recorder(nullptr, /*histograms=*/true, 0);
+    parking->bus.setObserver(&recorder, 0);
+    for (int c = 0; c < 4; c++)
+        issue(c, {BusOp::Rmw, 7, 1});
+    tick(20);
+    parking->bus.settle();
+    EXPECT_EQ(parking->bus.parkedCycles(), 0u);
+    for (int c = 0; c < 4; c++)
+        EXPECT_EQ(parking->clients[c].retries, ticking->clients[c].retries);
+}
+
+TEST(Parking, MainMemoryNeverDeclaresRepeats)
+{
+    stats::CounterSet stats;
+    Memory memory(stats);
+    EXPECT_FALSE(memory.rmwNacksRepeat());
 }
 
 } // namespace

@@ -345,6 +345,7 @@ TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
     engine.snoop_visits = 77;
     engine.global_visits = 33;
     engine.snoop_filter_fallbacks = 2;
+    engine.parked_cycles = 40;
     engine.directory_blocks = 12;
     engine.directory_max_load_factor = 0.5;
     engine.route_phase_ms = 0.25;
@@ -355,7 +356,7 @@ TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
         "sim_cycles_per_sec", "skipped_cycles",
         "skip_fraction",      "snoop_visits",
         "global_visits",      "snoop_filter_fallbacks",
-        "directory_blocks",
+        "parked_cycles",      "directory_blocks",
         "directory_max_load_factor", "route_phase_ms",
         "serve_phase_ms"};
 
@@ -395,6 +396,7 @@ TEST(JsonTest, EngineSectionHoldsEveryHostAndKnobValue)
     EXPECT_EQ(rebuilt.engine.snoop_visits, 77u);
     EXPECT_EQ(rebuilt.engine.global_visits, 33u);
     EXPECT_EQ(rebuilt.engine.snoop_filter_fallbacks, 2u);
+    EXPECT_EQ(rebuilt.engine.parked_cycles, 40u);
     EXPECT_EQ(rebuilt.engine.directory_blocks, 12u);
     EXPECT_EQ(rebuilt.engine.directory_max_load_factor, 0.5);
     EXPECT_EQ(rebuilt.engine.route_phase_ms, 0.25);

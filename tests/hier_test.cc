@@ -695,6 +695,105 @@ TEST(ClusterCacheUnit, OneForwardPerPeUntilCancelResolveOrCompletion)
     EXPECT_TRUE(cluster.hasRequest());
 }
 
+/**
+ * The one way a PE's repeat ends that its L1 never hears of: an
+ * abandoned read's forward holds the PE's slot, so its TestAndSet
+ * NACKs without queuing; when the stale read is then resolved locally
+ * (no broadcast), the next grant must queue the TestAndSet.  The
+ * cluster cache's dequeue tells a parked cluster bus (Bus::endRepeat),
+ * so it matches a bus that ticks every grant.
+ */
+TEST(ClusterCacheUnit, ALocallyResolvedForwardEndsItsPesParkedRepeat)
+{
+    struct Outcome
+    {
+        std::string report;
+        std::uint64_t parked = 0;
+    };
+    auto play = [](bool park) {
+        stats::CounterSet stats;
+        Clock clock;
+        Memory memory(stats);
+        Bus global(memory, ArbiterKind::RoundRobin, clock, stats);
+        ClusterCache cluster(0, stats);
+        cluster.connectGlobal(global);
+        Bus cluster_bus(cluster, ArbiterKind::RoundRobin, clock, stats, 0,
+                        1, 0, true, park);
+        cluster.connectCluster(cluster_bus);
+        RbProtocol rb;
+        Cache p(0, 8, rb, clock, stats);
+        Cache q(1, 8, rb, clock, stats);
+        for (Cache *l1 : {&p, &q}) {
+            l1->connectBus(cluster_bus);
+            cluster.addChild(l1);
+        }
+        constexpr Addr kLock = 8;
+        const BusTransaction other_cluster_writes{BusOp::Write, kLock, 1,
+                                                  -1, {}};
+        auto tick = [&] {
+            cluster_bus.tick();
+            clock.now++;
+        };
+        auto complete_front = [&](Word value) {
+            cluster.currentRequest();
+            cluster.requestComplete({value, false, {}});
+        };
+
+        // Both L1s read the lock (Readable), then lose it (Invalid).
+        for (Cache *l1 : {&p, &q})
+            EXPECT_FALSE(l1->cpuAccess({CpuOp::Read, kLock}).complete);
+        tick();
+        tick();
+        complete_front(0);
+        EXPECT_FALSE(cluster.hasRequest()); // q's read resolves locally
+        p.takeCompletion();
+        q.takeCompletion();
+        cluster.observe(other_cluster_writes);
+
+        // Both miss again.  p's forward completes first, and its read
+        // broadcast refills q's line: q's read finishes without its
+        // forward, which stays queued, abandoned.
+        for (Cache *l1 : {&p, &q})
+            EXPECT_FALSE(l1->cpuAccess({CpuOp::Read, kLock}).complete);
+        tick();
+        tick();
+        complete_front(0);
+        tick(); // q's poll finds its read satisfied
+        p.takeCompletion();
+        EXPECT_TRUE(q.hasCompletion());
+        q.takeCompletion();
+
+        // q's TestAndSet NACKs without queuing behind the stale read.
+        EXPECT_FALSE(q.cpuAccess({CpuOp::TestAndSet, kLock, 1}).complete);
+        cluster.observe(other_cluster_writes); // the entry is gone
+        EXPECT_TRUE(cluster.hasRequest());     // so no local resolve
+        tick();
+        // p's fresh read overtakes the stale one globally; its
+        // broadcast refills q's line (a noteStale, which q hears).
+        EXPECT_FALSE(p.cpuAccess({CpuOp::Read, kLock}).complete);
+        tick();
+        cluster.requestNacked();
+        complete_front(0);
+        tick(); // q NACKed again: repeats, and the bus may park
+        tick(); // a repeat the parked bus books
+        EXPECT_EQ(stats.get("hier.forward.BusRmw"), 0u);
+
+        // The stale read resolves locally (emptying the queue): no
+        // broadcast, no L1 call.
+        EXPECT_FALSE(cluster.hasRequest());
+        EXPECT_EQ(stats.get("hier.dropped_read_completion"), 1u);
+        tick(); // q's TestAndSet queues at last
+        EXPECT_EQ(stats.get("hier.forward.BusRmw"), 1u);
+        tick();
+        cluster_bus.settle();
+        return Outcome{stats.report(), cluster_bus.parkedCycles()};
+    };
+    Outcome parking = play(true), ticking = play(false);
+    EXPECT_EQ(parking.report, ticking.report);
+    EXPECT_GT(parking.parked, 0u);
+    EXPECT_EQ(ticking.parked, 0u);
+}
+
 } // namespace
 } // namespace hier
 } // namespace ddc

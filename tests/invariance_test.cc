@@ -7,7 +7,8 @@
  * value) stays checkable only because no fast path or observer can
  * change what a run does.  The knobs:
  *
- *  - skip: quiescent-cycle skipping (`engine.skip_quiescent`);
+ *  - skip: quiescent-cycle skipping and NACK-repeat parking
+ *    (`engine.skip_quiescent`);
  *  - filter: the reaction-indexed snoop filter (`engine.snoop_filter`);
  *  - observed: a Chrome trace into a per-test temp file (every
  *    category in the per-knob cases, kMatrixTrace in the matrix),
@@ -174,6 +175,8 @@ struct Row
     hier::HierConfig hier;
     Trace trace;
     Cycle max_cycles = System::kDefaultMaxCycles;
+    /** Its cluster buses park with the default knobs (non-vacuity). */
+    bool parks = false;
 
     /** The knobs that apply: directory only on hierarchical snooping. */
     unsigned
@@ -448,6 +451,38 @@ hierProducerConsumerRows()
     return rows;
 }
 
+/**
+ * 4 clusters x 8 PEs spinning on one lock over the snooping global bus
+ * (RoundRobin): the cluster buses park on repeated TestAndSet NACKs.
+ */
+std::vector<Row>
+hierHotSpotRows()
+{
+    std::vector<Row> rows;
+    for (auto protocol : kRbRwb) {
+        rows.push_back(hierRow("hier_4x8_hot_spot",
+                               hierConfig(4, 8, 64, protocol),
+                               makeHotSpotTrace(32, 20, 8)));
+        rows.back().parks = true;
+    }
+    return rows;
+}
+
+/**
+ * The same machine timed out at cycle 645 of 654, while its cluster
+ * buses are parked with cycles owed: only the run's final flush books
+ * them.
+ */
+Row
+hierTimedOutHotSpotRow()
+{
+    Row row = hierRow("hier_4x8_hot_spot_timed_out",
+                      hierConfig(4, 8, 64, ProtocolKind::Rb),
+                      makeHotSpotTrace(32, 20, 8), 645);
+    row.parks = true;
+    return row;
+}
+
 /** Home 0 arbitrates with seed + 0: the H = 1 stream must match. */
 Row
 hierRandomArbiterRow()
@@ -515,6 +550,7 @@ twoHomeRows()
                 hierConfig(4, 8, 64, protocol, 2),
                 hot_spot ? makeHotSpotTrace(32, 20, 8)
                          : makeClusteredTrace(4, 8, 300, 0.8, 0.3, 5)));
+            rows.back().parks = hot_spot;
         }
     }
     return rows;
@@ -561,8 +597,10 @@ std::vector<Row>
 hierSnoopRows()
 {
     return concat(hierUniformRows(800, 17), hierProducerConsumerRows(),
+                  hierHotSpotRows(),
                   std::vector{hierRandomArbiterRow(), hierEightClusterRow(),
-                              hierFixedPriorityRow()});
+                              hierFixedPriorityRow(),
+                              hierTimedOutHotSpotRow()});
 }
 
 std::vector<Row>
@@ -591,6 +629,7 @@ struct Outcome
 {
     Fingerprint fingerprint;
     Cycle skipped = 0;
+    std::uint64_t parked = 0;
     std::uint64_t snoop_visits = 0;
     std::uint64_t fallbacks = 0;
     std::uint64_t global_ops = 0;
@@ -712,6 +751,7 @@ observe(const Row &row, unsigned knobs,
     outcome.fingerprint.json = without(result.toJson(true), {"engine"});
     EXPECT_EQ(outcome.fingerprint.json.dump(), result.toJson(false).dump());
     outcome.skipped = result.engine.skipped_cycles;
+    outcome.parked = result.engine.parked_cycles;
     outcome.snoop_visits = result.engine.snoop_visits;
     outcome.fallbacks = result.engine.snoop_filter_fallbacks;
     if (knobs & kObserved) {
@@ -751,7 +791,7 @@ expectSameLog(const std::vector<LogEntry> &expected,
         if (it == end)
             return std::string("(end of log)");
         std::ostringstream os;
-        os << "{seq " << it->seq << ", cycle " << it->cycle << ", pe "
+        os << "{cycle " << it->cycle << ", pe "
            << it->pe << ", op " << static_cast<int>(it->op) << ", addr "
            << it->addr << ", value " << it->value << ", stored "
            << it->stored << ", ts_success " << it->ts_success << "}";
@@ -824,6 +864,10 @@ checkRow(const Row &row, unsigned axes,
         if (knobs & kNoSkip) {
             EXPECT_EQ(run.skipped, 0u);
         }
+        // Parking is part of skip, and observers keep every grant.
+        if (knobs & (kNoSkip | kObserved)) {
+            EXPECT_EQ(run.parked, 0u);
+        }
     }
 
     // Non-vacuity: each crossed knob did something on this row.
@@ -848,6 +892,9 @@ checkRow(const Row &row, unsigned axes,
     }
     if (axes & kDirectory) {
         EXPECT_GT(base.global_ops, 0u) << "no cross-cluster traffic";
+    }
+    if (row.parks && (axes & kNoSkip)) {
+        EXPECT_GT(base.parked, 0u) << "no cluster bus parked";
     }
     return runs;
 }
@@ -918,6 +965,22 @@ TEST(SkipEquivalence, FlatZeroLatencyStaysIdentical)
 TEST(SkipEquivalence, HierarchicalMachine)
 {
     checkRows(hierUniformRows(800, 17), kNoSkip);
+}
+
+TEST(SkipEquivalence, HierarchicalBudgetEndsInsideAPark)
+{
+    Row row = hierTimedOutHotSpotRow();
+    auto runs = checkRow(row, kNoSkip);
+    EXPECT_EQ(runs.at(0).fingerprint.status, RunStatus::TimedOut);
+    // Non-vacuity: ticked to the budget, some cluster bus still owes
+    // parked cycles that only a settle (here counters()) books.
+    hier::HierSystem machine(withKnobs(row.hier, 0));
+    machine.loadTrace(row.trace);
+    for (Cycle c = 0; c < row.max_cycles; c++)
+        machine.tick();
+    std::uint64_t settled = machine.parkedCycles();
+    machine.counters();
+    EXPECT_GT(machine.parkedCycles(), settled);
 }
 
 TEST(SnoopFilterEquivalence, FlatAllProtocols)

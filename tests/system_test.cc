@@ -91,9 +91,6 @@ TEST(System, ExecutionLogRecordsAllRefs)
     system.loadTrace(trace);
     system.run();
     EXPECT_EQ(system.log().size(), trace.totalRefs());
-    // Sequence numbers are dense and increasing.
-    for (std::size_t i = 0; i < system.log().size(); i++)
-        EXPECT_EQ(system.log().all()[i].seq, i);
 }
 
 TEST(System, LogDisabledByDefault)

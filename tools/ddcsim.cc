@@ -84,14 +84,15 @@ usage(std::ostream &os)
         "  --json PATH      write structured results as JSON\n"
         "  --timing         add each run's \"engine\" object to the\n"
         "                   JSON: wall clock, sim rate, skipped\n"
-        "                   cycles, snoop visits, filter fallbacks,\n"
-        "                   directory table size (host- or knob-\n"
-        "                   dependent values)\n"
+        "                   and parked cycles, snoop visits, filter\n"
+        "                   fallbacks, directory table size (host-\n"
+        "                   or knob-dependent values)\n"
         "  --profile        time the directory fabric's route and\n"
         "                   serve phases into the \"engine\" object's\n"
         "                   route_phase_ms / serve_phase_ms (with\n"
         "                   --timing)\n"
-        "  --no-skip        disable quiescent-cycle skipping (A/B\n"
+        "  --no-skip        disable quiescent-cycle skipping and\n"
+        "                   cluster-bus NACK-repeat parking (A/B\n"
         "                   baseline; results are byte-identical, the\n"
         "                   run is just slower)\n"
         "  --no-snoop-filter  disable the sharer-indexed snoop filter\n"
