@@ -18,8 +18,8 @@
  *    the fabric once per home per cycle, so directory-mode runs
  *    finish in far fewer simulated cycles at scale;
  *  - global visits: a snoop broadcast costs O(clusters) per
- *    transaction (the sharer index must revert past 64 clusters — see
- *    Bus::snoopFilterFallbacks), a directory transaction O(sharers);
+ *    transaction (cluster caches are never sharer-indexed on the
+ *    global bus), a directory transaction O(sharers);
  *  - host wall clock: both of the above are host work, so the wall
  *    clock follows.  The route/serve columns split the fabric's own
  *    tick cost (DirectoryFabric phase timing) out of the wall clock.

@@ -13,6 +13,7 @@
 #ifndef DDC_BASE_TYPES_HH
 #define DDC_BASE_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -122,6 +123,9 @@ enum class BusOp : std::uint8_t {
     ReadLock,
     WriteUnlock,
 };
+
+/** Number of BusOp enumerators (op-indexed tables). */
+inline constexpr std::size_t kNumBusOps = 6;
 
 /** Printable name of a BusOp. */
 std::string_view toString(BusOp op);

@@ -64,12 +64,14 @@ DirectoryFabric::setObserver(obs::Recorder *recorder,
         return;
     homeObs.trace = recorder->trace(obs::Category::Dir);
     homeObs.metrics = recorder->liveMetrics();
+    homeObs.lockLog = recorder->lockLog();
     homeObs.clock = machine_clock;
     if (homeObs.metrics) {
         requestStart.assign(clients.size(), kNever);
         homeObs.requestStart = &requestStart;
     }
-    if (homeObs.trace == nullptr && homeObs.metrics == nullptr)
+    if (homeObs.trace == nullptr && homeObs.metrics == nullptr &&
+        homeObs.lockLog == nullptr)
         return;
     for (auto &home : homes)
         home->setObserver(&homeObs);

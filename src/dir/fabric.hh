@@ -166,8 +166,8 @@ class DirectoryFabric : public GlobalFabric, public Tickable
 
     // ---- Observability ---------------------------------------------
     /**
-     * Attach observability: dir-category trace + directory
-     * histograms for every home, plus request-latency tracking
+     * Attach observability: dir-category trace, directory histograms
+     * and the lock log for every home, plus request-latency tracking
      * stamped by the routing pass from @p clock (the machine clock).
      * @p recorder may be null.  Call after every cluster attached.
      */

@@ -5,36 +5,13 @@
 namespace ddc {
 namespace dir {
 
-namespace {
-
-std::size_t
-opIndex(BusOp op)
-{
-    return static_cast<std::size_t>(op);
-}
-
-} // namespace
-
 HomeNode::HomeNode(int home_id, ArbiterKind arbiter_kind,
                    std::uint64_t arbiter_seed, stats::CounterSet &stats)
-    : homeId(home_id), stats(stats), memory(stats),
+    : TransactionPath(stats), homeId(home_id), memory(stats),
       arbiter(makeArbiter(arbiter_kind,
                           arbiter_seed +
                               static_cast<std::uint64_t>(home_id)))
 {
-    statBusy = stats.intern("bus.busy_cycles");
-    statTransfer = stats.intern("bus.transfer_cycles");
-    statIdle = stats.intern("bus.idle_cycles");
-    statKill = stats.intern("bus.kill");
-    statSupplyWrite = stats.intern("bus.supply_write");
-    statRmwSuccess = stats.intern("bus.rmw_success");
-    statRmwFail = stats.intern("bus.rmw_fail");
-    statNack = stats.intern("bus.nack");
-    for (auto op : {BusOp::Read, BusOp::Write, BusOp::Invalidate,
-                    BusOp::Rmw, BusOp::ReadLock, BusOp::WriteUnlock}) {
-        statOp[opIndex(op)] = stats.intern(busOpStatName(op));
-        statNackOp[opIndex(op)] = stats.intern(busNackStatName(op));
-    }
     statMsgRequest = stats.intern("dir.msg.request");
     statMsgFwd = stats.intern("dir.msg.fwd");
     statMsgInval = stats.intern("dir.msg.inval");
@@ -47,7 +24,7 @@ void
 HomeNode::countIdle(Cycle count)
 {
     if (count > 0)
-        stats.add(statIdle, count);
+        stats.add(busStats.idle, count);
 }
 
 void
@@ -55,10 +32,10 @@ HomeNode::tick(const std::vector<BusClient *> &clients,
                std::uint64_t &visits)
 {
     if (inbox.empty()) {
-        stats.add(statIdle);
+        stats.add(busStats.idle);
         return;
     }
-    stats.add(statBusy);
+    stats.add(busStats.busy);
     stats.add(statMsgRequest);
     msgCount++;
 
@@ -85,17 +62,81 @@ HomeNode::tick(const std::vector<BusClient *> &clients,
         obsCtx->trace->push(event);
     }
 
-    switch (request.op) {
-      case BusOp::Read:
-      case BusOp::ReadLock:
-      case BusOp::Rmw:
-        executeReadLike(grant, request, clients, visits);
-        break;
-      case BusOp::Write:
-      case BusOp::WriteUnlock:
-      case BusOp::Invalidate:
-        executeWriteLike(grant, request, clients, visits);
-        break;
+    tickClients = &clients;
+    tickVisits = &visits;
+    if (serve(clients, grant, request))
+        noteComplete(grant);
+}
+
+int
+HomeNode::findSupplier(int grant, Addr addr, Word &value)
+{
+    const std::vector<BusClient *> &clients = *tickClients;
+    const DirEntry *entry = dir.lookup(addr);
+    int owner = entry != nullptr ? entry->owner : -1;
+
+#ifndef NDEBUG
+    // Cross-check the directory against the snooping bus's full
+    // supplier scan: every cluster the directory skips must indeed
+    // decline to supply.  (Double-polling is safe: wouldSupply is
+    // idempotent for the cluster cache.)
+    int full_scan = -1;
+    for (std::size_t i = 0; i < clients.size(); i++) {
+        if (static_cast<int>(i) == grant)
+            continue;
+        Word candidate = 0;
+        if (clients[i]->wouldSupply(addr, candidate))
+            full_scan = static_cast<int>(i);
+    }
+    ddc_assert(full_scan == owner,
+               "directory owner disagrees with the full supplier scan "
+               "for addr ", addr, ": directory says ", owner,
+               ", scan says ", full_scan);
+#endif
+    ddc_assert(owner != grant,
+               "read-like request granted to the owning cluster");
+    if (owner < 0)
+        return -1;
+
+    // Owner forward: the home cannot serve the read — the owning
+    // cluster holds a newer value, and its supply write kills the
+    // read, exactly like the snooping bus's L-interrupt.
+    stats.add(statMsgFwd);
+    (*tickVisits)++;
+    msgCount++;
+    if (obsCtx && obsCtx->trace)
+        traceInstant("fwd", addr, nullptr, owner);
+    bool supplies =
+        clients[static_cast<std::size_t>(owner)]->wouldSupply(addr, value);
+    ddc_assert(supplies, "directory owner declined to supply addr ", addr);
+    return owner;
+}
+
+void
+HomeNode::commit(const BusTransaction &txn, Commit kind)
+{
+    DirEntry &entry = dir.ensure(txn.addr);
+    switch (kind) {
+      case Commit::Share:
+        deliverRead(entry, txn);
+        addSharer(entry, txn.issuer);
+        return;
+      case Commit::Own:
+        deliverWriteLike(entry, txn);
+        entry.owner = txn.issuer;
+        addSharer(entry, txn.issuer);
+        return;
+      case Commit::Publish:
+        // A kill's supply write or the cluster cache's pre-flush
+        // publish before an RMW-class forward: home memory becomes
+        // current, and the owner keeps its (demoted) entry.
+        ddc_assert(entry.owner == txn.issuer, "cluster ", txn.issuer,
+                   " published addr ", txn.addr,
+                   ", which the directory records as owned by ",
+                   entry.owner);
+        deliverWriteLike(entry, txn);
+        entry.owner = -1;
+        return;
     }
 }
 
@@ -108,28 +149,25 @@ HomeNode::addSharer(DirEntry &entry, int client)
 }
 
 void
-HomeNode::deliverWriteLike(DirEntry &entry, const BusTransaction &txn,
-                           int keep,
-                           const std::vector<BusClient *> &clients,
-                           std::uint64_t &visits)
+HomeNode::deliverWriteLike(DirEntry &entry, const BusTransaction &txn)
 {
     // Collect first: observers do not touch the directory, but the
     // sharer set itself is rewritten below and must not be walked
     // while it changes.
     targets.clear();
     entry.sharers.forEach([&](int sharer) {
-        if (sharer != keep)
+        if (sharer != txn.issuer)
             targets.push_back(sharer);
     });
     std::size_t acks = 0;
     const bool traced = obsCtx && obsCtx->trace;
     for (int sharer : targets) {
         stats.add(statMsgInval);
-        visits++;
+        (*tickVisits)++;
         msgCount++;
         if (traced)
             traceInstant("inval", txn.addr, nullptr, sharer);
-        clients[static_cast<std::size_t>(sharer)]->observe(txn);
+        (*tickClients)[static_cast<std::size_t>(sharer)]->observe(txn);
         // The synchronous machine model collects the ack in the same
         // cycle; counted per target so ack traffic is visible.
         stats.add(statMsgAck);
@@ -144,229 +182,37 @@ HomeNode::deliverWriteLike(DirEntry &entry, const BusTransaction &txn,
         obsCtx->metrics->acks_per_inval.sample(acks);
 
     // Every delivered write-like observation erased its target's
-    // entry; only @p keep (when it was a sharer) still holds one.
-    bool keep_was_sharer = entry.sharers.contains(keep);
+    // entry; only the issuer (when it was a sharer) still holds one.
+    bool issuer_was_sharer = entry.sharers.contains(txn.issuer);
     entry.sharers.clear();
-    if (keep_was_sharer)
-        entry.sharers.add(keep);
+    if (issuer_was_sharer)
+        entry.sharers.add(txn.issuer);
 }
 
 void
-HomeNode::deliverRead(DirEntry *entry, const BusTransaction &txn,
-                      int skip,
-                      const std::vector<BusClient *> &clients,
-                      std::uint64_t &visits)
+HomeNode::deliverRead(DirEntry &entry, const BusTransaction &txn)
 {
-    if (entry == nullptr)
-        return;
     // Read observations refresh values (and refill L1 copies RWB-
     // style) but never change entry membership: iterating live is
     // safe.
-    entry->sharers.forEach([&](int sharer) {
-        if (sharer == skip)
+    entry.sharers.forEach([&](int sharer) {
+        if (sharer == txn.issuer)
             return;
         stats.add(statMsgUpdate);
-        visits++;
+        (*tickVisits)++;
         msgCount++;
         if (obsCtx && obsCtx->trace)
             traceInstant("update", txn.addr, nullptr, sharer);
-        clients[static_cast<std::size_t>(sharer)]->observe(txn);
+        (*tickClients)[static_cast<std::size_t>(sharer)]->observe(txn);
     });
 }
 
 void
-HomeNode::executeReadLike(int grant, const BusRequest &request,
-                          const std::vector<BusClient *> &clients,
-                          std::uint64_t &visits)
+HomeNode::nacked(int grant, const BusRequest &request)
 {
-    auto *grantee = clients[static_cast<std::size_t>(grant)];
-
-    DirEntry *entry = dir.lookup(request.addr);
-    int owner = entry != nullptr ? entry->owner : -1;
-
-#ifndef NDEBUG
-    // Cross-check the directory against the snooping bus's full
-    // supplier scan: every cluster the directory skips must indeed
-    // decline to supply.  (Double-polling is safe: wouldSupply is
-    // idempotent for the cluster cache.)
-    int full_scan = -1;
-    for (std::size_t i = 0; i < clients.size(); i++) {
-        if (static_cast<int>(i) == grant)
-            continue;
-        Word candidate = 0;
-        if (clients[i]->wouldSupply(request.addr, candidate))
-            full_scan = static_cast<int>(i);
-    }
-    ddc_assert(full_scan == owner,
-               "directory owner disagrees with the full supplier scan "
-               "for addr ", request.addr, ": directory says ", owner,
-               ", scan says ", full_scan);
-#endif
-    ddc_assert(owner != grant,
-               "read-like request granted to the owning cluster");
-
-    if (owner >= 0) {
-        // Owner forward: the home cannot serve the read — the owning
-        // cluster holds a newer value.  Kill the transaction and
-        // replace it with the owner's supply write, exactly like the
-        // snooping bus's L-interrupt; the grantee retries.
-        auto *supplier = clients[static_cast<std::size_t>(owner)];
-        Word value = 0;
-        stats.add(statMsgFwd);
-        visits++;
-        msgCount++;
-        if (obsCtx && obsCtx->trace)
-            traceInstant("fwd", request.addr, nullptr, owner);
-        bool supplies = supplier->wouldSupply(request.addr, value);
-        ddc_assert(supplies, "directory owner declined to supply addr ",
-                   request.addr);
-        stats.add(statKill);
-        stats.add(statSupplyWrite);
-        stats.add(statOp[opIndex(BusOp::Write)]);
-        grantee->requestKilled();
-
-        memory.acceptSupply(request.addr, value);
-        BusTransaction txn{BusOp::Write, request.addr, value, owner, {}};
-        deliverWriteLike(*entry, txn, owner, clients, visits);
-        supplier->supplied(request.addr);
-        // The supplied value now matches home memory; the owner keeps
-        // its (demoted) entry and stays a sharer.
-        entry->owner = -1;
-        return;
-    }
-
-    PeId pe = grantee->peId();
-    switch (request.op) {
-      case BusOp::Read: {
-        Word data = 0;
-        if (!memory.tryRead(request.addr, pe, data)) {
-            nack(grant, request, clients);
-            return;
-        }
-        stats.add(statOp[opIndex(request.op)]);
-        deliverRead(entry, {BusOp::Read, request.addr, data, grant, {}},
-                    grant, clients, visits);
-        addSharer(dir.ensure(request.addr), grant);
-        noteComplete(grant);
-        grantee->requestComplete({data, false, {}});
-        return;
-      }
-      case BusOp::ReadLock: {
-        Word data = 0;
-        if (!memory.tryReadLock(request.addr, pe, data)) {
-            nack(grant, request, clients);
-            return;
-        }
-        stats.add(statOp[opIndex(request.op)]);
-        deliverRead(entry, {BusOp::Read, request.addr, data, grant, {}},
-                    grant, clients, visits);
-        addSharer(dir.ensure(request.addr), grant);
-        noteComplete(grant);
-        grantee->requestComplete({data, false, {}});
-        return;
-      }
-      case BusOp::Rmw: {
-        Word old = 0;
-        bool success = false;
-        if (!memory.tryRmw(request.addr, pe, request.data, old,
-                           success)) {
-            nack(grant, request, clients);
-            return;
-        }
-        stats.add(statOp[opIndex(request.op)]);
-        if (success) {
-            stats.add(statRmwSuccess);
-            DirEntry &e = dir.ensure(request.addr);
-            deliverWriteLike(e, {BusOp::Write, request.addr,
-                                 request.data, grant, {}},
-                             grant, clients, visits);
-            e.owner = grant;
-            addSharer(e, grant);
-            noteComplete(grant);
-            grantee->requestComplete({old, true, {}});
-        } else {
-            stats.add(statRmwFail);
-            deliverRead(entry, {BusOp::Read, request.addr, old, grant,
-                                {}},
-                        grant, clients, visits);
-            addSharer(dir.ensure(request.addr), grant);
-            noteComplete(grant);
-            grantee->requestComplete({old, false, {}});
-        }
-        return;
-      }
-      default:
-        break;
-    }
-    ddc_panic("unreachable");
-}
-
-void
-HomeNode::executeWriteLike(int grant, const BusRequest &request,
-                           const std::vector<BusClient *> &clients,
-                           std::uint64_t &visits)
-{
-    auto *grantee = clients[static_cast<std::size_t>(grant)];
-    PeId pe = grantee->peId();
-
-    BusTransaction txn;
-    txn.addr = request.addr;
-    txn.data = request.data;
-    txn.issuer = grant;
-    txn.op = request.op == BusOp::Invalidate ? BusOp::Invalidate
-                                             : BusOp::Write;
-
-    if (request.op == BusOp::WriteUnlock) {
-        if (!memory.tryWriteUnlock(request.addr, pe, request.data)) {
-            nack(grant, request, clients);
-            return;
-        }
-    } else if (request.op == BusOp::Invalidate) {
-        if (!memory.tryInvalidate(request.addr, pe, request.data)) {
-            nack(grant, request, clients);
-            return;
-        }
-    } else {
-        if (!memory.tryWrite(request.addr, pe, request.data)) {
-            // "Any bus writes before the unlock will fail" (Section 3).
-            nack(grant, request, clients);
-            return;
-        }
-    }
-
-    stats.add(statOp[opIndex(request.op)]);
-
-    if (request.writeback) {
-        // The cluster cache's pre-flush publish before an RMW-class
-        // forward: home memory becomes current, the grantee demotes
-        // itself (but keeps its entry), and no ownership changes
-        // hands.
-        DirEntry *entry = dir.lookup(request.addr);
-        ddc_assert(entry != nullptr && entry->owner == grant,
-                   "writeback from a cluster the directory does not "
-                   "record as owner of addr ", request.addr);
-        deliverWriteLike(*entry, txn, grant, clients, visits);
-        entry->owner = -1;
-    } else {
-        DirEntry &entry = dir.ensure(request.addr);
-        deliverWriteLike(entry, txn, grant, clients, visits);
-        entry.owner = grant;
-        addSharer(entry, grant);
-    }
-    noteComplete(grant);
-    grantee->requestComplete({request.data, false, {}});
-}
-
-void
-HomeNode::nack(int grant, const BusRequest &request,
-               const std::vector<BusClient *> &clients)
-{
-    stats.add(statNack);
-    stats.add(statNackOp[opIndex(request.op)]);
+    (void)grant;
     if (obsCtx && obsCtx->trace)
-        traceInstant("nack", request.addr,
-                     toString(request.op).data());
-    clients[static_cast<std::size_t>(grant)]->requestNacked();
+        traceInstant("nack", request.addr, toString(request.op).data());
 }
 
 void

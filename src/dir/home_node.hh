@@ -4,16 +4,18 @@
  * of global memory plus the directory for its blocks.
  *
  * A home node serves at most one cluster request per cycle, with the
- * same arbitration policy, the same memory/lock semantics, and the
- * same per-transaction call sequence as the snooping global Bus —
- * the only difference is *addressing*: instead of broadcasting to
- * every cluster and polling every potential supplier, the home sends
+ * same arbitration policy as the snooping global Bus, through the same
+ * transaction path (sim/transaction.hh): the same memory/lock
+ * semantics, call sequence, bus.* counters and lock log.  The only
+ * difference is *addressing*: instead of broadcasting to every
+ * cluster and polling every potential supplier, the home sends
  * point-to-point messages to exactly the clusters its directory
  * records (owner forward on the kill/supply path; invalidate+ack or
- * update deliveries on the broadcast path).  Delivering only to
- * recorded sharers is exact, not approximate: a cluster without an
- * entry treats the snooped transaction as a no-op, and the directory
- * tracks entry-holding clusters exactly (see dir/directory.hh).
+ * update deliveries on the broadcast path), and records what each
+ * commit made of its issuer.  Delivering only to recorded sharers is
+ * exact, not approximate: a cluster without an entry treats the
+ * snooped transaction as a no-op, and the directory tracks
+ * entry-holding clusters exactly (see dir/directory.hh).
  *
  * With one home node the fabric is cycle-for-cycle, counter-for-
  * counter identical to the snooping global bus; with many, each home
@@ -33,9 +35,9 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/arbiter.hh"
-#include "sim/bus.hh"
 #include "sim/clock.hh"
 #include "sim/memory.hh"
+#include "sim/transaction.hh"
 #include "stats/counter.hh"
 
 namespace ddc {
@@ -44,9 +46,9 @@ namespace dir {
 /**
  * Observability context shared by every home node of one fabric
  * (dir-category trace, directory histograms, request-latency
- * tracking).  Each home holds a pointer that is null when directory
- * observability is off — the disabled path stays one null test per
- * site.
+ * tracking, the lock log).  Each home holds a pointer that is null
+ * when nothing observes the fabric — the disabled path stays one null
+ * test per site.
  */
 struct HomeObs
 {
@@ -54,6 +56,9 @@ struct HomeObs
     obs::TraceBuffer *trace = nullptr;
     /** Histograms for home_service / acks_per_inval (or null). */
     obs::RunMetrics *metrics = nullptr;
+    /** The run's lock log (null when lock events are off). */
+    obs::LockLog *lockLog = nullptr;
+    /** The machine clock, read to stamp events and samples. */
     const Clock *clock = nullptr;
     /**
      * Per-client cycle the pending request was first routed (kNever
@@ -65,8 +70,10 @@ struct HomeObs
 };
 
 /** One address-interleaved home: memory bank + directory + arbiter. */
-class HomeNode
+class HomeNode : private TransactionPath<HomeNode>
 {
+    friend class TransactionPath<HomeNode>;
+
   public:
     /**
      * @param home_id This home's index on the fabric; offsets the
@@ -85,10 +92,16 @@ class HomeNode
     /**
      * Attach the fabric's shared observability context (may be
      * null).  Serial-phase only; the home then emits message slices
-     * on its "home @p homeId" track and samples the directory
-     * histograms.
+     * on its "home @p homeId" track, samples the directory histograms
+     * and logs lock attempts.
      */
-    void setObserver(const HomeObs *context) { obsCtx = context; }
+    void
+    setObserver(const HomeObs *context)
+    {
+        obsCtx = context;
+        setLockLog(context ? context->lockLog : nullptr,
+                   context ? context->clock : nullptr);
+    }
 
     /**
      * Point-to-point messages this home has handled (requests,
@@ -130,41 +143,53 @@ class HomeNode
     const Directory &directory() const { return dir; }
 
   private:
-    /** Number of BusOp enumerators (op-indexed handle tables). */
-    static constexpr std::size_t kNumBusOps = 6;
+    // The transaction path's hooks (see TransactionPath).
 
-    void executeReadLike(int grant, const BusRequest &request,
-                         const std::vector<BusClient *> &clients,
-                         std::uint64_t &visits);
-    void executeWriteLike(int grant, const BusRequest &request,
-                          const std::vector<BusClient *> &clients,
-                          std::uint64_t &visits);
+    /** One word per transfer: the fabric has one-word blocks. */
+    static constexpr std::size_t blockSize = 1;
 
     /**
-     * Deliver a write-like transaction to every sharer except
-     * @p keep, counting an invalidate and its ack per target; the
-     * observers drop their entries, so the sharer set collapses to
-     * @p keep (when it was a sharer) afterwards.
+     * The directory's owner of @p addr, forwarded the read (it
+     * supplies @p value), or -1 when home memory is current; a Debug
+     * build cross-checks it against every cluster's answer.
      */
-    void deliverWriteLike(DirEntry &entry, const BusTransaction &txn,
-                          int keep,
-                          const std::vector<BusClient *> &clients,
-                          std::uint64_t &visits);
+    int findSupplier(int grant, Addr addr, Word &value);
 
     /**
-     * Deliver a read/update transaction to every sharer except
-     * @p skip (observers refresh their copies; membership is
+     * Deliver @p txn to the recorded sharers and record what it made
+     * of its issuer: a sharer (Share), the owner (Own), or a demoted
+     * former owner (Publish).
+     */
+    void commit(const BusTransaction &txn, Commit kind);
+
+    /** The home holds no occupancy; its request slice is in tick(). */
+    void
+    carry(std::string_view, Addr, int, bool, const char *)
+    {}
+
+    /** The owner forward was traced by findSupplier. */
+    void killed(const BusRequest &) {}
+
+    /** Trace the NACK on this home's track. */
+    void nacked(int grant, const BusRequest &request);
+
+    /**
+     * Deliver a write-like transaction to every sharer except its
+     * issuer, counting an invalidate and its ack per target; the
+     * observers drop their entries, so the sharer set collapses to
+     * the issuer (when it was a sharer) afterwards.
+     */
+    void deliverWriteLike(DirEntry &entry, const BusTransaction &txn);
+
+    /**
+     * Deliver a read/update transaction to every sharer except its
+     * issuer (observers refresh their copies; membership is
      * unchanged).
      */
-    void deliverRead(DirEntry *entry, const BusTransaction &txn,
-                     int skip, const std::vector<BusClient *> &clients,
-                     std::uint64_t &visits);
+    void deliverRead(DirEntry &entry, const BusTransaction &txn);
 
     /** Record @p client as a sharer (counts bitmap overflow). */
     void addSharer(DirEntry &entry, int client);
-
-    void nack(int grant, const BusRequest &request,
-              const std::vector<BusClient *> &clients);
 
     /** Emit an instant message event on this home's track. */
     void traceInstant(std::string_view name, Addr addr,
@@ -182,7 +207,12 @@ class HomeNode
     const HomeObs *obsCtx = nullptr;
     /** Messages handled by this home (see messages()). */
     std::uint64_t msgCount = 0;
-    stats::CounterSet &stats;
+    /**
+     * tick()'s clients and visit count, set for the grant it serves;
+     * the hooks that deliver messages read them only inside it.
+     */
+    const std::vector<BusClient *> *tickClients = nullptr;
+    std::uint64_t *tickVisits = nullptr;
     Memory memory;
     Directory dir;
     std::unique_ptr<Arbiter> arbiter;
@@ -191,12 +221,7 @@ class HomeNode
     /** Scratch target list for write-like deliveries. */
     std::vector<int> targets;
 
-    // The full bus.* counter family (interned so reports match the
-    // snooping bus name-for-name) plus the dir.* message counters.
-    stats::CounterId statBusy, statTransfer, statIdle, statKill,
-        statSupplyWrite, statRmwSuccess, statRmwFail, statNack;
-    stats::CounterId statOp[kNumBusOps];
-    stats::CounterId statNackOp[kNumBusOps];
+    // The dir.* message counters (the bus.* family is the path's).
     stats::CounterId statMsgRequest, statMsgFwd, statMsgInval,
         statMsgAck, statMsgUpdate, statSharerOverflow;
 };

@@ -1,7 +1,5 @@
 #include "exp/result.hh"
 
-#include "base/logging.hh"
-
 namespace ddc {
 namespace exp {
 
@@ -52,38 +50,12 @@ EngineReport::toJson(Cycle cycles) const
                         : 0.0);
     json["snoop_visits"] = Json(snoop_visits);
     json["global_visits"] = Json(global_visits);
-    json["snoop_filter_fallbacks"] = Json(snoop_filter_fallbacks);
     json["parked_cycles"] = Json(parked_cycles);
     json["directory_blocks"] = Json(directory_blocks);
     json["directory_max_load_factor"] = Json(directory_max_load_factor);
     json["route_phase_ms"] = Json(route_phase_ms);
     json["serve_phase_ms"] = Json(serve_phase_ms);
     return json;
-}
-
-EngineReport
-EngineReport::fromJson(const Json &json)
-{
-    auto count = [&json](const char *key) {
-        return static_cast<std::uint64_t>(json.find(key)->asInt());
-    };
-    auto real = [&json](const char *key) {
-        return json.find(key)->asDouble();
-    };
-    EngineReport engine;
-    engine.wall_time_ms = real("wall_time_ms");
-    engine.sim_time_ms = real("sim_time_ms");
-    engine.sim_cycles_per_sec = real("sim_cycles_per_sec");
-    engine.skipped_cycles = static_cast<Cycle>(count("skipped_cycles"));
-    engine.snoop_visits = count("snoop_visits");
-    engine.global_visits = count("global_visits");
-    engine.snoop_filter_fallbacks = count("snoop_filter_fallbacks");
-    engine.parked_cycles = count("parked_cycles");
-    engine.directory_blocks = count("directory_blocks");
-    engine.directory_max_load_factor = real("directory_max_load_factor");
-    engine.route_phase_ms = real("route_phase_ms");
-    engine.serve_phase_ms = real("serve_phase_ms");
-    return engine;
 }
 
 Json
@@ -185,39 +157,6 @@ samplesJson(const obs::SampleSeries &series)
     }
     json["rows"] = std::move(rows);
     return json;
-}
-
-RunResult
-RunResult::fromJson(const Json &json)
-{
-    RunResult result;
-    result.index =
-        static_cast<std::size_t>(json.find("index")->asInt());
-    for (const auto &[name, value] : json.find("params")->items())
-        result.params.emplace_back(name, value.asString());
-    result.status = json.find("status")->asString() == toString(
-                        RunStatus::TimedOut)
-                        ? RunStatus::TimedOut
-                        : RunStatus::Finished;
-    result.cycles =
-        static_cast<Cycle>(json.find("cycles")->asInt());
-    result.total_refs =
-        static_cast<std::uint64_t>(json.find("total_refs")->asInt());
-    result.bus_transactions = static_cast<std::uint64_t>(
-        json.find("bus_transactions")->asInt());
-    result.consistent = json.find("consistent")->asBool();
-    if (const Json *engine = json.find("engine"))
-        result.engine = EngineReport::fromJson(*engine);
-    for (const auto &[name, value] : json.find("metrics")->items())
-        result.metrics.emplace_back(name, value.asDouble());
-    for (const auto &[name, value] : json.find("counters")->items())
-        result.counters.add(name,
-                            static_cast<std::uint64_t>(value.asInt()));
-    if (const Json *histograms = json.find("histograms"))
-        result.histograms = *histograms;
-    if (const Json *samples = json.find("samples"))
-        result.samples = *samples;
-    return result;
 }
 
 } // namespace exp

@@ -66,8 +66,6 @@ struct EngineReport
      * (HierSystem::globalVisits); 0 on the flat machine.
      */
     std::uint64_t global_visits = 0;
-    /** Buses that degraded to full snooping (Bus::snoopFilterFallbacks). */
-    std::uint64_t snoop_filter_fallbacks = 0;
     /**
      * Bus cycles the hierarchical machine's cluster buses booked in
      * bulk while parked on repeated NACKs (HierSystem::parkedCycles);
@@ -87,9 +85,6 @@ struct EngineReport
      * @p cycles, the run's simulated cycles).
      */
     Json toJson(Cycle cycles) const;
-
-    /** Rebuild a report from Json emitted by toJson(). */
-    static EngineReport fromJson(const Json &json);
 };
 
 /** Everything one experiment point produced. */
@@ -141,9 +136,6 @@ struct RunResult
      * @param include_timing Also emit the "engine" object.
      */
     Json toJson(bool include_timing = false) const;
-
-    /** Rebuild a result from Json emitted by toJson(). */
-    static RunResult fromJson(const Json &json);
 };
 
 /**

@@ -35,7 +35,6 @@ runAndScrape(Multiprocessor &machine, const TraceRun &run)
     result.counters = machine.counters();
     result.engine.skipped_cycles = machine.skippedCycles();
     result.engine.snoop_visits = machine.snoopVisits();
-    result.engine.snoop_filter_fallbacks = machine.snoopFilterFallbacks();
     if (auto *observability = machine.observability()) {
         if (auto *metrics = observability->metrics())
             result.histograms = histogramsJson(*metrics);

@@ -23,10 +23,9 @@ ClusterCache::ClusterCache(int cluster_id, stats::CounterSet &stats)
     statDownwardBroadcast = stats.intern("hier.downward_broadcast");
     statAbsorbedRead = stats.intern("hier.absorbed.read");
     statAbsorbedWrite = stats.intern("hier.absorbed.write");
-    for (auto op : {BusOp::Read, BusOp::Write, BusOp::Invalidate,
-                    BusOp::Rmw, BusOp::ReadLock, BusOp::WriteUnlock}) {
-        statForwardOp[static_cast<std::size_t>(op)] = stats.intern(
-            "hier.forward." + std::string(toString(op)));
+    for (std::size_t op = 0; op < kNumBusOps; op++) {
+        statForwardOp[op] = stats.intern(
+            "hier.forward." + std::string(toString(static_cast<BusOp>(op))));
     }
 }
 

@@ -220,9 +220,6 @@ class ClusterCache : public BusClient, public MemorySide
     /** Re-arm/disarm on the global bus after a forwards mutation. */
     void updateArmed();
 
-    /** Number of BusOp enumerators (op-indexed handle table). */
-    static constexpr std::size_t kNumBusOps = 6;
-
     int clusterId;
     stats::CounterSet &stats;
     FlatMap<PeId, Child> childByPe;

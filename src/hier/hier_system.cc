@@ -267,16 +267,6 @@ HierSystem::parkedCycles() const
     return total;
 }
 
-std::uint64_t
-HierSystem::snoopFilterFallbacks() const
-{
-    std::uint64_t total = globalBus ? globalBus->snoopFilterFallbacks()
-                                    : 0;
-    for (const auto &bus : clusterBuses)
-        total += bus->snoopFilterFallbacks();
-    return total;
-}
-
 namespace {
 
 void

@@ -145,8 +145,8 @@ class HierSystem final : public Multiprocessor
      * The global-level term of snoopVisits() alone: snoop broadcasts
      * and supplier polls on the snooping global bus, point-to-point
      * messages on the directory fabric.  The per-transaction cost of
-     * the global interconnect — O(clusters) snooping (once the filter
-     * reverts past 64 clusters), O(sharers) directory.
+     * the global interconnect — O(clusters) snooping (cluster caches
+     * are never sharer-indexed), O(sharers) directory.
      */
     std::uint64_t globalVisits() const;
 
@@ -157,14 +157,6 @@ class HierSystem final : public Multiprocessor
      * parks: run() settles every bus before it returns.
      */
     std::uint64_t parkedCycles() const;
-
-    /**
-     * Times any bus of this machine degraded from sharer-indexed to
-     * full snooping (see Bus::snoopFilterFallbacks).  The snooping
-     * global bus degrades the moment a 65th cluster attaches; the
-     * directory fabric never does.
-     */
-    std::uint64_t snoopFilterFallbacks() const override;
 
     /** The directory fabric (null in GlobalKind::Snoop mode). */
     const dir::DirectoryFabric *directoryFabric() const

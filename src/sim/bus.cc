@@ -6,6 +6,8 @@
 
 namespace ddc {
 
+namespace {
+
 std::string_view
 busOpStatName(BusOp op)
 {
@@ -22,8 +24,7 @@ busOpStatName(BusOp op)
 
 /**
  * "bus.nack." + toString(op), pre-joined so the constructor interns a
- * literal instead of assembling a std::string per op per Bus.
- * tests/bus_test.cc pins each name to its toString(BusOp) spelling.
+ * literal instead of assembling a std::string per op per path.
  */
 std::string_view
 busNackStatName(BusOp op)
@@ -39,14 +40,6 @@ busNackStatName(BusOp op)
     ddc_panic("unknown BusOp ", static_cast<int>(op));
 }
 
-namespace {
-
-std::size_t
-opIndex(BusOp op)
-{
-    return static_cast<std::size_t>(op);
-}
-
 constexpr std::uint64_t
 clientBit(int client)
 {
@@ -54,6 +47,20 @@ clientBit(int client)
 }
 
 } // namespace
+
+BusStats::BusStats(stats::CounterSet &stats)
+    : busy(stats.intern("bus.busy_cycles")),
+      transfer(stats.intern("bus.transfer_cycles")),
+      idle(stats.intern("bus.idle_cycles")), kill(stats.intern("bus.kill")),
+      supplyWrite(stats.intern("bus.supply_write")),
+      rmwSuccess(stats.intern("bus.rmw_success")),
+      rmwFail(stats.intern("bus.rmw_fail")), nack(stats.intern("bus.nack"))
+{
+    for (std::size_t i = 0; i < kNumBusOps; i++) {
+        op[i] = stats.intern(busOpStatName(static_cast<BusOp>(i)));
+        nackOp[i] = stats.intern(busNackStatName(static_cast<BusOp>(i)));
+    }
+}
 
 Addr
 BusClient::pendingAddr() const
@@ -66,8 +73,9 @@ Bus::Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
          stats::CounterSet &stats, std::uint64_t seed,
          std::size_t block_words, std::size_t memory_latency,
          bool snoop_filter, bool park_repeats)
-    : memory(memory), arbiter(makeArbiter(arbiter_kind, seed)),
-      clock(clock), stats(stats), blockSize(block_words),
+    : TransactionPath(stats), memory(memory),
+      arbiter(makeArbiter(arbiter_kind, seed)), clock(clock),
+      blockSize(block_words),
       memoryLatency(memory_latency),
       parkable(park_repeats && memory.rmwNacksRepeat()),
       filterOn(snoop_filter)
@@ -78,19 +86,6 @@ Bus::Bus(MemorySide &memory, ArbiterKind arbiter_kind, const Clock &clock,
             blockShift++;
     } else {
         blockPow2 = false;
-    }
-    statBusy = stats.intern("bus.busy_cycles");
-    statTransfer = stats.intern("bus.transfer_cycles");
-    statIdle = stats.intern("bus.idle_cycles");
-    statKill = stats.intern("bus.kill");
-    statSupplyWrite = stats.intern("bus.supply_write");
-    statRmwSuccess = stats.intern("bus.rmw_success");
-    statRmwFail = stats.intern("bus.rmw_fail");
-    statNack = stats.intern("bus.nack");
-    for (auto op : {BusOp::Read, BusOp::Write, BusOp::Invalidate,
-                    BusOp::Rmw, BusOp::ReadLock, BusOp::WriteUnlock}) {
-        statOp[opIndex(op)] = stats.intern(busOpStatName(op));
-        statNackOp[opIndex(op)] = stats.intern(busNackStatName(op));
     }
 }
 
@@ -110,25 +105,23 @@ Bus::attach(BusClient *client)
     suppliers.push_back(1);
     supplierCount++;
     indexed.push_back(0);
-    if (clients.size() > kMaxFilterClients) {
-        revertToFullSnoop();
-    } else {
+    if (clients.size() <= kMaxFilterClients) {
         alwaysSnoopMask |= clientBit(index);
         supplierMask |= clientBit(index);
     }
     return index;
 }
 
-void
+bool
 Bus::setSnoopIndexed(int client)
 {
     auto index = static_cast<std::size_t>(client);
     ddc_assert(index < clients.size(), "bad bus client index ", client);
-    if (indexed[index])
-        return;
+    if (!filterOn || index >= kMaxFilterClients)
+        return false;
     indexed[index] = 1;
-    if (index < kMaxFilterClients)
-        alwaysSnoopMask &= ~clientBit(client);
+    alwaysSnoopMask &= ~clientBit(client);
+    return true;
 }
 
 void
@@ -138,8 +131,6 @@ Bus::noteReactions(int client, Addr base, ReactionClass from,
     ddc_assert(static_cast<std::size_t>(client) < clients.size() &&
                    indexed[static_cast<std::size_t>(client)],
                "reaction note from a non-indexed client ", client);
-    if (!filterOn)
-        return;
     std::uint64_t bit = clientBit(client);
     ReactionMasks &masks = holders.findOrInsert(blockIndex(base));
     ReactionClass held = static_cast<ReactionClass>(
@@ -274,12 +265,6 @@ Bus::idle()
 }
 
 void
-Bus::occupy(std::size_t extra_cycles)
-{
-    transferCyclesLeft += extra_cycles;
-}
-
-void
 Bus::skipCycles(Cycle count)
 {
     // A parked bus has an armed client, so nextEventCycle() is now.
@@ -293,11 +278,11 @@ Bus::skipCycles(Cycle count)
                              static_cast<Cycle>(transferCyclesLeft));
     if (streamed > 0) {
         transferCyclesLeft -= static_cast<std::size_t>(streamed);
-        stats.add(statBusy, streamed);
-        stats.add(statTransfer, streamed);
+        stats.add(busStats.busy, streamed);
+        stats.add(busStats.transfer, streamed);
     }
     if (count > streamed)
-        stats.add(statIdle, count - streamed);
+        stats.add(busStats.idle, count - streamed);
 }
 
 std::size_t
@@ -346,9 +331,9 @@ Bus::catchUp()
     if (owed == 0)
         return;
     // Every owed cycle was a grant to a repeater of parkOp, NACKed.
-    stats.add(statBusy, owed);
-    stats.add(statNack, owed);
-    stats.add(statNackOp[opIndex(parkOp)], owed);
+    stats.add(busStats.busy, owed);
+    stats.add(busStats.nack, owed);
+    stats.add(busStats.nackOp[static_cast<std::size_t>(parkOp)], owed);
     arbiter->advance(armed, owed);
     parkedTotal += owed;
     owed = 0;
@@ -383,35 +368,23 @@ Bus::tick()
     if (transferCyclesLeft > 0) {
         // A multi-cycle transfer is still streaming over the bus.
         transferCyclesLeft--;
-        stats.add(statBusy);
-        stats.add(statTransfer);
+        stats.add(busStats.busy);
+        stats.add(busStats.transfer);
         return;
     }
 
     const ClientMask &ready = collectRequesters();
     if (ready.empty()) {
-        stats.add(statIdle);
+        stats.add(busStats.idle);
         return;
     }
-    stats.add(statBusy);
+    stats.add(busStats.busy);
 
     int grant = arbiter->pick(ready);
     unrepeat(grant);
     BusRequest request = clients[static_cast<std::size_t>(grant)]
                              ->currentRequest();
-
-    switch (request.op) {
-      case BusOp::Read:
-      case BusOp::ReadLock:
-      case BusOp::Rmw:
-        executeReadLike(grant, request);
-        break;
-      case BusOp::Write:
-      case BusOp::WriteUnlock:
-      case BusOp::Invalidate:
-        executeWriteLike(grant, request);
-        break;
-    }
+    serve(clients, grant, request);
     if (repeatNacked) {
         repeatNacked = false;
         tryPark(request.op);
@@ -433,31 +406,16 @@ Bus::snooperMask(Addr addr, BusOp op) const
 }
 
 void
-Bus::revertToFullSnoop()
-{
-    // Only an *active* filter degrades; a bus built (or already
-    // reverted) with filtering off is just doing what it was asked.
-    if (filterOn) {
-        fallbackCount++;
-        ddc_warn("snoop filter reverting to full snooping (more than 64 "
-                 "clients); run continues correct but O(clients) per "
-                 "snoop");
-    }
-    filterOn = false;
-    holders.clear();
-}
-
-void
 Bus::setObserver(obs::Recorder *recorder, int bus_id)
 {
     busId = bus_id;
     busTrace = recorder ? recorder->trace(obs::Category::Bus) : nullptr;
-    lockRec = recorder ? recorder->lockLog() : nullptr;
+    setLockLog(recorder ? recorder->lockLog() : nullptr, &clock);
     // Parked grants are never traced, logged or sampled, and the
     // grantee's retry count (read by histograms and the miss trace)
     // is not told of them, so any of those observers keeps every
     // grant ticked.  Phase profiling reads none of them.
-    bool observed = busTrace != nullptr || lockRec != nullptr ||
+    bool observed = busTrace != nullptr || lockLog != nullptr ||
                     (recorder != nullptr &&
                      (recorder->liveMetrics() != nullptr ||
                       recorder->trace(obs::Category::Miss) != nullptr ||
@@ -506,42 +464,34 @@ Bus::findSupplier(int skip, Addr addr, Word &value)
     int supplier = -1;
     if (supplierCount == 0)
         return supplier;
-
-    if (!filterOn) {
-        for (std::size_t i = 0; i < clients.size(); i++) {
-            if (static_cast<int>(i) == skip || !suppliers[i])
-                continue;
-            snoopVisitCount++;
-            Word candidate = 0;
-            if (clients[i]->wouldSupply(addr, candidate)) {
-                ddc_assert(supplier < 0,
-                           "two caches claim ownership of addr ", addr,
-                           " (single-Local invariant violated)");
-                supplier = static_cast<int>(i);
-                value = candidate;
-            }
-        }
-        return supplier;
-    }
-
-    // Supplying is a reaction to a snooped read, so a supplier is
-    // either in the block's read mask or an always-snoop client;
-    // polling anyone else could only return false.
-    std::uint64_t mask = snooperMask(addr, BusOp::Read) & supplierMask;
-    if (skip >= 0)
-        mask &= ~clientBit(skip);
-    for (; mask != 0; mask &= mask - 1) {
-        int c = std::countr_zero(mask);
+    auto poll = [&](std::size_t client) {
         snoopVisitCount++;
         Word candidate = 0;
-        if (clients[static_cast<std::size_t>(c)]->wouldSupply(addr,
-                                                              candidate)) {
-            ddc_assert(supplier < 0,
-                       "two caches claim ownership of addr ", addr,
-                       " (single-Local invariant violated)");
-            supplier = c;
+        if (clients[client]->wouldSupply(addr, candidate)) {
+            ddc_assert(supplier < 0, "two caches claim ownership of addr ",
+                       addr, " (single-Local invariant violated)");
+            supplier = static_cast<int>(client);
             value = candidate;
         }
+    };
+
+    // Clients polled one by one: all, or those past the masks.
+    std::size_t unmasked = 0;
+    if (filterOn) {
+        // Supplying is a reaction to a snooped read, so a masked
+        // supplier is either in the block's read mask or an
+        // always-snoop client; polling anyone else could only return
+        // false.
+        std::uint64_t mask = snooperMask(addr, BusOp::Read) & supplierMask;
+        if (skip >= 0 && static_cast<std::size_t>(skip) < kMaxFilterClients)
+            mask &= ~clientBit(skip);
+        for (; mask != 0; mask &= mask - 1)
+            poll(static_cast<std::size_t>(std::countr_zero(mask)));
+        unmasked = kMaxFilterClients;
+    }
+    for (std::size_t i = unmasked; i < clients.size(); i++) {
+        if (static_cast<int>(i) != skip && suppliers[i])
+            poll(i);
     }
 
 #ifndef NDEBUG
@@ -549,18 +499,20 @@ Bus::findSupplier(int skip, Addr addr, Word &value)
     // client the filter skipped must indeed decline to supply.
     // (Double-polling is safe: wouldSupply is pure for caches and
     // idempotent for the hierarchical cluster cache.)
-    int full_scan = -1;
-    for (std::size_t i = 0; i < clients.size(); i++) {
-        if (static_cast<int>(i) == skip || !suppliers[i])
-            continue;
-        Word candidate = 0;
-        if (clients[i]->wouldSupply(addr, candidate))
-            full_scan = static_cast<int>(i);
+    if (filterOn) {
+        int full_scan = -1;
+        for (std::size_t i = 0; i < clients.size(); i++) {
+            if (static_cast<int>(i) == skip || !suppliers[i])
+                continue;
+            Word candidate = 0;
+            if (clients[i]->wouldSupply(addr, candidate))
+                full_scan = static_cast<int>(i);
+        }
+        ddc_assert(full_scan == supplier,
+                   "snoop index disagrees with the full supplier scan "
+                   "for addr ", addr, ": index says ", supplier,
+                   ", scan says ", full_scan);
     }
-    ddc_assert(full_scan == supplier,
-               "snoop index disagrees with the full supplier scan for "
-               "addr ", addr, ": index says ", supplier, ", scan says ",
-               full_scan);
 #endif
     return supplier;
 }
@@ -574,252 +526,72 @@ Bus::localSupplier(Addr addr, Word &value, int skip)
 }
 
 void
-Bus::executeReadLike(int grant, const BusRequest &request)
-{
-    auto *grantee = clients[static_cast<std::size_t>(grant)];
-
-    Word supplied_value = 0;
-    int supplier = findSupplier(grant, request.addr, supplied_value);
-
-    if (supplier >= 0) {
-        // Kill the transaction and replace it with the owner's bus
-        // write; the original request stays pending and retries.
-        auto *owner = clients[static_cast<std::size_t>(supplier)];
-        stats.add(statKill);
-        stats.add(statSupplyWrite);
-        stats.add(statOp[opIndex(BusOp::Write)]);
-        if (busTrace) {
-            traceInstant("kill", request.addr,
-                         toString(request.op).data());
-            traceComplete("supply_write", request.addr, supplier,
-                          blockSize > 1 ? blockCost() : wordCost());
-        }
-        // A killed lock RMW is deliberately not a lock release: the
-        // supplier is publishing the held value, not unlocking.
-        grantee->requestKilled();
-
-        BusTransaction txn{BusOp::Write, request.addr, supplied_value,
-                           supplier, {}};
-        if (blockSize > 1) {
-            Addr base = blockBase(request.addr);
-            txn.block = owner->supplyBlock(request.addr);
-            ddc_assert(txn.block.size() == blockSize,
-                       "supplier returned a malformed block");
-            memory.acceptSupplyBlock(base, txn.block);
-            occupy(blockCost());
-        } else {
-            memory.acceptSupply(request.addr, supplied_value);
-            occupy(wordCost());
-        }
-        broadcast(txn, supplier);
-        owner->supplied(request.addr);
-        return;
-    }
-
-    PeId pe = grantee->peId();
-    switch (request.op) {
-      case BusOp::Read: {
-        if (request.block_transfer && blockSize > 1) {
-            Addr base = blockBase(request.addr);
-            BusResult result;
-            if (!memory.tryReadBlock(base, blockSize, pe, result.block)) {
-                nack(grant, request);
-                return;
-            }
-            stats.add(statOp[opIndex(request.op)]);
-            if (busTrace)
-                traceComplete(toString(request.op), request.addr,
-                              grant, blockCost(), "block");
-            result.data =
-                result.block[static_cast<std::size_t>(request.addr -
-                                                      base)];
-            occupy(blockCost());
-            BusTransaction txn{BusOp::Read, request.addr, result.data,
-                               grant, result.block};
-            broadcast(txn, grant);
-            grantee->requestComplete(result);
-        } else {
-            Word data = 0;
-            if (!memory.tryRead(request.addr, pe, data)) {
-                nack(grant, request);
-                return;
-            }
-            stats.add(statOp[opIndex(request.op)]);
-            if (busTrace)
-                traceComplete(toString(request.op), request.addr,
-                              grant, wordCost());
-            occupy(wordCost());
-            broadcast({BusOp::Read, request.addr, data, grant, {}},
-                      grant);
-            grantee->requestComplete({data, false, {}});
-        }
-        return;
-      }
-      case BusOp::ReadLock: {
-        Word data = 0;
-        if (!memory.tryReadLock(request.addr, pe, data)) {
-            nack(grant, request);
-            return;
-        }
-        stats.add(statOp[opIndex(request.op)]);
-        if (busTrace)
-            traceComplete(toString(request.op), request.addr, grant,
-                          wordCost());
-        if (lockRec)
-            lockRec->attempt(pe, request.addr, clock.now, true);
-        occupy(wordCost());
-        broadcast({BusOp::Read, request.addr, data, grant, {}}, grant);
-        grantee->requestComplete({data, false, {}});
-        return;
-      }
-      case BusOp::Rmw: {
-        Word old = 0;
-        bool success = false;
-        if (!memory.tryRmw(request.addr, pe, request.data, old, success)) {
-            nack(grant, request);
-            return;
-        }
-        stats.add(statOp[opIndex(request.op)]);
-        if (busTrace)
-            traceComplete(toString(request.op), request.addr, grant,
-                          wordCost(), success ? "success" : "fail");
-        if (lockRec)
-            lockRec->attempt(pe, request.addr, clock.now, success);
-        occupy(wordCost());
-        if (success) {
-            stats.add(statRmwSuccess);
-            broadcast({BusOp::Write, request.addr, request.data, grant,
-                       {}},
-                      grant);
-            grantee->requestComplete({old, true, {}});
-        } else {
-            stats.add(statRmwFail);
-            broadcast({BusOp::Read, request.addr, old, grant, {}}, grant);
-            grantee->requestComplete({old, false, {}});
-        }
-        return;
-      }
-      default:
-        break;
-    }
-    ddc_panic("unreachable");
-}
-
-void
-Bus::executeWriteLike(int grant, const BusRequest &request)
-{
-    auto *grantee = clients[static_cast<std::size_t>(grant)];
-    PeId pe = grantee->peId();
-
-    BusTransaction txn;
-    txn.addr = request.addr;
-    txn.data = request.data;
-    txn.issuer = grant;
-    // Snoopers see the RWB BI signal as-is and everything else as an
-    // effective bus write.
-    txn.op = request.op == BusOp::Invalidate ? BusOp::Invalidate
-                                             : BusOp::Write;
-
-    if (request.block_transfer && blockSize > 1) {
-        // Write-back / flush of a whole dirty block.
-        ddc_assert(request.block_data.size() == blockSize,
-                   "malformed block write");
-        if (!memory.tryWriteBlock(blockBase(request.addr), pe,
-                                  request.block_data)) {
-            nack(grant, request);
-            return;
-        }
-        txn.block = request.block_data;
-        occupy(blockCost());
-    } else if (request.op == BusOp::WriteUnlock) {
-        if (!memory.tryWriteUnlock(request.addr, pe, request.data)) {
-            nack(grant, request);
-            return;
-        }
-        occupy(wordCost());
-    } else if (request.op == BusOp::Invalidate) {
-        if (!memory.tryInvalidate(request.addr, pe, request.data)) {
-            nack(grant, request);
-            return;
-        }
-        occupy(wordCost());
-    } else {
-        if (!memory.tryWrite(request.addr, pe, request.data)) {
-            // "Any bus writes before the unlock will fail" (Section 3).
-            nack(grant, request);
-            return;
-        }
-        occupy(wordCost());
-    }
-
-    stats.add(statOp[opIndex(request.op)]);
-    if (busTrace)
-        traceComplete(toString(request.op), request.addr, grant,
-                      request.block_transfer && blockSize > 1
-                          ? blockCost()
-                          : wordCost(),
-                      request.block_transfer ? "block" : nullptr);
-    broadcast(txn, grant);
-    grantee->requestComplete({request.data, false, {}});
-}
-
-void
 Bus::broadcast(const BusTransaction &txn, int skip)
 {
-    if (!filterOn) {
-        for (std::size_t i = 0; i < clients.size(); i++) {
-            if (static_cast<int>(i) == skip)
-                continue;
-            snoopVisitCount++;
-            clients[i]->observe(txn);
-        }
-        return;
-    }
-
-    // A skipped client's line for the block does not react to this op
-    // (or it holds none), so its observe() would leave the state as it
-    // is and snarf nothing: filtering is unobservable in state,
-    // counters, and the log.
-    std::uint64_t mask = snooperMask(txn.addr, txn.op);
-    if (skip >= 0)
-        mask &= ~clientBit(skip);
+    // Clients visited one by one: all, or those past the masks.
+    std::size_t unmasked = 0;
+    if (filterOn) {
+        // A skipped client's line for the block does not react to this
+        // op (or it holds none), so its observe() would leave the state
+        // as it is and snarf nothing: filtering is unobservable in
+        // state, counters, and the log.
+        std::uint64_t mask = snooperMask(txn.addr, txn.op);
+        if (skip >= 0 && static_cast<std::size_t>(skip) < kMaxFilterClients)
+            mask &= ~clientBit(skip);
 #ifndef NDEBUG
-    // Cross-check the masks against the clients themselves, before
-    // any delivery moves a state: every indexed client they skip must
-    // report its line as non-reactive to this op.
-    for (std::size_t i = 0; i < clients.size(); i++) {
-        if (!indexed[i] || static_cast<int>(i) == skip ||
-            (mask & clientBit(static_cast<int>(i))))
-            continue;
-        ddc_assert(!(clients[i]->reactionClass(txn.addr) &
-                     reactionBit(txn.op)),
-                   "snoop index skipped client ", i, ", which reacts to ",
-                   toString(txn.op), " on addr ", txn.addr);
-    }
+        // Cross-check the masks against the clients themselves, before
+        // any delivery moves a state: every indexed client they skip
+        // must report its line as non-reactive to this op.
+        for (std::size_t i = 0; i < clients.size(); i++) {
+            if (!indexed[i] || static_cast<int>(i) == skip ||
+                (mask & clientBit(static_cast<int>(i))))
+                continue;
+            ddc_assert(!(clients[i]->reactionClass(txn.addr) &
+                         reactionBit(txn.op)),
+                       "snoop index skipped client ", i,
+                       ", which reacts to ", toString(txn.op), " on addr ",
+                       txn.addr);
+        }
 #endif
-    for (; mask != 0; mask &= mask - 1) {
-        int c = std::countr_zero(mask);
+        for (; mask != 0; mask &= mask - 1) {
+            int c = std::countr_zero(mask);
+            snoopVisitCount++;
+            clients[static_cast<std::size_t>(c)]->observe(txn);
+        }
+        unmasked = kMaxFilterClients;
+    }
+    for (std::size_t i = unmasked; i < clients.size(); i++) {
+        if (static_cast<int>(i) == skip)
+            continue;
         snoopVisitCount++;
-        clients[static_cast<std::size_t>(c)]->observe(txn);
+        clients[i]->observe(txn);
     }
 }
 
 void
-Bus::nack(int grant, const BusRequest &request)
+Bus::carry(std::string_view name, Addr addr, int issuer, bool block,
+           const char *detail)
 {
-    stats.add(statNack);
-    stats.add(statNackOp[opIndex(request.op)]);
+    // Every transfer holds the bus for the memory latency; a block
+    // streams one more cycle per word past the first.
+    std::size_t extra = memoryLatency + (block ? blockSize - 1 : 0);
     if (busTrace)
-        traceInstant("nack", request.addr,
-                     toString(request.op).data());
-    // A NACKed lock primitive is a failed acquisition attempt (the
-    // word is locked by another PE's two-phase RMW).
-    if (lockRec &&
-        (request.op == BusOp::Rmw || request.op == BusOp::ReadLock))
-        lockRec->attempt(clients[static_cast<std::size_t>(grant)]
-                             ->peId(),
-                         request.addr, clock.now, false);
-    clients[static_cast<std::size_t>(grant)]->requestNacked();
+        traceComplete(name, addr, issuer, extra, detail);
+    transferCyclesLeft += extra;
+}
+
+void
+Bus::killed(const BusRequest &request)
+{
+    if (busTrace)
+        traceInstant("kill", request.addr, toString(request.op).data());
+}
+
+void
+Bus::nacked(int grant, const BusRequest &request)
+{
+    if (busTrace)
+        traceInstant("nack", request.addr, toString(request.op).data());
     // The memory side declares this NACK repeats until the client's
     // request changes: the client is a repeater from here on.
     std::size_t slot = repeatSlot(request.op);

@@ -10,11 +10,14 @@
  * bus action and to then interrupt it").  Bus writes to a word locked
  * by a two-phase RMW fail (NACK) and retry until the unlock.
  *
- * Conditional transactions are resolved here: snooping caches never
- * see BusOp::Rmw / ReadLock / WriteUnlock — they observe the
- * effective BusOp::Read or BusOp::Write, matching the paper's
- * treatment of a failing test-and-set as a read and a succeeding one
- * as a write.
+ * Conditional transactions are resolved by the transaction path the
+ * bus shares with the directory's home nodes (sim/transaction.hh):
+ * snooping caches never see BusOp::Rmw / ReadLock / WriteUnlock —
+ * they observe the effective BusOp::Read or BusOp::Write, matching
+ * the paper's treatment of a failing test-and-set as a read and a
+ * succeeding one as a write.  The bus supplies its addressing: the
+ * supplier scan, the (filtered) broadcast, block geometry and
+ * occupancy, and its trace track.
  *
  * Block transfers (the assumption-7 ablation): when the machine is
  * configured with multi-word blocks, allocating reads, write-backs,
@@ -39,180 +42,14 @@
 #include "sim/clock.hh"
 #include "sim/fabric.hh"
 #include "sim/memory_side.hh"
+#include "sim/transaction.hh"
 #include "stats/counter.hh"
 
 namespace ddc {
 
-/** A bus transaction a cache wants to issue. */
-struct BusRequest
-{
-    BusOp op = BusOp::Read;
-    Addr addr = 0;
-    /** Write data, or the value an Rmw stores on success. */
-    Word data = 0;
-    /** Transfer a whole block (allocating read / write-back). */
-    bool block_transfer = false;
-    /** Payload of a block write (write-back); block_words long. */
-    std::vector<Word> block_data{};
-    /**
-     * This Write publishes an owned value back to memory without
-     * claiming ownership (the hierarchical cluster cache's pre-flush
-     * before an RMW-class forward).  The snooping bus ignores the
-     * flag — a snooped write invalidates other copies either way, and
-     * the issuer demotes itself on completion — but a directory must
-     * distinguish it from an ownership-acquiring write to keep its
-     * owner field exact.
-     */
-    bool writeback = false;
-};
-
-/** Completion data handed back to the issuing cache. */
-struct BusResult
-{
-    /** Read data / the Rmw's observed old value / the written data. */
-    Word data = 0;
-    /** BusOp::Rmw only: whether the conditional store happened. */
-    bool rmw_success = false;
-    /** Block read payload (empty for word-granular transactions). */
-    std::vector<Word> block;
-};
-
-/** A transaction as seen by snooping caches (effective ops only). */
-struct BusTransaction
-{
-    BusOp op = BusOp::Read;
-    Addr addr = 0;
-    Word data = 0;
-    /** Client index of the issuer on this bus. */
-    int issuer = -1;
-    /** Block payload (empty for word-granular transactions). */
-    std::vector<Word> block;
-};
-
 /**
- * The snooped ops a cache line would react to: a bitmask of
- * kReactsToRead and kReactsToWrite.  A line *reacts* to an op when its
- * snoop reaction would supply, snarf, or move its state; every other
- * delivery is a no-op the sharer index may skip.
- */
-using ReactionClass = std::uint8_t;
-/** A snooped Read would supply, snarf, or move the line's state. */
-inline constexpr ReactionClass kReactsToRead = 1;
-/** A snooped Write or Invalidate would snarf or move its state. */
-inline constexpr ReactionClass kReactsToWrite = 2;
-
-/** The reaction-class bit that an effective snooped @p op tests. */
-constexpr ReactionClass
-reactionBit(BusOp op)
-{
-    return op == BusOp::Read ? kReactsToRead : kReactsToWrite;
-}
-
-/**
- * Interface between the bus and an attached cache.
- *
- * A client has at most one pending request.  On every free cycle the
- * bus polls hasRequest() of each armed client that is always-polled
- * (the default) or that reported a change through Bus::noteStale()
- * since its last poll, giving the cache a chance to lazily re-validate
- * multi-phase operations whose preconditions a snooped transaction
- * erased (see Bus::setPollOnStale).
- */
-class BusClient
-{
-  public:
-    virtual ~BusClient() = default;
-
-    /** Does this client want the bus this cycle? */
-    virtual bool hasRequest() = 0;
-
-    /** The pending request (valid only when hasRequest()). */
-    virtual BusRequest currentRequest() = 0;
-
-    /** The pending request completed with @p result. */
-    virtual void requestComplete(const BusResult &result) = 0;
-
-    /**
-     * Would this client kill a read of @p addr and supply the value?
-     * On true, @p value receives the supplied (word) data.
-     */
-    virtual bool wouldSupply(Addr addr, Word &value) = 0;
-
-    /**
-     * The full block this client would supply for @p addr (multi-word
-     * machines only; called after wouldSupply() returned true).
-     */
-    virtual std::vector<Word>
-    supplyBlock(Addr addr)
-    {
-        Word value = 0;
-        wouldSupply(addr, value);
-        return {value};
-    }
-
-    /** Observe another client's (effective) transaction. */
-    virtual void observe(const BusTransaction &txn) = 0;
-
-    /**
-     * The reaction class of this client's line for @p addr's block (0
-     * when it holds none).  Asked only of sharer-indexed clients, by
-     * the Debug build's broadcast cross-check; the default claims
-     * every reaction.
-     */
-    virtual ReactionClass
-    reactionClass(Addr addr) const
-    {
-        (void)addr;
-        return kReactsToRead | kReactsToWrite;
-    }
-
-    /** This client supplied data for @p addr (apply afterSupply). */
-    virtual void supplied(Addr addr) = 0;
-
-    /**
-     * The client's granted request was NACKed (locked word / memory
-     * side not ready) and will retry.  Multi-request proxies (the
-     * hierarchical cluster cache) use this to rotate their queue so a
-     * blocked operation cannot starve the one that would unblock it.
-     * A parked bus books repeated NACKs without this call (Bus,
-     * "NACK-repeat parking"), so on a bus whose memory side declares
-     * MemorySide::rmwNacksRepeat it must change nothing but what no
-     * one reads while the bus may park (the L1's retry count).
-     */
-    virtual void requestNacked() {}
-
-    /**
-     * The client's granted read-like request was killed by an owning
-     * cache's supply write and will retry (the paper's L-interrupt).
-     * Purely informational — the request stays pending exactly as
-     * before this hook existed.
-     */
-    virtual void requestKilled() {}
-
-    /** Owning PE, for memory-lock bookkeeping. */
-    virtual PeId peId() const = 0;
-
-    /**
-     * Address of the pending request (valid only when a request is
-     * pending), *without* the side effects of currentRequest().  An
-     * address-interleaved fabric routes on it before granting.  Only
-     * clients attached to such a fabric need to implement it; the
-     * default panics.
-     */
-    virtual Addr pendingAddr() const;
-};
-
-/**
- * Counter names of an issued / NACKed BusOp ("bus.read",
- * "bus.nack.BusRead", ...).  Shared with the directory fabric's home
- * nodes, which emit the same statistics family so directory-mode
- * counter reports line up with the snooping bus name-for-name.
- */
-std::string_view busOpStatName(BusOp op);
-std::string_view busNackStatName(BusOp op);
-
-/**
- * The shared bus: arbitration, execution, snooping, kill/retry.
+ * The shared bus: arbitration, snooping and occupancy around the
+ * shared transaction path.
  *
  * NACK-repeat parking (DESIGN.md): a client whose RMW-class grant its
  * memory side NACKed, where that side declares such NACKs repeat
@@ -230,8 +67,12 @@ std::string_view busNackStatName(BusOp op);
  * grants (a few mask-word popcounts for RoundRobin); it touches no
  * client.
  */
-class Bus : public GlobalFabric, public Tickable
+class Bus : public GlobalFabric,
+            public Tickable,
+            private TransactionPath<Bus>
 {
+    friend class TransactionPath<Bus>;
+
   public:
     /**
      * @param memory The memory side this bus reaches (main memory on
@@ -342,8 +183,12 @@ class Bus : public GlobalFabric, public Tickable
      * noteReactions(), and that wouldSupply() returns false unless
      * that class includes kReactsToRead.  Must be called while the
      * client holds no blocks (typically right after attach).
+     * @return Whether the client is now indexed.  A bus with the
+     *         filter off, and clients past the 64th (one bit each in
+     *         a mask), stay always-snoop: they are visited after the
+     *         masked clients, in ascending order, on every snoop.
      */
-    void setSnoopIndexed(int client);
+    bool setSnoopIndexed(int client);
 
     /**
      * Declare that indexed client @p client's line for block @p base
@@ -386,18 +231,6 @@ class Bus : public GlobalFabric, public Tickable
      * filter-off.
      */
     std::uint64_t snoopVisits() const { return snoopVisitCount; }
-
-    /**
-     * Times this bus silently degraded from sharer-indexed to full
-     * snooping (more clients than a mask holds; see
-     * revertToFullSnoop).  Counted only when the filter was actually
-     * active — a bus built with the filter off never "degrades".
-     * Like snoopVisits, deliberately not a CounterSet statistic, so
-     * counter reports stay byte-identical filter-on vs filter-off;
-     * surfaced per run in the engine section
-     * (EngineReport::snoop_filter_fallbacks, under --timing).
-     */
-    std::uint64_t snoopFilterFallbacks() const { return fallbackCount; }
 
     /**
      * Test introspection: the indexed clients whose line for @p addr's
@@ -472,16 +305,9 @@ class Bus : public GlobalFabric, public Tickable
     std::size_t blockWords() const override { return blockSize; }
 
     /** First word address of the block containing @p addr. */
-    Addr
-    blockBase(Addr addr) const
-    {
-        return addr - addr % static_cast<Addr>(blockSize);
-    }
+    using TransactionPath::blockBase;
 
   private:
-    /** Number of BusOp enumerators (op-indexed handle tables). */
-    static constexpr std::size_t kNumBusOps = 6;
-
     /**
      * Collect the armed clients with a request into the reusable
      * scratch mask.  Only the always-polled and the stale opted-in
@@ -491,12 +317,6 @@ class Bus : public GlobalFabric, public Tickable
      * returns empty without a single virtual call.
      */
     const ClientMask &collectRequesters();
-
-    /** Handle Read / ReadLock / Rmw, including the kill/supply path. */
-    void executeReadLike(int grant, const BusRequest &request);
-
-    /** Handle Write / WriteUnlock / Invalidate. */
-    void executeWriteLike(int grant, const BusRequest &request);
 
     /** Block number of @p addr (the holder-index key). */
     std::uint64_t blockIndex(Addr addr) const;
@@ -512,14 +332,6 @@ class Bus : public GlobalFabric, public Tickable
      * without disturbing the mask being iterated.
      */
     std::uint64_t snooperMask(Addr addr, BusOp op) const;
-
-    /**
-     * Permanently fall back to unfiltered snooping on this bus (more
-     * clients than a mask holds).  Always safe: filtered and
-     * unfiltered snooping are byte-identical by construction, and
-     * reaction notes become no-ops from here on.
-     */
-    void revertToFullSnoop();
 
     /**
      * The single client other than @p skip (-1: none) that would kill
@@ -538,8 +350,25 @@ class Bus : public GlobalFabric, public Tickable
      */
     void broadcast(const BusTransaction &txn, int skip);
 
-    /** Record a retry due to a locked word / not-ready memory side. */
-    void nack(int grant, const BusRequest &request);
+    // The transaction path's hooks (see TransactionPath).
+
+    /** A committed transaction is broadcast; the bus records nothing. */
+    void
+    commit(const BusTransaction &txn, Commit kind)
+    {
+        (void)kind;
+        broadcast(txn, txn.issuer);
+    }
+
+    /** Hold the bus for the transfer and trace its slice. */
+    void carry(std::string_view name, Addr addr, int issuer, bool block,
+               const char *detail);
+
+    /** Trace the kill of @p request's read. */
+    void killed(const BusRequest &request);
+
+    /** Trace the NACK and mark a repeater (see the class comment). */
+    void nacked(int grant, const BusRequest &request);
 
     /** Number of RMW-class ops (Rmw, ReadLock, WriteUnlock). */
     static constexpr std::size_t kNumRepeatOps = 3;
@@ -600,23 +429,9 @@ class Bus : public GlobalFabric, public Tickable
     void traceInstant(std::string_view name, Addr addr,
                       const char *detail);
 
-    /** Hold the bus for a transaction's extra cycles. */
-    void occupy(std::size_t extra_cycles);
-
-    /** Extra occupancy of a word-granular memory transaction. */
-    std::size_t wordCost() const { return memoryLatency; }
-
-    /** Extra occupancy of a block transfer. */
-    std::size_t
-    blockCost() const
-    {
-        return memoryLatency + (blockSize > 1 ? blockSize - 1 : 0);
-    }
-
     MemorySide &memory;
     std::unique_ptr<Arbiter> arbiter;
     const Clock &clock;
-    stats::CounterSet &stats;
     std::size_t blockSize;
     std::size_t memoryLatency;
     std::vector<BusClient *> clients;
@@ -706,39 +521,26 @@ class Bus : public GlobalFabric, public Tickable
         return op == BusOp::Read ? masks->read : masks->write;
     }
 
-    /** Whether this bus filters snoops (the ctor flag, until a revert). */
-    bool filterOn = true;
+    /** Whether this bus filters snoops (the ctor's snoop_filter). */
+    const bool filterOn;
     /** blockSize is a power of two; blockIndex() shifts instead. */
     bool blockPow2 = true;
     std::size_t blockShift = 0;
     /** Per-client indexed flag (1 = sharer-indexed; parallel). */
     std::vector<char> indexed;
-    /** Bit per client not opted into indexing (always visited). */
+    /** Bit per client of the first 64 not indexed (always visited). */
     std::uint64_t alwaysSnoopMask = 0;
-    /** Bit per client registered as a potential supplier. */
+    /** Bit per client of the first 64 registered as a supplier. */
     std::uint64_t supplierMask = 0;
     /** Sharer index (see HolderIndex). */
     HolderIndex holders;
     /** Broadcast visits + supplier polls (see snoopVisits()). */
     std::uint64_t snoopVisitCount = 0;
-    /** Active-filter reverts to full snooping (see snoopFilterFallbacks). */
-    std::uint64_t fallbackCount = 0;
 
     /** Bus-category trace buffer (null when not traced). */
     obs::TraceBuffer *busTrace = nullptr;
-    /** The recorder's lock log (null when lock events are off). */
-    obs::LockLog *lockRec = nullptr;
     /** Trace track id (bus index within the System). */
     std::int32_t busId = 0;
-
-    // Handles interned once at construction; every per-event
-    // statistic is a plain array increment.
-    stats::CounterId statBusy, statTransfer, statIdle, statKill,
-        statSupplyWrite, statRmwSuccess, statRmwFail, statNack;
-    /** bus.<op> issue counters, indexed by BusOp. */
-    stats::CounterId statOp[kNumBusOps];
-    /** bus.nack.<op> counters, indexed by BusOp. */
-    stats::CounterId statNackOp[kNumBusOps];
 };
 
 } // namespace ddc

@@ -137,13 +137,11 @@ Cache::connectBus(Bus &bus_to_join)
     // line reserved for the pending access (markStale), so the bus
     // polls only then.
     bus->setPollOnStale(clientIndex);
-    if (bus->snoopFilterActive()) {
-        // Snoops can only matter for lines that react to them, so let
-        // the bus's sharer index route them; every line is NotPresent
-        // (reacting to nothing) right now, matching the empty index.
-        bus->setSnoopIndexed(clientIndex);
-        busIndexed = true;
-    }
+    // Snoops can only matter for lines that react to them, so let the
+    // bus's sharer index route them when it can; every line is
+    // NotPresent (reacting to nothing) right now, matching the empty
+    // index.
+    busIndexed = bus->setSnoopIndexed(clientIndex);
 }
 
 void

@@ -379,9 +379,9 @@ class Cache : public BusClient
     /** This cache's client index on the attached bus. */
     int clientIndex = -1;
     /**
-     * True when this cache registered as sharer-indexed on its bus
-     * (the bus's snoop filter is active), and so must report every
-     * reaction-class / base change through noteReactions.
+     * True when the bus sharer-indexes this cache (its snoop filter is
+     * active and this is one of its first 64 clients), which must then
+     * report every reaction-class / base change through noteReactions.
      */
     bool busIndexed = false;
 

@@ -130,12 +130,6 @@ class Multiprocessor
      */
     virtual std::uint64_t snoopVisits() const = 0;
 
-    /**
-     * Times any bus degraded from sharer-indexed to full snooping
-     * (see Bus::snoopFilterFallbacks); 0 on a healthy filtered run.
-     */
-    virtual std::uint64_t snoopFilterFallbacks() const = 0;
-
   protected:
     /**
      * @param name The machine's name in the budget warning.

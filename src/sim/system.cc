@@ -187,13 +187,4 @@ System::snoopVisits() const
     return total;
 }
 
-std::uint64_t
-System::snoopFilterFallbacks() const
-{
-    std::uint64_t total = 0;
-    for (const auto &bus : buses)
-        total += bus->snoopFilterFallbacks();
-    return total;
-}
-
 } // namespace ddc

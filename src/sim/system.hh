@@ -104,7 +104,6 @@ class System final : public Multiprocessor
     std::uint64_t totalBusTransactions() const;
 
     std::uint64_t snoopVisits() const override;
-    std::uint64_t snoopFilterFallbacks() const override;
 
   private:
     const Cache &cacheBank(PeId pe, Addr addr) const;

@@ -565,7 +565,6 @@ TEST_F(SnoopIndexTest, EmptiedBlocksLeaveTheIndex)
         bus.noteReactions(0, base, kReactsToWrite, 0);
     }
     EXPECT_TRUE(bus.snoopFilterActive());
-    EXPECT_EQ(bus.snoopFilterFallbacks(), 0u);
 
     // The entry outlives one holder's exit, goes with the last one's,
     // and a re-insert starts from empty masks.
@@ -701,53 +700,38 @@ TEST_F(CacheIndexTest, RwbWriteStillVisitsInvalidHolders)
     EXPECT_EQ(caches[0]->lineValue(kAddr), 7u);
 }
 
-TEST(SnoopFilterFallback, SixtyFifthClientRevertsAndCountsOnce)
+TEST(SnoopFilterPastSixtyFour, SeventyClientBusStaysFilteredAndReachesAll)
 {
+    // A mask holds 64 clients: the 65th and later refuse indexing and
+    // are visited on every snoop, after the masked clients, while the
+    // first 64 keep filtering.
     stats::CounterSet stats;
     Clock clock;
     Memory memory(stats);
     Bus bus(memory, ArbiterKind::RoundRobin, clock, stats);
     std::deque<FakeClient> clients;
-    for (PeId pe = 0; pe < 64; pe++) {
-        clients.emplace_back(pe);
-        bus.attach(&clients.back());
-    }
-    EXPECT_EQ(bus.snoopFilterFallbacks(), 0u);
-
-    // The 65th client overflows the 64-bit sharer masks: the bus
-    // reverts to full snooping and counts the degradation exactly
-    // once, however many clients attach afterwards.
-    for (PeId pe = 64; pe < 70; pe++) {
-        clients.emplace_back(pe);
-        bus.attach(&clients.back());
-    }
-    EXPECT_EQ(bus.snoopFilterFallbacks(), 1u);
-
-    // The reverted bus still works, broadcasting to everyone.
-    memory.write(10, 5);
-    clients[0].push({BusOp::Read, 10, 0});
-    bus.tick();
-    ASSERT_EQ(clients[0].completions.size(), 1u);
-    EXPECT_EQ(clients[0].completions[0].data, 5u);
-    for (std::size_t i = 1; i < clients.size(); i++)
-        EXPECT_EQ(clients[i].observed.size(), 1u) << "client " << i;
-}
-
-TEST(SnoopFilterFallback, FilterOffBusNeverCountsADegradation)
-{
-    // A bus asked to run unfiltered is just doing what it was told:
-    // crossing 64 clients is not a fallback.
-    stats::CounterSet stats;
-    Clock clock;
-    Memory memory(stats);
-    Bus bus(memory, ArbiterKind::RoundRobin, clock, stats, 0, 1, 0,
-            false);
-    std::deque<FakeClient> clients;
     for (PeId pe = 0; pe < 70; pe++) {
         clients.emplace_back(pe);
-        bus.attach(&clients.back());
+        int c = bus.attach(&clients.back());
+        EXPECT_EQ(bus.setSnoopIndexed(c), c < 64) << "client " << c;
     }
-    EXPECT_EQ(bus.snoopFilterFallbacks(), 0u);
+    EXPECT_TRUE(bus.snoopFilterActive());
+    for (int c = 0; c < 64; c++) {
+        bus.noteReactions(c, 10, 0, kReactsToRead);
+        clients[static_cast<std::size_t>(c)].classes[10] = kReactsToRead;
+    }
+
+    // A read issued past the 64th client reaches every other client
+    // once: 69 supplier polls, then 69 deliveries.
+    memory.write(10, 5);
+    clients[66].push({BusOp::Read, 10, 0});
+    bus.tick();
+    ASSERT_EQ(clients[66].completions.size(), 1u);
+    EXPECT_EQ(clients[66].completions[0].data, 5u);
+    for (std::size_t i = 0; i < clients.size(); i++)
+        EXPECT_EQ(clients[i].observed.size(), i == 66 ? 0u : 1u)
+            << "client " << i;
+    EXPECT_EQ(bus.snoopVisits(), 69u + 69u);
 }
 
 /** An always-polled client that logs its index on every poll. */

@@ -22,14 +22,18 @@
  * all-defaults run's: cycles and status, the counter report, the full
  * execution log and the RunResult JSON with its "engine" object
  * removed, all from one run through exp::executeTraceRun.
- * Two differences are allowed, each only across its own knob: the
- * directory's dir.* counters (report lines and JSON keys) and its
- * hot_home_skew metric, and the "histograms"/"samples" fields
- * observation adds.  Each run is also compared, without
- * either allowance, to the run with the same observed and directory
- * setting and default skip and filter.  Skipped cycles are compared
- * between runs that share the skip and interconnect setting, so
- * observation and the filter must not change how much is skipped.
+ * Two differences are allowed, each only across its own knob: what
+ * the directory adds (its dir.* counters, report lines and JSON keys,
+ * its hot_home_skew metric, its three histograms and its dir.* sample
+ * columns), and the "histograms"/"samples" fields observation adds.
+ * Each run is also compared, without either allowance, to the run
+ * with the same observed and directory setting and default skip and
+ * filter, and each directory run, allowing only what the directory
+ * adds, to the snooping run with the same other knobs: observed, the
+ * one-home directory logs the snooping bus's lock attempts, so its
+ * lock histograms match too.  Skipped cycles are compared between
+ * runs that share the skip and interconnect setting, so observation
+ * and the filter must not change how much is skipped.
  *
  * The Invariance.* cases run the full cross product, one case per
  * machine kind.  The SkipEquivalence, SnoopFilterEquivalence,
@@ -46,6 +50,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -133,6 +138,16 @@ class ObservedScope
         std::remove(path.c_str());
     }
 
+    /** The trace file as written (once its machine is destroyed). */
+    std::string
+    contents() const
+    {
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    }
+
     ObservedScope(const ObservedScope &) = delete;
     ObservedScope &operator=(const ObservedScope &) = delete;
 
@@ -191,13 +206,6 @@ struct Row
     pesPerBus() const
     {
         return kind == Kind::Flat ? flat.num_pes : hier.pes_per_cluster;
-    }
-
-    /** More clients on one bus than the sharer index can hold. */
-    bool
-    filterReverts() const
-    {
-        return kind == Kind::Flat && flat.num_pes > 64;
     }
 };
 
@@ -386,11 +394,15 @@ timedOutRow(int pes)
                    makeHotSpotTrace(pes, 400, 8), 100);
 }
 
-/** 70 clients on one bus: the sharer index reverts to full snooping. */
+/**
+ * 70 clients on one bus: the sharer index holds the first 64, and the
+ * rest are visited on every snoop.
+ */
 Row
-filterRevertsRow()
+seventyClientsRow()
 {
-    return flatRow("filter_reverts_70pe", flatConfig(70, 32, ProtocolKind::Rb),
+    return flatRow("seventy_clients_70pe",
+                   flatConfig(70, 32, ProtocolKind::Rb),
                    makeUniformRandomTrace(70, 400, 32, 0.3, 0.05, 7));
 }
 
@@ -590,7 +602,7 @@ std::vector<Row>
 blockWayAndBusRows()
 {
     return concat(blockAndBusRows(true), blockAndBusRows(false), waysRows(),
-                  std::vector{filterRevertsRow()});
+                  std::vector{seventyClientsRow()});
 }
 
 std::vector<Row>
@@ -631,7 +643,6 @@ struct Outcome
     Cycle skipped = 0;
     std::uint64_t parked = 0;
     std::uint64_t snoop_visits = 0;
-    std::uint64_t fallbacks = 0;
     std::uint64_t global_ops = 0;
 };
 
@@ -662,9 +673,39 @@ withoutDirCounters(const std::string &report)
     return out;
 }
 
+/** A sample series without its dir.* columns. */
+exp::Json
+withoutDirColumns(const exp::Json &samples)
+{
+    const exp::Json &names = *samples.find("columns");
+    const exp::Json &series = *samples.find("rows");
+    std::vector<bool> dropped{false}; // each row leads with its cycle
+    exp::Json columns = exp::Json::array();
+    for (std::size_t i = 0; i < names.size(); i++) {
+        dropped.push_back(names.at(i).asString().rfind("dir.", 0) == 0);
+        if (!dropped.back())
+            columns.push(names.at(i));
+    }
+    exp::Json rows = exp::Json::array();
+    for (std::size_t r = 0; r < series.size(); r++) {
+        exp::Json kept = exp::Json::array();
+        for (std::size_t i = 0; i < series.at(r).size(); i++) {
+            if (!dropped.at(i))
+                kept.push(series.at(r).at(i));
+        }
+        rows.push(std::move(kept));
+    }
+    exp::Json kept = samples;
+    kept["columns"] = std::move(columns);
+    kept["rows"] = std::move(rows);
+    return kept;
+}
+
 /**
  * RunResult JSON without what the directory may add: the
- * hot_home_skew metric and the dir.* counters.
+ * hot_home_skew metric, the dir.* counters, the home_service,
+ * acks_per_inval and dir_occupancy histograms, and the dir.* sample
+ * columns.
  */
 exp::Json
 withoutDirKeys(const exp::Json &json)
@@ -682,6 +723,11 @@ withoutDirKeys(const exp::Json &json)
                     counters[name] = count;
             }
             kept[key] = std::move(counters);
+        } else if (key == "histograms") {
+            kept[key] = without(value, {"home_service", "acks_per_inval",
+                                        "dir_occupancy"});
+        } else if (key == "samples") {
+            kept[key] = withoutDirColumns(value);
         } else {
             kept[key] = value;
         }
@@ -753,7 +799,6 @@ observe(const Row &row, unsigned knobs,
     outcome.skipped = result.engine.skipped_cycles;
     outcome.parked = result.engine.parked_cycles;
     outcome.snoop_visits = result.engine.snoop_visits;
-    outcome.fallbacks = result.engine.snoop_filter_fallbacks;
     if (knobs & kObserved) {
         expectObserversAttached(machine->observability());
         EXPECT_FALSE(result.histograms.isNull());
@@ -806,9 +851,8 @@ expectSameLog(const std::vector<LogEntry> &expected,
 
 /**
  * Expect @p actual to equal @p expected; @p allowed names the knobs
- * whose permitted difference (the directory's dir.* counters and
- * hot_home_skew metric, observation's JSON fields) the comparison
- * spans.
+ * whose permitted difference (what the directory adds, observation's
+ * JSON fields) the comparison spans.
  */
 void
 expectSame(const Fingerprint &expected, const Fingerprint &actual,
@@ -859,6 +903,12 @@ checkRow(const Row &row, unsigned axes,
         // interconnect setting and default skip and filter.
         expectSame(runs.at(knobs & (kObserved | kDirectory)).fingerprint,
                    run.fingerprint, 0);
+        // The H = 1 contract, observers included: only what the
+        // directory adds may differ from the snooping run.
+        if (knobs & kDirectory) {
+            expectSame(runs.at(knobs & ~kDirectory).fingerprint,
+                       run.fingerprint, kDirectory);
+        }
         EXPECT_EQ(run.skipped,
                   runs.at(knobs & (kNoSkip | kDirectory)).skipped);
         if (knobs & kNoSkip) {
@@ -880,15 +930,9 @@ checkRow(const Row &row, unsigned axes,
         else
             EXPECT_EQ(base.skipped, 0u) << "skip engaged without streaming";
     }
-    if (axes & kNoFilter) {
-        const Outcome &unfiltered = runs.at(kNoFilter);
-        if (row.filterReverts()) {
-            EXPECT_GE(base.fallbacks, 1u);
-            EXPECT_EQ(base.snoop_visits, unfiltered.snoop_visits);
-        } else if (row.pesPerBus() > 2) {
-            EXPECT_LT(base.snoop_visits, unfiltered.snoop_visits)
-                << "the filter skipped no visit";
-        }
+    if ((axes & kNoFilter) && row.pesPerBus() > 2) {
+        EXPECT_LT(base.snoop_visits, runs.at(kNoFilter).snoop_visits)
+            << "the filter skipped no visit";
     }
     if (axes & kDirectory) {
         EXPECT_GT(base.global_ops, 0u) << "no cross-cluster traffic";
@@ -1038,6 +1082,32 @@ TEST(DirEquivalence, RandomArbiterKeepsRngStream)
     checkRow(hierRandomArbiterRow(), kDirectory);
 }
 
+/** The lock-category trace file of @p row's run under @p knobs. */
+std::string
+lockTraceOf(const Row &row, unsigned knobs)
+{
+    ObservedScope traced(true, static_cast<std::uint32_t>(obs::Category::Lock));
+    exp::TraceRun run;
+    run.hier = withKnobs(row.hier, knobs);
+    run.trace = row.trace;
+    exp::executeTraceRun(run);
+    return traced.contents();
+}
+
+TEST(DirEquivalence, OneHomeLockTraceIsTheSnoopingBusTrace)
+{
+    // The home serves grants through the bus's transaction path, lock
+    // attempts included, so a lock-only trace of a one-home run is the
+    // snooping run's, byte for byte.
+    Row row = hierRow("hier_4x4_hot_spot",
+                      hierConfig(4, 4, 64, ProtocolKind::Rb),
+                      makeHotSpotTrace(16, 20, 8));
+    std::string snooping = lockTraceOf(row, 0);
+    EXPECT_NE(snooping.find("\"acquire\""), std::string::npos)
+        << "no lock acquisition traced";
+    EXPECT_EQ(lockTraceOf(row, kDirectory), snooping);
+}
+
 TEST(DirEquivalence, QuiescentSkipIsUnobservableInDirectoryMode)
 {
     checkRow(threeHomesRow(), kNoSkip);
@@ -1148,24 +1218,6 @@ TEST(ParallelEquivalence, TimedOutRunReportsTheSameWallCycle)
     Outcome again = observe(row, 0);
     expectSame(runs.at(0).fingerprint, again.fingerprint, 0);
     EXPECT_EQ(again.skipped, runs.at(0).skipped);
-}
-
-TEST(SnoopFilterEquivalence, FallbackCountSurfacesInRunResult)
-{
-    // A 70-client bus reverts to full snooping.  The reversion is
-    // counted, and the count appears only inside "engine".
-    Row row = filterRevertsRow();
-    exp::TraceRun run;
-    run.config = row.flat;
-    run.trace = row.trace;
-    exp::RunResult result = exp::executeTraceRun(run);
-    EXPECT_GE(result.engine.snoop_filter_fallbacks, 1u);
-    exp::Json timed = result.toJson(true);
-    EXPECT_EQ(timed.find("snoop_filter_fallbacks"), nullptr);
-    ASSERT_NE(timed.find("engine"), nullptr);
-    EXPECT_NE(timed.find("engine")->find("snoop_filter_fallbacks"), nullptr);
-    EXPECT_EQ(result.toJson(false).dump().find("snoop_filter_fallbacks"),
-              std::string::npos);
 }
 
 TEST(TraceDeterminism, HistogramsOnlyAddJsonFields)

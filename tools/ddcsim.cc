@@ -84,9 +84,9 @@ usage(std::ostream &os)
         "  --json PATH      write structured results as JSON\n"
         "  --timing         add each run's \"engine\" object to the\n"
         "                   JSON: wall clock, sim rate, skipped\n"
-        "                   and parked cycles, snoop visits, filter\n"
-        "                   fallbacks, directory table size (host-\n"
-        "                   or knob-dependent values)\n"
+        "                   and parked cycles, snoop visits,\n"
+        "                   directory table size (host- or\n"
+        "                   knob-dependent values)\n"
         "  --profile        time the directory fabric's route and\n"
         "                   serve phases into the \"engine\" object's\n"
         "                   route_phase_ms / serve_phase_ms (with\n"
