@@ -35,7 +35,6 @@ DirectoryFabric::attach(BusClient *client)
     armed.resize(clients.size());
     armed.set(index);
     armedCount++;
-    armedSinceRoute = true;
     return index;
 }
 
@@ -49,7 +48,6 @@ DirectoryFabric::setRequestArmed(int client, bool is_armed)
     if (is_armed) {
         armed.set(client);
         armedCount++;
-        armedSinceRoute = true;
     } else {
         armed.reset(client);
         armedCount--;
@@ -91,7 +89,6 @@ DirectoryFabric::tick()
     // happens on the side-effect-free pendingAddr (hasRequest may
     // lazily resolve forwards, so it runs first, exactly once, like
     // on the bus).
-    armedSinceRoute = false;
     std::size_t posted = 0;
     for (int c = armed.first(); c >= 0; c = armed.nextAfter(c)) {
         auto index = static_cast<std::size_t>(c);
@@ -108,7 +105,10 @@ DirectoryFabric::tick()
             requestStart[index] == kNever)
             requestStart[index] = homeObs.clock->now;
     }
-    lastRoutingPosted = posted;
+    // A poll changes only the polled client's arming, so every client
+    // still armed was polled once and must have posted.
+    ddc_assert(posted == armedCount, armedCount - posted,
+               " armed fabric client(s) had no request");
 
     clock::time_point serveStart;
     if (profile) {
@@ -146,10 +146,8 @@ void
 DirectoryFabric::skipCycles(Cycle count)
 {
     // Skips cross only intervals where our nextEventCycle reported
-    // kNever: no armed client at all, or a quiescent routing pass
-    // (nothing posted, no arm event since).
-    ddc_assert(armedClients() == 0 ||
-                   (lastRoutingPosted == 0 && !armedSinceRoute),
+    // kNever: no armed client at all.
+    ddc_assert(armedClients() == 0,
                "skipped across a home-node grant opportunity");
     if (count > 0)
         stats.add(statIdle, count * homes.size());

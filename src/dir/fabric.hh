@@ -41,15 +41,12 @@
  *    matrix (tests/invariance_test.cc) pins this.
  *
  * Request arming uses the same per-client mask + count as
- * Bus::setRequestArmed; armedSinceRoute records a disarmed->armed
- * transition (attach included) since the last routing pass began.
- *
- * Quiescence contract: after a routing pass that posted nothing, the
- * fabric reports kNever until the next arm event — a client that is
- * armed but has no pending request must announce new work through
- * setRequestArmed (ClusterCache does: its armed flag tracks
- * "forwards pending" exactly, so a false hasRequest() poll disarms it
- * inside the same call).
+ * Bus::setRequestArmed, and the fabric keeps the bus's quiescence
+ * rule: armed => now, else kNever.  A client armed on the fabric
+ * always has a request (ClusterCache is armed exactly while forwards
+ * are queued, and a false hasRequest() poll disarms it inside the
+ * same call), so every routing pass posts one request per client
+ * still armed; the pass asserts it.
  */
 
 #ifndef DDC_DIR_FABRIC_HH
@@ -97,19 +94,13 @@ class DirectoryFabric : public GlobalFabric, public Tickable
     void tick() override;
 
     /**
-     * @p now while any client is armed AND the fabric may have work:
-     * either an arm event arrived since the last routing pass, or
-     * that pass posted at least one request.  kNever otherwise —
-     * in particular when every armed client polled "no request" last
-     * cycle, so the quiescent-skip engine engages (see the
-     * quiescence contract in the file header).
+     * @p now while any client is armed (it has a request to route),
+     * kNever when every client is disarmed: the bus's rule.
      */
     Cycle
     nextEventCycle(Cycle now) const override
     {
-        if (armedClients() == 0)
-            return kNever;
-        return armedSinceRoute || lastRoutingPosted > 0 ? now : kNever;
+        return armedClients() > 0 ? now : kNever;
     }
 
     /** Account @p count quiescent cycles (idle at every home). */
@@ -209,12 +200,8 @@ class DirectoryFabric : public GlobalFabric, public Tickable
     /** Armed clients (see Bus::setRequestArmed). */
     ClientMask armed;
     std::size_t armedCount = 0;
-    /** A client armed (or attached) since the last routing pass began. */
-    bool armedSinceRoute = false;
     /** Homes with a non-empty inbox this cycle (served in id order). */
     ClientMask touchedHomes;
-    /** Requests posted by the most recent routing pass. */
-    std::size_t lastRoutingPosted = 0;
     /** True when the home count is a power of two (mask routing). */
     bool homesPow2;
     /** homes.size() - 1 when homesPow2. */

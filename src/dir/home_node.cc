@@ -21,20 +21,11 @@ HomeNode::HomeNode(int home_id, ArbiterKind arbiter_kind,
 }
 
 void
-HomeNode::countIdle(Cycle count)
-{
-    if (count > 0)
-        stats.add(busStats.idle, count);
-}
-
-void
 HomeNode::tick(const std::vector<BusClient *> &clients,
                std::uint64_t &visits)
 {
-    if (inbox.empty()) {
-        stats.add(busStats.idle);
-        return;
-    }
+    ddc_assert(!inbox.empty(), "home ", homeId,
+               " ticked with an empty inbox");
     stats.add(busStats.busy);
     stats.add(statMsgRequest);
     msgCount++;

@@ -122,18 +122,16 @@ class HomeNode : private TransactionPath<HomeNode>
     void clearInbox() { inbox.clear(); }
 
     /**
-     * Serve one cycle: idle when the inbox is empty, else arbitrate
-     * and execute one granted request end-to-end (exactly the
-     * snooping bus's per-cycle transaction, addressed by directory
-     * state instead of broadcast).  @p visits accrues one count per
-     * point-to-point message, the directory-mode analogue of
-     * Bus::snoopVisits.
+     * Serve one cycle: arbitrate over the (non-empty) inbox and
+     * execute one granted request end-to-end (exactly the snooping
+     * bus's per-cycle transaction, addressed by directory state
+     * instead of broadcast).  The fabric ticks only homes that
+     * received a request and books every idle home's cycle itself.
+     * @p visits accrues one count per point-to-point message, the
+     * directory-mode analogue of Bus::snoopVisits.
      */
     void tick(const std::vector<BusClient *> &clients,
               std::uint64_t &visits);
-
-    /** Account @p count grant-free cycles at once (skip support). */
-    void countIdle(Cycle count);
 
     /** This home's slice of global memory. */
     Memory &memoryBank() { return memory; }

@@ -106,21 +106,6 @@ class ClusterCache : public BusClient, public MemorySide
 
     // ---- Cluster-bus memory side ----------------------------------
     /**
-     * As a memory side the cluster cache never self-schedules:
-     * whenever it has queued forwards it is armed on the *global* bus
-     * (updateArmed()), and a cluster-bus transaction it NACKed leaves
-     * the issuing L1 armed on the cluster bus — so one of the two
-     * buses always reports the pending work and kNever here never
-     * hides an event from the skip engine.
-     */
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        (void)now;
-        return kNever;
-    }
-
-    /**
      * RMW-class ops always serialize globally, so tryRmw, tryReadLock
      * and tryWriteUnlock always NACK, and enqueueForward ignores a PE
      * whose forward is already queued: every NACK after the first

@@ -3,8 +3,10 @@
  * Agent interface and the per-PE cache-bank selector.
  *
  * An Agent is whatever drives one PE's reference stream: a Processor
- * executing a Program, or a TraceAgent replaying a Trace stream.  The
- * System ticks every agent once per cycle after the bus phase.
+ * executing a Program, or a TraceAgent replaying a Trace stream.  Its
+ * shard ticks it after the shard's buses each cycle while it can act;
+ * an agent stalled on a miss sits out until its cache completes the
+ * access (see Shard).
  *
  * CacheSet implements the multiple-bus extension of Section 7 /
  * Figure 7-1: "The private caches and the shared memory are divided
@@ -20,7 +22,6 @@
 
 #include "base/logging.hh"
 #include "sim/cache.hh"
-#include "sim/clock.hh"
 
 namespace ddc {
 
@@ -37,29 +38,6 @@ class Agent
     virtual bool done() const = 0;
 
     /**
-     * Earliest cycle at which this agent can next change machine state
-     * (part of the next-event contract, see DESIGN.md).
-     *
-     * Must be side-effect free.  Return @p now when the agent would do
-     * real work if ticked this cycle; a future cycle when it is in a
-     * self-timed wait; kNever when it is blocked on another component
-     * (e.g. a cache miss awaiting a bus grant) and can only be woken
-     * by that component's progress.  The conservative default — always
-     * runnable — disables skipping around agents that do not opt in.
-     */
-    virtual Cycle nextEventCycle(Cycle now) const { return now; }
-
-    /**
-     * Account for @p count cycles skipped while this agent was
-     * quiescent (a stalled agent is paid through addStallCycles()
-     * instead).  Only called when nextEventCycle() reported no event
-     * in the skipped interval; must update exactly the state and
-     * statistics that @p count consecutive tick() calls would have
-     * (stall counters etc.), so skipping stays byte-identical.
-     */
-    virtual void skipCycles(Cycle count) { (void)count; }
-
-    /**
      * True when every tick until the agent's outstanding cache access
      * completes would only account one stall cycle.  The shard
      * consults this once after each real tick and then stops ticking
@@ -67,18 +45,18 @@ class Agent
      * Shard::raiseWake), adding the cycles it sat out, quiescent ones
      * included, in bulk via addStallCycles() — strictly an
      * optimization contract: ticking through the stall anyway must be
-     * behaviorally identical.  The conservative
-     * default (never stalled) keeps agents that do not opt in on the
-     * every-cycle schedule.
+     * behaviorally identical.  An agent that can act never reports
+     * time to the quiescent skip: while it is on the runnable list
+     * its shard is busy this cycle.
      */
-    virtual bool stalledOnCompletion() const { return false; }
+    virtual bool stalledOnCompletion() const = 0;
 
     /**
      * Account @p count stall cycles the shard did not tick while
      * stalledOnCompletion() held (exactly the bookkeeping those
      * ticks would have done).
      */
-    virtual void addStallCycles(Cycle count) { (void)count; }
+    virtual void addStallCycles(Cycle count) = 0;
 };
 
 /** Routes one PE's accesses across its per-bus cache banks. */

@@ -1,5 +1,6 @@
 #include "sim/bus.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"

@@ -30,7 +30,6 @@
 #ifndef DDC_SIM_BUS_HH
 #define DDC_SIM_BUS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -270,23 +269,21 @@ class Bus : public GlobalFabric,
     std::uint64_t parkedCycles() const { return parkedTotal; }
 
     /**
-     * Earliest cycle at which this bus (or the memory side behind it)
-     * can next change state: @p now while any client is armed (a
-     * grant could start a transaction), the end of the streaming
-     * window while a multi-cycle transfer occupies the bus, kNever
-     * when every client is disarmed.  Side-effect free: consults only
-     * the armed count, the transfer countdown, and the memory side's
-     * own nextEventCycle() — never hasRequest() (whose lazy
-     * revalidation must stay aligned with the baseline polling
-     * schedule).
+     * Earliest cycle at which this bus can next change state: the end
+     * of the streaming window while a multi-cycle transfer occupies
+     * the bus, else @p now while any client is armed (a grant could
+     * start a transaction), else kNever.  The memory side behind it
+     * is passive (see DESIGN.md, "Quiescent-cycle skipping").
+     * Side-effect free: consults only the transfer countdown and the
+     * armed count — never hasRequest() (whose lazy revalidation must
+     * stay aligned with the baseline polling schedule).
      */
     Cycle
     nextEventCycle(Cycle now) const override
     {
-        Cycle own = transferCyclesLeft > 0
-                        ? now + static_cast<Cycle>(transferCyclesLeft)
-                        : (armedClients() > 0 ? now : kNever);
-        return std::min(own, memory.nextEventCycle(now));
+        if (transferCyclesLeft > 0)
+            return now + static_cast<Cycle>(transferCyclesLeft);
+        return armedClients() > 0 ? now : kNever;
     }
 
     /**

@@ -27,7 +27,7 @@ struct Clock
 /**
  * Sentinel next-event cycle of a component that cannot change state on
  * its own: it only becomes runnable again through another component's
- * action (a bus grant completing a cache miss, a client re-arming).
+ * action (a client arming its request slot).
  */
 inline constexpr Cycle kNever = ~Cycle{0};
 

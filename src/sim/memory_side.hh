@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "sim/clock.hh"
 
 namespace ddc {
 
@@ -25,20 +24,6 @@ class MemorySide
 {
   public:
     virtual ~MemorySide() = default;
-
-    /**
-     * Earliest cycle at which this side can change state on its own.
-     * A memory side is passive — it acts only when the bus hands it a
-     * transaction — so the default is kNever: it never blocks a skip.
-     * A side that ever becomes self-timed (refresh, queued upward
-     * forwards ticked elsewhere) must override this.
-     */
-    virtual Cycle
-    nextEventCycle(Cycle now) const
-    {
-        (void)now;
-        return kNever;
-    }
 
     /**
      * Whether this side's NACKs of RMW-class requests (Rmw, ReadLock,

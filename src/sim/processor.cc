@@ -56,12 +56,8 @@ Processor::tick()
 }
 
 void
-Processor::skipCycles(Cycle count)
+Processor::addStallCycles(Cycle count)
 {
-    // The engine only skips an agent that is stalled for the whole
-    // interval; account the cycles exactly as that many ticks would.
-    ddc_assert(waiting && !caches.hasCompletion(),
-               "skipped a runnable processor");
     stalls += count;
     stats.add(statStallCycles, count);
 }

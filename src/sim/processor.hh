@@ -33,18 +33,18 @@ class Processor : public Agent
     bool done() const override { return halted; }
 
     /**
-     * A PE executing instructions is runnable every cycle (spin loops
-     * are real work: they retire instructions and touch the cache);
-     * only a PE stalled on an outstanding cache miss whose completion
-     * has not yet arrived is event-free until the bus delivers it.
+     * Stalled on an outstanding cache miss whose completion has not
+     * yet arrived: each tick until the bus delivers it only counts a
+     * stall.  A PE executing instructions is never stalled (spin loops
+     * are real work: they retire instructions and touch the cache).
      */
-    Cycle
-    nextEventCycle(Cycle now) const override
+    bool
+    stalledOnCompletion() const override
     {
-        return waiting && !caches.hasCompletion() ? kNever : now;
+        return waiting && !caches.hasCompletion();
     }
 
-    void skipCycles(Cycle count) override;
+    void addStallCycles(Cycle count) override;
 
     /** Current register value. */
     Word reg(int index) const;
@@ -55,7 +55,11 @@ class Processor : public Agent
     /** Instructions retired. */
     std::uint64_t instructionsRetired() const { return retired; }
 
-    /** Cycles spent stalled on memory. */
+    /**
+     * Cycles spent stalled on memory.  Like pe.stall_cycles, exact
+     * after run() or a counters() read: the shard pays a stalled PE
+     * its cycles in bulk at wake or flush.
+     */
     std::uint64_t stallCycles() const { return stalls; }
 
   private:

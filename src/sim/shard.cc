@@ -103,19 +103,13 @@ Shard::tick()
 Cycle
 Shard::nextEventCycle(Cycle now) const
 {
+    // A runnable or woken agent ticks this cycle; a stalled one can
+    // only be woken by its cache's completion, so it is off the list.
+    if (!runnable.empty() || !woken.empty())
+        return now;
     Cycle earliest = kNever;
     for (const Tickable *component : components) {
         Cycle next = component->nextEventCycle(now);
-        if (next <= now)
-            return now;
-        earliest = std::min(earliest, next);
-    }
-    // A woken agent ticks this cycle; a stalled one can only be woken
-    // by its cache's completion, so it is off the list.
-    if (!woken.empty())
-        return now;
-    for (std::size_t slot : runnable) {
-        Cycle next = agents[slot]->nextEventCycle(now);
         if (next <= now)
             return now;
         earliest = std::min(earliest, next);
@@ -126,12 +120,11 @@ Shard::nextEventCycle(Cycle now) const
 void
 Shard::skipCycles(Cycle count)
 {
-    ddc_assert(woken.empty(), "skipped cycles a woken agent would run");
+    ddc_assert(runnable.empty() && woken.empty(),
+               "skipped cycles an agent would run");
     for (Tickable *component : components)
         component->skipCycles(count);
     cycles += count;
-    for (std::size_t slot : runnable)
-        agents[slot]->skipCycles(count);
 }
 
 void

@@ -78,16 +78,19 @@ class Shard
     bool done() const { return runnable.empty() && parked == 0; }
 
     /**
-     * Earliest cycle at which any of this shard's buses or active
-     * agents can change state: @p now when some component is runnable
-     * this cycle, a future cycle during a quiescent interval, kNever
-     * when every component is blocked.  Side-effect free.
+     * Earliest cycle at which this shard can change state: @p now
+     * while any agent is runnable or woken, else the earliest of its
+     * components' next events (a future cycle during a quiescent
+     * interval, kNever when every component is blocked).  Agents
+     * never report time: a stalled one waits for its wake.
+     * Side-effect free.
      */
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * Fast-forward @p count quiescent cycles (bulk bookkeeping); the
-     * stalled agents are paid for them at wake or flush.
+     * Fast-forward @p count quiescent cycles of the components (bulk
+     * bookkeeping); every agent is stalled or finished, and the
+     * stalled ones are paid for them at wake or flush.
      */
     void skipCycles(Cycle count);
 

@@ -20,14 +20,6 @@ TraceAgent::done() const
 }
 
 void
-TraceAgent::skipCycles(Cycle count)
-{
-    ddc_assert(waiting && !caches.hasCompletion(),
-               "skipped a runnable trace agent");
-    stats.add(statStallCycles, count);
-}
-
-void
 TraceAgent::addStallCycles(Cycle count)
 {
     stats.add(statStallCycles, count);

@@ -28,19 +28,6 @@ class TraceAgent : public Agent
     void tick() override;
     bool done() const override;
 
-    /**
-     * Runnable whenever it could issue the next reference or consume
-     * a completion; event-free only while stalled on an outstanding
-     * miss (the bus wakes it by completing the access).
-     */
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        return waiting && !caches.hasCompletion() ? kNever : now;
-    }
-
-    void skipCycles(Cycle count) override;
-
     /** Ticking while a miss is outstanding only counts a stall. */
     bool
     stalledOnCompletion() const override

@@ -244,17 +244,6 @@ class HomeNodeTest : public ::testing::Test
     std::uint64_t visits = 0;
 };
 
-TEST_F(HomeNodeTest, IdleCycleWhenInboxEmpty)
-{
-    home.clearInbox();
-    home.tick(clients, visits);
-    EXPECT_EQ(stats.get("bus.idle_cycles"), 1u);
-    EXPECT_EQ(stats.get("bus.busy_cycles"), 0u);
-
-    home.countIdle(5);
-    EXPECT_EQ(stats.get("bus.idle_cycles"), 6u);
-}
-
 TEST_F(HomeNodeTest, ReadRecordsSharerAndCompletes)
 {
     home.memoryBank().write(10, 77);
@@ -574,7 +563,8 @@ TEST(DirectoryFabricTest, ArmingGatesNextEventAndSkip)
         fabric.attach(&storage.back());
     }
 
-    // Clients attach armed, pinning the fabric to the current cycle.
+    // Clients attach armed, pinning the fabric to the current cycle
+    // (ClusterCache disarms right after attaching: no forwards yet).
     EXPECT_EQ(fabric.armedClients(), 2u);
     EXPECT_EQ(fabric.nextEventCycle(5), 5u);
 
@@ -587,18 +577,28 @@ TEST(DirectoryFabricTest, ArmingGatesNextEventAndSkip)
     fabric.skipCycles(7);
     EXPECT_EQ(stats.get("bus.idle_cycles"), 14u); // 7 per home
 
+    // A client arms with its request (armed => request, the promise
+    // every fabric client keeps).
+    storage[0].push(makeRequest(BusOp::Read, 2));
     fabric.setRequestArmed(0, true);
     EXPECT_EQ(fabric.armedClients(), 1u);
     EXPECT_EQ(fabric.nextEventCycle(9), 9u);
 
-    // Armed but with nothing pending: every home idles.
+    // Home 0 serves it; the untouched home idles.
     fabric.tick();
-    EXPECT_EQ(stats.get("bus.idle_cycles"), 16u);
-    EXPECT_EQ(fabric.messageVisits(), 0u);
+    EXPECT_EQ(storage[0].completions.size(), 1u);
+    EXPECT_EQ(stats.get("bus.busy_cycles"), 1u);
+    EXPECT_EQ(stats.get("bus.idle_cycles"), 15u);
+
+    // Its request served, the client disarms: quiescent again.
+    fabric.setRequestArmed(0, false);
+    EXPECT_EQ(fabric.nextEventCycle(10), kNever);
 }
 
-TEST(DirectoryFabricTest, QuiescentRoutingReportsNeverUntilRearmed)
+TEST(DirectoryFabricTest, ArmedClientWithoutARequestPanics)
 {
+    // Armed means "has a request": the fabric's quiescence rule
+    // (armed => now) relies on it, so the routing pass checks it.
     stats::CounterSet stats;
     DirectoryFabric fabric(2, ArbiterKind::RoundRobin, 1, stats);
     std::deque<FakeClient> storage;
@@ -606,31 +606,8 @@ TEST(DirectoryFabricTest, QuiescentRoutingReportsNeverUntilRearmed)
         storage.emplace_back(pe);
         fabric.attach(&storage.back());
     }
-
-    // Armed clients with no pending request pin the fabric to `now`
-    // only until one routing pass observes the quiescence...
-    EXPECT_EQ(fabric.nextEventCycle(3), 3u);
-    fabric.tick();
-    EXPECT_EQ(stats.get("bus.idle_cycles"), 2u);
-
-    // ...after which it reports kNever, so the skip engine engages
-    // even though both clients are still armed.
-    EXPECT_EQ(fabric.armedClients(), 2u);
-    EXPECT_EQ(fabric.nextEventCycle(4), kNever);
-    fabric.skipCycles(5);
-    EXPECT_EQ(stats.get("bus.idle_cycles"), 12u); // 5 more per home
-
-    // An arm event re-pins the fabric to `now` (the quiescence
-    // contract: new work is announced through setRequestArmed).
-    fabric.setRequestArmed(0, false);
-    fabric.setRequestArmed(0, true);
-    EXPECT_EQ(fabric.nextEventCycle(9), 9u);
-
-    // A routing pass that posts keeps the fabric live at `now`.
     storage[0].push(makeRequest(BusOp::Read, 2));
-    fabric.tick();
-    EXPECT_EQ(storage[0].completions.size(), 1u);
-    EXPECT_EQ(fabric.nextEventCycle(10), 10u);
+    EXPECT_DEATH(fabric.tick(), "had no request");
 }
 
 } // namespace

@@ -15,6 +15,8 @@
 
 #include "exp/runner.hh"
 #include "hier/hier_system.hh"
+#include "sim/system.hh"
+#include "sync/workload.hh"
 #include "trace/synthetic.hh"
 #include "verify/consistency.hh"
 
@@ -545,6 +547,147 @@ memory.read = 32
 memory.write = 192
 pe.stall_cycles = 510
 )");
+}
+
+TEST(Golden, LockProgramsMatchBaseline)
+{
+    // Program-driven machines: 16 RB PEs spinning on one TS or TTS
+    // lock (Section 6), at the paper's unified cycle and with 16
+    // cycles of memory latency, where stalled PEs sit out most of
+    // the run.  Captured from the build before program-driven PEs
+    // left their shard's runnable list while stalled.
+    struct Case
+    {
+        sync::LockKind lock;
+        std::size_t latency;
+        Cycle cycles;
+        Cycle skipped;
+        const char *report;
+    };
+    const Case cases[] = {
+        {sync::LockKind::TestAndSet, 0, 7546, 0, R"(bus.busy_cycles = 7298
+bus.idle_cycles = 248
+bus.kill = 381
+bus.read = 128
+bus.rmw = 6534
+bus.rmw_fail = 6406
+bus.rmw_success = 128
+bus.supply_write = 381
+bus.write = 636
+cache.invalidated = 3244
+cache.read_hit.Shared = 384
+cache.read_miss.Shared = 128
+cache.refs = 7686
+cache.snarf = 2849
+cache.supply = 381
+cache.ts.Shared = 6534
+cache.write_hit.Shared = 385
+cache.write_miss.Shared = 255
+memory.read = 6662
+memory.write = 764
+pe.instructions = 16236
+pe.stall_cycles = 77680
+)"},
+        {sync::LockKind::TestAndSet, 16, 93581, 75652, R"(bus.busy_cycles = 93500
+bus.idle_cycles = 81
+bus.kill = 353
+bus.read = 114
+bus.rmw = 4792
+bus.rmw_fail = 4664
+bus.rmw_success = 128
+bus.supply_write = 353
+bus.transfer_cycles = 88000
+bus.write = 594
+cache.flush = 7
+cache.invalidated = 2810
+cache.read_hit.Shared = 398
+cache.read_miss.Shared = 114
+cache.refs = 5944
+cache.snarf = 2457
+cache.supply = 353
+cache.ts.Shared = 4792
+cache.write_hit.Shared = 406
+cache.write_miss.Shared = 234
+memory.read = 4906
+memory.write = 722
+pe.instructions = 12752
+pe.stall_cycles = 1242045
+)"},
+        {sync::LockKind::TestAndTestAndSet, 0, 5662, 0, R"(bus.busy_cycles = 2835
+bus.idle_cycles = 2827
+bus.kill = 381
+bus.read = 271
+bus.rmw = 1928
+bus.rmw_fail = 1800
+bus.rmw_success = 128
+bus.supply_write = 381
+bus.write = 636
+cache.broadcast_fill = 1673
+cache.invalidated = 5625
+cache.read_hit.Shared = 26862
+cache.read_miss.Shared = 1944
+cache.refs = 31374
+cache.snarf = 5229
+cache.supply = 381
+cache.ts.Shared = 1928
+cache.write_hit.Shared = 385
+cache.write_miss.Shared = 255
+memory.read = 2199
+memory.write = 764
+pe.instructions = 63612
+pe.stall_cycles = 22776
+)"},
+        {sync::LockKind::TestAndTestAndSet, 16, 26067, 6732, R"(bus.busy_cycles = 25942
+bus.idle_cycles = 125
+bus.kill = 255
+bus.read = 145
+bus.rmw = 983
+bus.rmw_fail = 855
+bus.rmw_success = 128
+bus.supply_write = 255
+bus.transfer_cycles = 24416
+bus.write = 398
+cache.broadcast_fill = 742
+cache.flush = 7
+cache.invalidated = 3525
+cache.read_hit.Shared = 42009
+cache.read_miss.Shared = 887
+cache.refs = 44519
+cache.snarf = 3269
+cache.supply = 255
+cache.ts.Shared = 983
+cache.write_hit.Shared = 504
+cache.write_miss.Shared = 136
+memory.read = 1128
+memory.write = 526
+pe.instructions = 89902
+pe.stall_cycles = 181576
+)"},
+    };
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << toString(c.lock) << " latency " << c.latency);
+        sync::LockExperimentConfig config;
+        config.num_pes = 16;
+        config.lock = c.lock;
+        config.protocol = ProtocolKind::Rb;
+        config.memory_latency = c.latency;
+        std::unique_ptr<System> system;
+        auto result = sync::runLockExperiment(config, &system);
+
+        EXPECT_TRUE(result.completed);
+        EXPECT_EQ(result.counter_value, result.expected_counter);
+        EXPECT_EQ(result.cycles, c.cycles);
+        EXPECT_EQ(result.skipped_cycles, c.skipped);
+        auto counters = system->counters();
+        EXPECT_EQ(counters.report(), c.report);
+        // Every PE's own stall count is exact after run().
+        std::uint64_t stalls = 0;
+        for (PeId pe = 0; pe < config.num_pes; pe++)
+            stalls += system->processor(pe).stallCycles();
+        EXPECT_EQ(stalls, counters.get("pe.stall_cycles"));
+    }
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the simulation kernel (sim/kernel.hh) against stub
- * agents: tick ordering, the quiescent-skip window (minimum of every
- * shard's nextEventCycle), budget clamping, and the stalled-agent
- * wake list with its bulk stall payments.
+ * agents and components: tick ordering, the quiescent-skip window
+ * (minimum of every shard's nextEventCycle, which only components
+ * report), budget clamping, and the stalled-agent wake list with its
+ * bulk stall payments.
  */
 
 #include <gtest/gtest.h>
@@ -32,56 +33,13 @@ class CountingAgent : public Agent
     }
 
     bool done() const override { return remaining == 0; }
+    bool stalledOnCompletion() const override { return false; }
+    void addStallCycles(Cycle) override {}
 
     int ticks = 0;
 
   private:
     int remaining;
-};
-
-/** Self-timed: idle until cycle @p wake_at, then one tick of work. */
-class WaiterAgent : public Agent
-{
-  public:
-    WaiterAgent(const Clock &clock, Cycle wake_at)
-        : clock(clock), wakeAt(wake_at)
-    {}
-
-    void
-    tick() override
-    {
-        if (clock.now >= wakeAt)
-            finished = true;
-    }
-
-    bool done() const override { return finished; }
-
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        return now >= wakeAt ? now : wakeAt;
-    }
-
-    void skipCycles(Cycle count) override { skipped += count; }
-
-    Cycle skipped = 0;
-
-  private:
-    const Clock &clock;
-    Cycle wakeAt;
-    bool finished = false;
-};
-
-/** Blocked forever on another component (nextEventCycle = kNever). */
-class BlockedAgent : public Agent
-{
-  public:
-    void tick() override {}
-    bool done() const override { return false; }
-    Cycle nextEventCycle(Cycle) const override { return kNever; }
-    void skipCycles(Cycle count) override { skipped += count; }
-
-    Cycle skipped = 0;
 };
 
 /** Stalls on completion after its first tick; counts stall cycles. */
@@ -104,6 +62,53 @@ class StallingAgent : public Agent
 
   private:
     bool issued = false;
+};
+
+/** Raises a wake for slot 0 of a shard when the clock reaches a cycle. */
+class WakeAt : public Tickable
+{
+  public:
+    WakeAt(const Clock &clock, Shard &shard, Cycle at)
+        : clock(clock), shard(shard), at(at)
+    {}
+
+    void
+    tick() override
+    {
+        if (clock.now == at)
+            shard.raiseWake(0);
+    }
+
+    Cycle
+    nextEventCycle(Cycle now) const override
+    {
+        return now <= at ? at : kNever;
+    }
+
+    void skipCycles(Cycle count) override { skipped += count; }
+
+    Cycle skipped = 0;
+
+  private:
+    const Clock &clock;
+    Shard &shard;
+    Cycle at;
+};
+
+/**
+ * Misses on its first tick, then finishes on the tick after its wake
+ * (a trace agent with one reference); counts its stall cycles.
+ */
+class OneMissAgent : public Agent
+{
+  public:
+    void tick() override { ticks++; }
+    bool done() const override { return ticks == 2; }
+    bool stalledOnCompletion() const override { return ticks == 1; }
+    void addStallCycles(Cycle count) override { stallCycles += count; }
+
+    int ticks = 0;
+    Cycle stallCycles = 0;
 };
 
 TEST(Kernel, RunsAgentsToCompletion)
@@ -132,20 +137,25 @@ TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
     Kernel kernel(clock, true);
     Shard &a = kernel.makeShard(1);
     Shard &b = kernel.makeShard(1);
-    WaiterAgent late(clock, 10);
-    WaiterAgent early(clock, 5);
+    WakeAt lateWaker(clock, a, 10);
+    WakeAt earlyWaker(clock, b, 5);
+    a.addComponent(&lateWaker);
+    b.addComponent(&earlyWaker);
+    OneMissAgent late, early;
     a.setAgent(0, &late);
     b.setAgent(0, &early);
     a.rebuild();
     b.rebuild();
 
     EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    // Skip to 5 (the earlier waiter), tick, skip 6..9, tick: only the
-    // two tick cycles are actually executed.
+    // Both miss in cycle 0; skip 1..4 to the earlier wake, tick 5,
+    // skip 6..9, tick 10.  Skipping past 5 would drop b's wake.
     EXPECT_EQ(clock.now, 11u);
-    EXPECT_EQ(kernel.skippedCycles(), 9u);
-    EXPECT_EQ(late.skipped, 9u);
-    EXPECT_EQ(early.skipped, 5u);
+    EXPECT_EQ(kernel.skippedCycles(), 8u);
+    EXPECT_EQ(lateWaker.skipped, 8u);
+    EXPECT_EQ(earlyWaker.skipped, 8u);
+    EXPECT_EQ(early.stallCycles, 4u);
+    EXPECT_EQ(late.stallCycles, 9u);
 }
 
 TEST(Kernel, SkipDisabledTicksEveryCycle)
@@ -153,14 +163,19 @@ TEST(Kernel, SkipDisabledTicksEveryCycle)
     Clock clock;
     Kernel kernel(clock, false);
     Shard &shard = kernel.makeShard(1);
-    WaiterAgent waiter(clock, 20);
-    shard.setAgent(0, &waiter);
+    WakeAt waker(clock, shard, 20);
+    shard.addComponent(&waker);
+    OneMissAgent agent;
+    shard.setAgent(0, &agent);
     shard.rebuild();
 
     EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
     EXPECT_EQ(clock.now, 21u);
     EXPECT_EQ(kernel.skippedCycles(), 0u);
-    EXPECT_EQ(waiter.skipped, 0u);
+    EXPECT_EQ(waker.skipped, 0u);
+    // Stalled, the agent sits out cycles 1..19 even without skipping.
+    EXPECT_EQ(agent.ticks, 2);
+    EXPECT_EQ(agent.stallCycles, 19u);
 }
 
 TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
@@ -168,15 +183,17 @@ TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
     Clock clock;
     Kernel kernel(clock, true);
     Shard &shard = kernel.makeShard(1);
-    BlockedAgent blocked;
+    StallingAgent blocked; // no component will ever wake it
     shard.setAgent(0, &blocked);
     shard.rebuild();
 
     EXPECT_EQ(kernel.run(100), RunStatus::TimedOut);
-    // The skip clamps to the budget and reports the wall cycle.
+    // Ticked in cycle 0; then every shard reports kNever, so the skip
+    // clamps to the budget and reports the wall cycle.
     EXPECT_EQ(clock.now, 100u);
-    EXPECT_EQ(kernel.skippedCycles(), 100u);
-    EXPECT_EQ(blocked.skipped, 100u);
+    EXPECT_EQ(kernel.skippedCycles(), 99u);
+    EXPECT_EQ(blocked.ticks, 1);
+    EXPECT_EQ(blocked.stallCycles, 99u);
     EXPECT_FALSE(kernel.allDone());
 }
 
@@ -233,6 +250,7 @@ class LoggingStaller : public Agent
     void tick() override { order.push_back(slot); }
     bool done() const override { return false; }
     bool stalledOnCompletion() const override { return true; }
+    void addStallCycles(Cycle) override {}
 
   private:
     std::vector<int> &order;
@@ -263,35 +281,6 @@ TEST(Kernel, WakesRaisedOutOfOrderAreAdmittedInSlotOrder)
     EXPECT_EQ(order.size(), 7u);
     EXPECT_FALSE(kernel.allDone());
 }
-
-/** Raises a wake for slot 0 of a shard when the clock reaches a cycle. */
-class WakeAt : public Tickable
-{
-  public:
-    WakeAt(const Clock &clock, Shard &shard, Cycle at)
-        : clock(clock), shard(shard), at(at)
-    {}
-
-    void
-    tick() override
-    {
-        if (clock.now == at)
-            shard.raiseWake(0);
-    }
-
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        return now <= at ? at : kNever;
-    }
-
-    void skipCycles(Cycle) override {}
-
-  private:
-    const Clock &clock;
-    Shard &shard;
-    Cycle at;
-};
 
 TEST(Kernel, StallCyclesOwedAcrossAQuiescentSkipArePaidAtWake)
 {
@@ -347,6 +336,8 @@ TEST(Kernel, WakeDuringTheAgentPassPanics)
         explicit SelfWaker(Shard &shard) : shard(shard) {}
         void tick() override { shard.raiseWake(0); }
         bool done() const override { return false; }
+        bool stalledOnCompletion() const override { return false; }
+        void addStallCycles(Cycle) override {}
 
       private:
         Shard &shard;
@@ -385,6 +376,8 @@ TEST(Kernel, TickOrderFollowsShardCreation)
         }
 
         bool done() const override { return remaining == 0; }
+        bool stalledOnCompletion() const override { return false; }
+        void addStallCycles(Cycle) override {}
 
       private:
         std::vector<int> &order;
